@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -23,6 +24,12 @@ constexpr std::size_t kAutoColumnGenThreshold = 16;
 /// Phase A optimum below this is "the background is deliverable" (the
 /// artificial slacks are zero up to simplex round-off, in Mbps).
 constexpr double kPhaseATol = 1e-7;
+
+/// Pricing weights at or below this fraction of the round's largest weight
+/// are dual round-off on links the master prices at zero; they are zeroed
+/// so that whether such a link joins a priced set cannot depend on the
+/// build's floating-point contraction.
+constexpr double kDualNoiseTol = 1e-12;
 
 std::vector<net::LinkId> union_of_links(std::span<const LinkFlow> background,
                                         std::span<const net::LinkId> new_path) {
@@ -140,7 +147,10 @@ struct ColGenLoopResult {
 /// stay valid across re-solves as columns are appended. `row0_index` /
 /// `link_rows_begin` locate the Σλ <= 1 row and the per-universe-link rows
 /// inside the master; `stop` (optional) ends pricing early once the
-/// objective is good enough (phase A stops at zero artificials).
+/// objective is good enough (phase A stops at zero artificials). The only
+/// minimizing master is phase A's, which also stops, certified, once an
+/// exact round proves its optimum above kPhaseATol (DESIGN.md §9, "Phase A
+/// certificate").
 ColGenLoopResult column_generation_loop(
     const InterferenceModel& model, std::span<const net::LinkId> universe,
     const ColumnGenOptions& options, ColumnPool* pool, ColumnGenStats* stats,
@@ -158,6 +168,12 @@ ColGenLoopResult column_generation_loop(
   // Wentges (in-out) stability center: the smoothed dual vector
   // [row0 ; link rows...] of the last successful pricing round.
   std::vector<double> center;
+  const double max_mbps = model.rate_table().max_mbps();
+  // An upper bound on max_α Σ_e w_e R_α[e] under the last round's
+  // unrounded weights: the exact oracle's bound plus the most the zeroed
+  // round-off weights could add, or +inf when the round never reached the
+  // exact oracle (so no Lagrangian bound follows from it).
+  double exact_max_weight = std::numeric_limits<double>::infinity();
   // One pricing round against the dual vector `duals`
   // ([row0 ; link rows...]). Returns true when the master gained at least
   // one new column; false means no improving column was found (or only
@@ -168,8 +184,19 @@ ColGenLoopResult column_generation_loop(
   const auto price_and_add = [&](const std::vector<double>& duals, double sign,
                                  bool exact_tier) {
     ++stats->rounds;
-    for (std::size_t k = 0; k < universe.size(); ++k)
+    exact_max_weight = std::numeric_limits<double>::infinity();
+    double max_weight = 0.0;
+    for (std::size_t k = 0; k < universe.size(); ++k) {
       weights[k] = std::max(0.0, sign * duals[1 + k]);
+      max_weight = std::max(max_weight, weights[k]);
+    }
+    double zeroed_mass = 0.0;
+    for (double& w : weights) {
+      if (w > 0.0 && w <= kDualNoiseTol * max_weight) {
+        zeroed_mass += w * max_mbps;
+        w = 0.0;
+      }
+    }
     const double floor =
         std::max(0.0, -sign * duals[0]) + options.reduced_cost_tol;
 
@@ -231,6 +258,7 @@ ColGenLoopResult column_generation_loop(
     ++stats->exact_rounds;
     MaxWeightSetResult priced =
         model.max_weight_independent_set(universe, weights, floor);
+    exact_max_weight = priced.max_weight + zeroed_mass;
     if (options.pricing == PricingMode::kTiered)
       for (IndependentSet& extra : priced.extras) pool->stash(std::move(extra));
     return priced.found() && pool->add(std::move(priced.set));
@@ -300,7 +328,6 @@ ColGenLoopResult column_generation_loop(
     if (!added) {
       const bool fresh_column = price_and_add(incumbent, sign,
                                               /*exact_tier=*/true);
-      center = std::move(incumbent);
       if (!fresh_column) {
         // No improving column — or the "improving" column already exists,
         // which only happens from dual round-off noise within tolerance.
@@ -310,6 +337,22 @@ ColGenLoopResult column_generation_loop(
         stats->certified = true;
         break;
       }
+      if (sign > 0.0) {
+        // Phase A (the only minimizing master). The Lagrangian bound of
+        // an exact round on the incumbent duals:
+        // every column's reduced cost is at least u − W*, and Σλ <= 1
+        // caps how much of it any solution can collect, so the full
+        // master's optimum is at least z_RMP − max(0, W* − u).
+        const double u = std::max(0.0, -incumbent[0]);
+        const double lower_bound =
+            out.solution.objective - std::max(0.0, exact_max_weight - u);
+        if (lower_bound > kPhaseATol) {
+          out.converged = true;
+          stats->certified = true;
+          break;
+        }
+      }
+      center = std::move(incumbent);
     }
   }
   stats->columns = pool->sets.size();

@@ -1,6 +1,7 @@
 #include "core/independent_set.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -102,6 +103,73 @@ constexpr std::size_t kParallelRootThreshold = 16;
 /// columns).
 constexpr std::size_t kMaxExtras = 3;
 
+/// Relative band within which two pricing weights count as tied. A
+/// degenerate master prices many sets at the same weight, and round-off in
+/// its duals moves those weights by a few ulps between builds (FMA
+/// contraction, summation order), so the exact searches break ties by
+/// signature instead of by which tied set they reached first.
+constexpr double kWeightTieTol = 1e-9;
+
+double tie_band(double weight) {
+  return kWeightTieTol * std::max(1.0, std::abs(weight));
+}
+
+/// The canonical order among tied sets: the larger set first (it delivers
+/// on more links at the same weight), then the lower signature.
+bool tie_preferred(const std::vector<std::uint64_t>& a,
+                   const std::vector<std::uint64_t>& b) {
+  if (a.size() != b.size()) return a.size() > b.size();
+  return a < b;
+}
+
+/// The exact searches' incumbent. `top` is the highest weight seen so far
+/// and drives pruning, so the true maximum is never cut off; the incumbent
+/// itself is the tie_preferred set among those within the tie band of
+/// `top` (signatures are ascending integer keys, canonical per set).
+class Incumbent {
+ public:
+  explicit Incumbent(double floor)
+      : floor_(floor), top_(floor), weight_(floor) {}
+
+  double top() const { return top_; }
+  double weight() const { return weight_; }
+  const std::vector<std::uint64_t>& signature() const { return signature_; }
+
+  /// True when no set of weight at most `optimistic` can become the
+  /// incumbent.
+  bool prunes(double optimistic) const {
+    return optimistic <= floor_ || optimistic < top_ - tie_band(top_);
+  }
+
+  /// Offer a set of weight `w`; `signature_of()` yields its signature.
+  /// Returns true when the set becomes the new incumbent.
+  template <typename SignatureFn>
+  bool offer(double w, SignatureFn&& signature_of) {
+    if (w <= floor_) return false;
+    top_ = std::max(top_, w);
+    const double band = top_ - tie_band(top_);
+    // An incumbent still inside the band yields only to a tied set that
+    // precedes it in the canonical order; one the new top left behind
+    // yields unconditionally (the offered set is then the top itself).
+    if (!signature_.empty() && weight_ >= band) {
+      if (w < band) return false;
+      std::vector<std::uint64_t> candidate = signature_of();
+      if (!tie_preferred(candidate, signature_)) return false;
+      signature_ = std::move(candidate);
+    } else {
+      signature_ = signature_of();
+    }
+    weight_ = w;
+    return true;
+  }
+
+ private:
+  double floor_;
+  double top_;
+  double weight_;
+  std::vector<std::uint64_t> signature_;
+};
+
 /// Clear bits 0..v of `row` (keep strictly-greater indices only) — the
 /// ordered-enumeration mask that makes every couple combination appear on
 /// exactly one DFS path.
@@ -127,8 +195,9 @@ struct ProtocolPricerData {
 /// compatibility graph, i.e. the max-weight rate-coupled independent set
 /// under the protocol model. One instance serves one root (or, on the
 /// sequential path, all roots in ascending order with a carried best —
-/// both yield the identical final answer because the first leaf achieving
-/// the optimum is visited regardless of the starting floor).
+/// both yield the identical final answer because every set tied with the
+/// optimum is visited regardless of the starting floor, and the tie is
+/// broken by the same canonical order either way).
 class ProtocolRootSearch {
  public:
   ProtocolRootSearch(const ProtocolPricerData& data, double floor)
@@ -143,7 +212,7 @@ class ProtocolRootSearch {
     const std::size_t v0 = data_.roots[root];
     members_.assign(1, v0);
     const double w = data_.weight[v0];
-    if (w > best_) record(w);
+    consider(w);
     auto& p = buffers_[0];
     util::bits_and(p.data(), data_.pool.data(), data_.matrix->compat_row(v0),
                    data_.words);
@@ -151,7 +220,11 @@ class ProtocolRootSearch {
     if (!util::bits_none(p.data(), data_.words)) dfs(1, w);
   }
 
-  double best_weight() const { return best_; }
+  double best_weight() const { return best_.weight(); }
+  double top_weight() const { return best_.top(); }
+  const std::vector<std::uint64_t>& best_signature() const {
+    return best_.signature();
+  }
   const std::vector<std::size_t>& best_members() const { return best_members_; }
   /// Beaten former bests (couple-index lists), oldest first, capped at
   /// kMaxExtras.
@@ -184,11 +257,11 @@ class ProtocolRootSearch {
 
   void dfs(std::size_t depth, double current) {
     const util::BitWord* p = buffers_[depth - 1].data();
-    if (current + bound(p) <= best_) return;
+    if (best_.prunes(current + bound(p))) return;
     util::bits_for_each(p, data_.words, [&](std::size_t v) {
       const double w = current + data_.weight[v];
       members_.push_back(v);
-      if (w > best_) record(w);
+      consider(w);
       auto& next = buffers_[depth];
       util::bits_and(next.data(), p, data_.matrix->compat_row(v), data_.words);
       bits_keep_above(next.data(), v);
@@ -197,19 +270,24 @@ class ProtocolRootSearch {
     });
   }
 
-  void record(double w) {
+  /// Offer the current members (couple indices ascending, so the list
+  /// itself is the signature) to the incumbent.
+  void consider(double w) {
+    const bool taken = best_.offer(w, [&] {
+      return std::vector<std::uint64_t>(members_.begin(), members_.end());
+    });
+    if (!taken) return;
     // The beaten best is itself a feasible set above the floor — keep the
     // most recent few as runner-up extras.
     if (!best_members_.empty()) {
       if (extras_.size() == kMaxExtras) extras_.erase(extras_.begin());
       extras_.push_back(best_members_);
     }
-    best_ = w;
     best_members_ = members_;
   }
 
   const ProtocolPricerData& data_;
-  double best_;
+  Incumbent best_;
   std::vector<std::size_t> members_;       ///< couple indices, ascending
   std::vector<std::size_t> best_members_;
   std::vector<std::vector<std::size_t>> extras_;
@@ -223,6 +301,20 @@ struct PhysicalPricerData {
   std::vector<double> w_alone;          ///< link weight * alone mbps
   std::vector<std::size_t> order;       ///< candidates, descending w_alone
 };
+
+/// Canonical signature of a physical set: its (universe position, rate)
+/// couples, sorted. Protocol sets use their ascending couple-index lists
+/// directly.
+std::vector<std::uint64_t> physical_signature(
+    const std::vector<std::size_t>& members,
+    const std::vector<phy::RateIndex>& rates) {
+  std::vector<std::uint64_t> sig(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i)
+    sig[i] = (static_cast<std::uint64_t>(members[i]) << 16) |
+             static_cast<std::uint64_t>(rates[i]);
+  std::sort(sig.begin(), sig.end());
+  return sig;
+}
 
 /// Branch-and-bound max-weight independent set under cumulative SINR.
 /// Tracks incremental interference exactly like PhysicalMisEnumerator so
@@ -244,12 +336,16 @@ class PhysicalRootSearch {
     members_.clear();
     push(data_.order[root]);
     const double w = member_weight();
-    if (w > best_) record(w);
+    consider(w);
     dfs(root + 1, w);
     pop(data_.order[root]);
   }
 
-  double best_weight() const { return best_; }
+  double best_weight() const { return best_.weight(); }
+  double top_weight() const { return best_.top(); }
+  const std::vector<std::uint64_t>& best_signature() const {
+    return best_.signature();
+  }
   const std::vector<std::size_t>& best_members() const { return best_members_; }
   const std::vector<phy::RateIndex>& best_rates() const { return best_rates_; }
   /// Beaten former bests (members + their rates), oldest first, capped at
@@ -332,33 +428,37 @@ class PhysicalRootSearch {
       const std::size_t v = data_.order[i];
       if (blocked_[v] == 0) optimistic += data_.w_alone[v];
     }
-    if (optimistic <= best_) return;
+    if (best_.prunes(optimistic)) return;
     for (std::size_t i = start; i < data_.order.size(); ++i) {
       const std::size_t v = data_.order[i];
       if (blocked_[v] != 0) continue;
       if (!extension_feasible(v)) continue;
       push(v);
       const double w = member_weight();
-      if (w > best_) record(w);
+      consider(w);
       dfs(i + 1, w);
       pop(v);
     }
   }
 
-  void record(double w) {
+  /// Offer the current members (rates in rates_scratch_, as member_weight
+  /// left them) to the incumbent.
+  void consider(double w) {
+    const bool taken = best_.offer(
+        w, [&] { return physical_signature(members_, rates_scratch_); });
+    if (!taken) return;
     // The beaten best is itself a feasible set above the floor — keep the
     // most recent few as runner-up extras.
     if (!best_members_.empty()) {
       if (extras_.size() == kMaxExtras) extras_.erase(extras_.begin());
       extras_.emplace_back(best_members_, best_rates_);
     }
-    best_ = w;
     best_members_ = members_;
     best_rates_ = rates_scratch_;
   }
 
   const PhysicalPricerData& data_;
-  double best_;
+  Incumbent best_;
   std::vector<double> interference_;   ///< by universe position
   std::vector<int> blocked_;           ///< node-sharing member count
   std::vector<std::size_t> members_;   ///< universe positions, order order
@@ -460,18 +560,21 @@ IndependentSet physical_members_to_set(
 }
 
 /// Run `roots` independent root searches and reduce deterministically:
-/// maximum weight, ties to the lowest root index. Sequential below the
-/// thread-fan-out threshold (with a carried best for extra pruning —
-/// provably the same answer), per-root otherwise so the result cannot
-/// depend on MRWSN_THREADS.
+/// among the roots whose incumbent is tied with the overall top weight,
+/// the tie_preferred one wins. Sequential below the thread-fan-out threshold
+/// (with a carried best for extra pruning — the same answer), per-root
+/// otherwise so the result cannot depend on MRWSN_THREADS. `*top` receives
+/// the maximum weight over all roots.
 template <typename Search, typename Data>
 std::optional<Search> run_roots(const Data& data, std::size_t num_roots,
-                                double floor) {
+                                double floor, double* top) {
+  *top = floor;
   if (num_roots == 0) return std::nullopt;
   if (num_roots < kParallelRootThreshold) {
     Search search(data, floor);
     for (std::size_t r = 0; r < num_roots; ++r) search.run(r);
     if (search.best_weight() <= floor) return std::nullopt;
+    *top = search.top_weight();
     return search;
   }
   std::vector<std::optional<Search>> results(num_roots);
@@ -480,11 +583,15 @@ std::optional<Search> run_roots(const Data& data, std::size_t num_roots,
     search.run(r);
     if (search.best_weight() > floor) results[r].emplace(std::move(search));
   });
+  for (const auto& result : results)
+    if (result) *top = std::max(*top, result->top_weight());
   std::size_t winner = num_roots;
   for (std::size_t r = 0; r < num_roots; ++r) {
-    if (!results[r]) continue;
+    if (!results[r] || results[r]->best_weight() < *top - tie_band(*top))
+      continue;
     if (winner == num_roots ||
-        results[r]->best_weight() > results[winner]->best_weight())
+        tie_preferred(results[r]->best_signature(),
+                      results[winner]->best_signature()))
       winner = r;
   }
   if (winner == num_roots) return std::nullopt;
@@ -754,18 +861,6 @@ PhysicalStartOutcome physical_heuristic_start(const PhysicalPricerData& data,
   return out;
 }
 
-/// Canonical signature of a physical outcome: sorted (position, rate)
-/// couples. Protocol outcomes use their ascending couple-index lists
-/// directly.
-std::vector<std::uint64_t> physical_signature(const PhysicalStartOutcome& o) {
-  std::vector<std::uint64_t> sig(o.members.size());
-  for (std::size_t i = 0; i < o.members.size(); ++i)
-    sig[i] = (static_cast<std::uint64_t>(o.members[i]) << 16) |
-             static_cast<std::uint64_t>(o.rates[i]);
-  std::sort(sig.begin(), sig.end());
-  return sig;
-}
-
 /// Serial best-of reduction over per-start outcomes: maximum weight, ties
 /// to the lowest start index — identical at every MRWSN_THREADS.
 template <typename Outcome>
@@ -809,10 +904,9 @@ MaxWeightSetResult max_weight_independent_set_protocol(
     const ConflictMatrix& matrix, const phy::RateTable& rates,
     std::span<const double> link_weight, double floor) {
   const ProtocolPricerData data = build_protocol_data(matrix, rates, link_weight);
-  const auto best =
-      run_roots<ProtocolRootSearch>(data, data.roots.size(), floor);
-
   MaxWeightSetResult result;
+  const auto best = run_roots<ProtocolRootSearch>(
+      data, data.roots.size(), floor, &result.max_weight);
   if (!best) return result;
   result.weight = best->best_weight();
   result.set = protocol_members_to_set(matrix, rates, best->best_members());
@@ -826,10 +920,9 @@ MaxWeightSetResult max_weight_independent_set_physical(
     const PricingContext& context, std::span<const double> link_weight,
     double floor) {
   const PhysicalPricerData data = build_physical_data(context, link_weight);
-  const auto best =
-      run_roots<PhysicalRootSearch>(data, data.order.size(), floor);
-
   MaxWeightSetResult result;
+  const auto best = run_roots<PhysicalRootSearch>(
+      data, data.order.size(), floor, &result.max_weight);
   if (!best) return result;
   result.weight = best->best_weight();
   result.set =
@@ -890,7 +983,8 @@ MaxWeightSetResult heuristic_weight_independent_set_physical(
                                        outcomes[winner].rates);
   for (std::size_t s : pick_runners(outcomes, winner, floor,
                                     [](const PhysicalStartOutcome& o) {
-                                      return physical_signature(o);
+                                      return physical_signature(o.members,
+                                                                o.rates);
                                     }))
     result.extras.push_back(physical_members_to_set(
         context, outcomes[s].members, outcomes[s].rates));

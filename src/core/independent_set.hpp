@@ -48,11 +48,18 @@ std::vector<IndependentSet> remove_dominated(std::vector<IndependentSet> sets);
 struct MaxWeightSetResult {
   IndependentSet set;
   double weight = 0.0;
+  /// Exact oracles only: an upper bound on every feasible set's score —
+  /// the maximum when `set` is non-empty, the floor otherwise. `weight`
+  /// sits at most a 1e-9 relative tie band below the maximum: among sets
+  /// tied with it the exact searches return the largest, then the one with
+  /// the lowest (link, rate) signature, so round-off in the weights cannot
+  /// decide which tied set wins.
+  double max_weight = 0.0;
 
   /// Runner-up feasible sets that scored above the floor but were later
   /// beaten while proving `set` optimal — free byproducts of the
-  /// branch-and-bound's improving chain (most recent last, all strictly
-  /// below `weight`). Column-generation callers can add them as extra
+  /// branch-and-bound's improving chain (most recent last, none above
+  /// `max_weight`). Column-generation callers can add them as extra
   /// master columns per pricing round, which cuts the number of
   /// solve/price rounds without affecting exactness. Deterministic and
   /// independent of MRWSN_THREADS, like `set` itself.

@@ -120,6 +120,20 @@ TEST(ColumnGenerationParity, ScenarioTwoInfeasibleBackgroundAgrees) {
                                          SolveMethod::kColumnGeneration);
   EXPECT_FALSE(colgen.background_feasible);
   EXPECT_TRUE(colgen.colgen.converged);
+  EXPECT_TRUE(colgen.colgen.certified);
+  EXPECT_EQ(colgen.colgen.exact_rounds, 1u);
+  // The Lagrangian bound of the first exact round already proves the
+  // phase A optimum positive, so phase A stops there. Under exact-only
+  // pricing that round still found an improving column: convergence
+  // alone needed a second exact round.
+  ColumnGenOptions exact;
+  exact.pricing = PricingMode::kExactOnly;
+  const auto exact_run = max_path_bandwidth(
+      scenario.model, background, new_path, SolveMethod::kColumnGeneration,
+      exact);
+  EXPECT_FALSE(exact_run.background_feasible);
+  EXPECT_TRUE(exact_run.colgen.certified);
+  EXPECT_EQ(exact_run.colgen.exact_rounds, 1u);
 }
 
 // Ablation-style input: multirate protocol model with rate-dependent
@@ -344,6 +358,143 @@ TEST(ColumnGenerationLargeTopology, IdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Undeliverable backgrounds: the phase A Lagrangian certificate
+// ---------------------------------------------------------------------------
+
+/// One background-boundary instance: background flow 0 is the one whose
+/// demand the sweep scales.
+struct BoundaryCase {
+  const char* name;
+  const InterferenceModel* model;
+  std::vector<LinkFlow> background;
+  std::vector<net::LinkId> new_path;
+  bool enumerable;  ///< full enumeration fits the universe
+};
+
+AvailableBandwidthResult exact_only(const InterferenceModel& model,
+                                    std::span<const LinkFlow> background,
+                                    std::span<const net::LinkId> new_path) {
+  ColumnGenOptions options;
+  options.pricing = PricingMode::kExactOnly;
+  const auto result = max_path_bandwidth(model, background, new_path,
+                                         SolveMethod::kColumnGeneration,
+                                         options);
+  EXPECT_TRUE(result.colgen.converged);
+  EXPECT_TRUE(result.colgen.certified);
+  return result;
+}
+
+/// Scale flow 0 to 0.5, 0.99, 1.01 and 2 times its largest deliverable rate
+/// (given the other flows): the tiered solver must call the background
+/// deliverable exactly below 1, agree with the reference solver (full
+/// enumeration where it fits, a converged exact-only run elsewhere), and
+/// carry the certificate either way.
+void sweep_background_boundary(const BoundaryCase& c) {
+  SCOPED_TRACE(c.name);
+  const std::vector<LinkFlow> others(c.background.begin() + 1,
+                                     c.background.end());
+  const auto capacity =
+      c.enumerable
+          ? max_path_bandwidth(*c.model, others, c.background[0].links,
+                               SolveMethod::kFullEnumeration)
+          : exact_only(*c.model, others, c.background[0].links);
+  ASSERT_TRUE(capacity.background_feasible);
+  ASSERT_GT(capacity.available_mbps, 0.0);
+  for (double factor : {0.5, 0.99, 1.01, 2.0}) {
+    SCOPED_TRACE(factor);
+    std::vector<LinkFlow> background = c.background;
+    background[0].demand_mbps = factor * capacity.available_mbps;
+    const auto tiered = max_path_bandwidth(*c.model, background, c.new_path,
+                                           SolveMethod::kColumnGeneration);
+    EXPECT_TRUE(tiered.colgen.converged);
+    EXPECT_TRUE(tiered.colgen.certified);
+    EXPECT_EQ(tiered.background_feasible, factor < 1.0);
+    const auto reference =
+        c.enumerable
+            ? max_path_bandwidth(*c.model, background, c.new_path,
+                                 SolveMethod::kFullEnumeration)
+            : exact_only(*c.model, background, c.new_path);
+    ASSERT_EQ(tiered.background_feasible, reference.background_feasible);
+    if (reference.background_feasible) {
+      EXPECT_NEAR(tiered.available_mbps, reference.available_mbps,
+                  kParityTol);
+    }
+  }
+}
+
+TEST(BackgroundCertificate, BoundarySweepOnSeedScenarios) {
+  ScenarioOne one = make_scenario_one(0.25);
+  sweep_background_boundary(
+      {"scenario I", &one.model, one.background, one.new_path, true});
+  ScenarioTwo two = make_scenario_two();
+  sweep_background_boundary(
+      {"scenario II", &two.model, {{{0, 1}, 2.0}}, {2, 3}, true});
+  const net::Network net(geom::chain(6, 70.0), phy::PhyModel::paper_default());
+  PhysicalInterferenceModel model(net);
+  const std::vector<net::LinkId> path = chain_links(net, 5);
+  sweep_background_boundary({"physical 5-link chain",
+                             &model,
+                             {{{path[0], path[1]}, 3.0}},
+                             {path.begin() + 2, path.end()},
+                             true});
+}
+
+TEST(BackgroundCertificate, BoundarySweepBeyondEnumerationReach) {
+  GridScenario grid = make_grid_scenario();
+  PhysicalInterferenceModel grid_model(grid.net);
+  sweep_background_boundary(
+      {"grid", &grid_model, grid.background, grid.snake, false});
+
+  // A six-hop background flow at the head of the 26-link chain, so phase A
+  // has a multi-link schedule to prove or refute.
+  const net::Network net(geom::chain(27, 70.0), phy::PhyModel::paper_default());
+  PhysicalInterferenceModel chain_model(net);
+  const std::vector<net::LinkId> path = chain_links(net, 26);
+  sweep_background_boundary(
+      {"26-link chain",
+       &chain_model,
+       {{{path.begin(), path.begin() + 6}, 1.0}},
+       path,
+       false});
+}
+
+TEST(BackgroundCertificate, JointBandwidthUndeliverableBackground) {
+  ScenarioTwo scenario = make_scenario_two();
+  const std::vector<LinkFlow> background = {{{0, 1, 2, 3}, 54.0}};
+  const std::vector<std::vector<net::LinkId>> paths = {{0, 1}, {2, 3}};
+  for (JointObjective objective :
+       {JointObjective::kMaxMin, JointObjective::kMaxSum}) {
+    expect_joint_parity(scenario.model, background, paths, objective);
+    const auto colgen = max_joint_bandwidth(scenario.model, background, paths,
+                                            objective,
+                                            SolveMethod::kColumnGeneration);
+    EXPECT_FALSE(colgen.background_feasible);
+    EXPECT_TRUE(colgen.colgen.converged);
+    EXPECT_TRUE(colgen.colgen.certified);
+    EXPECT_TRUE(colgen.per_path_mbps.empty());
+  }
+
+  // Beyond enumeration reach: the grid's upper background flow at twice
+  // what it can carry, against two halves of the snake.
+  GridScenario grid = make_grid_scenario();
+  PhysicalInterferenceModel model(grid.net);
+  const auto capacity =
+      exact_only(model, std::span(&grid.background[1], 1),
+                 grid.background[0].links);
+  std::vector<LinkFlow> overloaded = grid.background;
+  overloaded[0].demand_mbps = 2.0 * capacity.available_mbps;
+  const std::vector<std::vector<net::LinkId>> halves = {
+      {grid.snake.begin(), grid.snake.begin() + 12},
+      {grid.snake.begin() + 12, grid.snake.end()}};
+  const auto joint =
+      max_joint_bandwidth(model, overloaded, halves, JointObjective::kMaxMin,
+                          SolveMethod::kColumnGeneration);
+  EXPECT_FALSE(joint.background_feasible);
+  EXPECT_TRUE(joint.colgen.converged);
+  EXPECT_TRUE(joint.colgen.certified);
+}
+
+// ---------------------------------------------------------------------------
 // Dual stabilization (Wentges smoothing)
 // ---------------------------------------------------------------------------
 
@@ -425,9 +576,13 @@ TEST(ColumnGenerationStabilization, DisabledMatchesLegacyRoundCounts) {
   // stabilize=false + exact-only pricing runs the plain reference loop:
   // exact duals every round, no mispricing fallbacks, and a deterministic
   // round/column count for this scenario (pinned so pricing-loop changes
-  // are a conscious edit; the counts have flipped between 44/71 and 45/72
-  // before — this master is degenerate and code motion around the oracle
-  // can flip which of two equally optimal columns wins a tie).
+  // are a conscious edit). This master is degenerate: each round offers
+  // several equally optimal columns whose weights differ only by dual
+  // round-off, which used to let the build's floating-point contraction
+  // pick the winner (44/71, 45/72 or 47/74 depending on the flags). The
+  // exact oracle now breaks such ties canonically and the loop zeroes
+  // round-off weights, so the count is the same with and without
+  // MRWSN_FAST_KERNELS.
   GridScenario scenario = make_grid_scenario();
   PhysicalInterferenceModel model(scenario.net);
   ColumnGenOptions off;
@@ -438,8 +593,8 @@ TEST(ColumnGenerationStabilization, DisabledMatchesLegacyRoundCounts) {
                          SolveMethod::kColumnGeneration, off);
   EXPECT_TRUE(result.colgen.converged);
   EXPECT_EQ(result.colgen.mispricings, 0u);
-  EXPECT_EQ(result.colgen.rounds, 44u);
-  EXPECT_EQ(result.colgen.columns, 71u);
+  EXPECT_EQ(result.colgen.rounds, 42u);
+  EXPECT_EQ(result.colgen.columns, 69u);
   // Exact-only rounds are all Tier 2 and the cheap tiers never fire.
   EXPECT_EQ(result.colgen.exact_rounds, result.colgen.rounds);
   EXPECT_EQ(result.colgen.pool_hit_columns, 0u);
@@ -557,37 +712,92 @@ TEST(TieredPricing, DisabledHeuristicForcesExactTier) {
   EXPECT_NEAR(result.available_mbps, reference, kParityTol);
 }
 
-TEST(TieredPricing, IdenticalAcrossThreadCounts) {
-  // The Tier 1 multi-start fans out over util::parallel_for; the whole
-  // tiered solve — optimum, schedule, and every per-tier counter — must be
-  // byte-identical at any MRWSN_THREADS.
-  GridScenario scenario = make_grid_scenario();
-  std::vector<AvailableBandwidthResult> results;
-  for (const char* threads : {"1", "4", "8"}) {
-    ThreadEnvGuard env(threads);
-    PhysicalInterferenceModel model(scenario.net);
-    results.push_back(max_path_bandwidth(model, scenario.background,
-                                         scenario.snake,
-                                         SolveMethod::kColumnGeneration));
+void expect_identical(const AvailableBandwidthResult& a,
+                      const AvailableBandwidthResult& b) {
+  EXPECT_EQ(a.background_feasible, b.background_feasible);
+  EXPECT_DOUBLE_EQ(a.available_mbps, b.available_mbps);
+  EXPECT_EQ(a.num_independent_sets, b.num_independent_sets);
+  EXPECT_EQ(a.colgen.converged, b.colgen.converged);
+  EXPECT_EQ(a.colgen.certified, b.colgen.certified);
+  EXPECT_EQ(a.colgen.rounds, b.colgen.rounds);
+  EXPECT_EQ(a.colgen.columns, b.colgen.columns);
+  EXPECT_EQ(a.colgen.warm_starts, b.colgen.warm_starts);
+  EXPECT_EQ(a.colgen.mispricings, b.colgen.mispricings);
+  EXPECT_EQ(a.colgen.pool_hit_columns, b.colgen.pool_hit_columns);
+  EXPECT_EQ(a.colgen.heuristic_columns, b.colgen.heuristic_columns);
+  EXPECT_EQ(a.colgen.exact_rounds, b.colgen.exact_rounds);
+  ASSERT_EQ(a.schedule.size(), b.schedule.size());
+  for (std::size_t s = 0; s < a.schedule.size(); ++s) {
+    EXPECT_EQ(a.schedule[s].set.links, b.schedule[s].set.links);
+    EXPECT_EQ(a.schedule[s].set.rates, b.schedule[s].set.rates);
+    EXPECT_DOUBLE_EQ(a.schedule[s].time_share, b.schedule[s].time_share);
   }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(results[i].available_mbps, results[0].available_mbps);
-    EXPECT_EQ(results[i].colgen.rounds, results[0].colgen.rounds);
-    EXPECT_EQ(results[i].colgen.columns, results[0].colgen.columns);
-    EXPECT_EQ(results[i].colgen.pool_hit_columns,
-              results[0].colgen.pool_hit_columns);
-    EXPECT_EQ(results[i].colgen.heuristic_columns,
-              results[0].colgen.heuristic_columns);
-    EXPECT_EQ(results[i].colgen.exact_rounds, results[0].colgen.exact_rounds);
-    ASSERT_EQ(results[i].schedule.size(), results[0].schedule.size());
-    for (std::size_t s = 0; s < results[0].schedule.size(); ++s) {
-      EXPECT_EQ(results[i].schedule[s].set.links,
-                results[0].schedule[s].set.links);
-      EXPECT_EQ(results[i].schedule[s].set.rates,
-                results[0].schedule[s].set.rates);
-      EXPECT_DOUBLE_EQ(results[i].schedule[s].time_share,
-                       results[0].schedule[s].time_share);
+}
+
+TEST(TieredPricing, IdenticalAcrossThreadCounts) {
+  // The Tier 1 multi-start and the exact oracle's root split fan out over
+  // util::parallel_for; the whole solve — optimum, schedule, and every
+  // per-tier counter — must be byte-identical at any MRWSN_THREADS. That
+  // covers undeliverable backgrounds too, where the phase A certificate
+  // decides the round phase A stops at, and one exact-only solve where
+  // every round can fire it.
+  GridScenario grid = make_grid_scenario();
+  const net::Network chain_net(geom::chain(27, 70.0),
+                               phy::PhyModel::paper_default());
+  const std::vector<net::LinkId> chain = chain_links(chain_net, 26);
+
+  struct Case {
+    const char* name;
+    const net::Network* net;
+    std::vector<LinkFlow> background;
+    std::vector<net::LinkId> new_path;
+    PricingMode pricing;
+    bool feasible;
+  };
+  std::vector<Case> cases = {
+      {"grid", &grid.net, grid.background, grid.snake, PricingMode::kTiered,
+       true}};
+  {
+    // Just past the boundary: flow 0 at 1.01x its largest deliverable rate.
+    PhysicalInterferenceModel model(grid.net);
+    const auto capacity =
+        exact_only(model, std::span(&grid.background[1], 1),
+                   grid.background[0].links);
+    std::vector<LinkFlow> overloaded = grid.background;
+    overloaded[0].demand_mbps = 1.01 * capacity.available_mbps;
+    cases.push_back({"grid, undeliverable", &grid.net, overloaded, grid.snake,
+                     PricingMode::kTiered, false});
+    cases.push_back({"grid, undeliverable, exact-only", &grid.net, overloaded,
+                     grid.snake, PricingMode::kExactOnly, false});
+  }
+  {
+    PhysicalInterferenceModel model(chain_net);
+    const std::vector<net::LinkId> head(chain.begin(), chain.begin() + 6);
+    const auto capacity = exact_only(model, {}, head);
+    cases.push_back({"26-link chain, undeliverable",
+                     &chain_net,
+                     {{head, 1.01 * capacity.available_mbps}},
+                     chain,
+                     PricingMode::kTiered,
+                     false});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ColumnGenOptions options;
+    options.pricing = c.pricing;
+    std::vector<AvailableBandwidthResult> results;
+    for (const char* threads : {"1", "4", "8"}) {
+      ThreadEnvGuard env(threads);
+      PhysicalInterferenceModel model(*c.net);
+      results.push_back(max_path_bandwidth(model, c.background, c.new_path,
+                                           SolveMethod::kColumnGeneration,
+                                           options));
     }
+    EXPECT_EQ(results[0].background_feasible, c.feasible);
+    EXPECT_TRUE(results[0].colgen.certified);
+    for (std::size_t i = 1; i < results.size(); ++i)
+      expect_identical(results[i], results[0]);
   }
 }
 

@@ -22,6 +22,12 @@
 #   5. churn + commit bench: BM_ChurnReadmit{Incremental,Rebuild} on the
 #      100-node churn script plus BM_CommitLatency/{128,1024,8192}, with
 #      --require coverage guards for every family.
+#   6. perfbench: the end-to-end benchmark's self-tests
+#      (perfbench/selftest.py: gate trips, metric names, short runs of
+#      every workload), then the scaled Fig. 4 study on seed 3 under a
+#      120 s timeout. Seed 3 is the study's heavy tail: its LP truth prices
+#      seven flows against an undeliverable background, which took minutes
+#      of CPU before phase A stopped at the first exact round proving it.
 #
 # Stages 4 and 5 archive their median reports into BENCH_history/ (one
 # compact JSON per run, named by UTC stamp + git revision) so the perf
@@ -101,5 +107,9 @@ else
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi
+
+echo "== ci stage 6: perfbench self-tests + Fig. 4 heavy-tail guard =="
+python3 "$REPO/perfbench/selftest.py"
+timeout 120 "$BUILD/tools/mrwsn" fig4 --seed 3
 
 echo "ci gate passed"
