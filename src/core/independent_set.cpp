@@ -1,6 +1,7 @@
 #include "core/independent_set.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -114,12 +115,27 @@ double tie_band(double weight) {
   return kWeightTieTol * std::max(1.0, std::abs(weight));
 }
 
+/// Relative pad on the exact searches' optimistic bounds. A bound sums
+/// the same non-negative products as the weights it bounds, but in another
+/// order (and the physical search forms it by running updates), so
+/// round-off alone could put a set a few ulps above it. The pad dwarfs
+/// that round-off and stays far below the tie band.
+constexpr double kBoundPad = 1e-10;
+
+double padded(double bound) { return bound + bound * kBoundPad; }
+
 /// The canonical order among tied sets: the larger set first (it delivers
 /// on more links at the same weight), then the lower signature.
 bool tie_preferred(const std::vector<std::uint64_t>& a,
                    const std::vector<std::uint64_t>& b) {
   if (a.size() != b.size()) return a.size() > b.size();
   return a < b;
+}
+
+/// True when a set of weight at most `optimistic` can never become the
+/// incumbent of a search above `floor` whose highest weight seen is `top`.
+bool below_band(double optimistic, double floor, double top) {
+  return optimistic <= floor || optimistic < top - tie_band(top);
 }
 
 /// The exact searches' incumbent. `top` is the highest weight seen so far
@@ -136,9 +152,9 @@ class Incumbent {
   const std::vector<std::uint64_t>& signature() const { return signature_; }
 
   /// True when no set of weight at most `optimistic` can become the
-  /// incumbent.
+  /// incumbent or raise top().
   bool prunes(double optimistic) const {
-    return optimistic <= floor_ || optimistic < top_ - tie_band(top_);
+    return below_band(optimistic, floor_, top_);
   }
 
   /// Offer a set of weight `w`; `signature_of()` yields its signature.
@@ -168,6 +184,31 @@ class Incumbent {
   double top_;
   double weight_;
   std::vector<std::uint64_t> signature_;
+};
+
+/// One exact search's incumbent chain: the Incumbent, the set it holds,
+/// and the beaten former bests — each itself a feasible set above the
+/// floor, kept as runner-up extras (oldest first, the most recent
+/// kMaxExtras).
+template <typename Set>
+struct Chain {
+  explicit Chain(double floor) : best(floor) {}
+
+  /// Offer a set of weight `w`; `signature_of()` and `set_of()` yield its
+  /// signature and the set itself, each only when needed.
+  template <typename SignatureFn, typename SetFn>
+  void offer(double w, SignatureFn&& signature_of, SetFn&& set_of) {
+    if (!best.offer(w, signature_of)) return;
+    if (!set.empty()) {
+      if (extras.size() == kMaxExtras) extras.erase(extras.begin());
+      extras.push_back(std::move(set));
+    }
+    set = set_of();
+  }
+
+  Incumbent best;
+  Set set;
+  std::vector<Set> extras;
 };
 
 /// Clear bits 0..v of `row` (keep strictly-greater indices only) — the
@@ -200,11 +241,19 @@ struct ProtocolPricerData {
 /// broken by the same canonical order either way).
 class ProtocolRootSearch {
  public:
+  using Set = std::vector<std::size_t>;  ///< couple indices, ascending
+
   ProtocolRootSearch(const ProtocolPricerData& data, double floor)
-      : data_(data), best_(floor) {
+      : data_(data), chain_(floor) {
     // A clique holds at most one couple per universe link.
     buffers_.assign(data_.matrix->universe().size() + 1,
                     std::vector<util::BitWord>(data_.words, 0));
+  }
+
+  /// Upper bound on every clique whose lowest couple is data_.roots[root].
+  double root_bound(std::size_t root) {
+    const std::size_t v0 = data_.roots[root];
+    return padded(data_.weight[v0] + bound(root_candidates(v0)));
   }
 
   /// Explore every clique whose lowest couple is data_.roots[root].
@@ -213,26 +262,22 @@ class ProtocolRootSearch {
     members_.assign(1, v0);
     const double w = data_.weight[v0];
     consider(w);
+    if (!util::bits_none(root_candidates(v0), data_.words)) dfs(1, w);
+  }
+
+  const Chain<Set>& chain() const { return chain_; }
+  Chain<Set> take_chain() { return std::move(chain_); }
+
+ private:
+  /// Fill buffers_[0] with the couples that may join root couple `v0`.
+  const util::BitWord* root_candidates(std::size_t v0) {
     auto& p = buffers_[0];
     util::bits_and(p.data(), data_.pool.data(), data_.matrix->compat_row(v0),
                    data_.words);
     bits_keep_above(p.data(), v0);
-    if (!util::bits_none(p.data(), data_.words)) dfs(1, w);
+    return p.data();
   }
 
-  double best_weight() const { return best_.weight(); }
-  double top_weight() const { return best_.top(); }
-  const std::vector<std::uint64_t>& best_signature() const {
-    return best_.signature();
-  }
-  const std::vector<std::size_t>& best_members() const { return best_members_; }
-  /// Beaten former bests (couple-index lists), oldest first, capped at
-  /// kMaxExtras.
-  const std::vector<std::vector<std::size_t>>& extras() const {
-    return extras_;
-  }
-
- private:
   /// Optimistic completion weight of candidate set `p`: couples are ordered
   /// by link, so one ascending scan picks the best couple of each link run
   /// (a clique can use at most one).
@@ -257,7 +302,7 @@ class ProtocolRootSearch {
 
   void dfs(std::size_t depth, double current) {
     const util::BitWord* p = buffers_[depth - 1].data();
-    if (best_.prunes(current + bound(p))) return;
+    if (chain_.best.prunes(current + bound(p))) return;
     util::bits_for_each(p, data_.words, [&](std::size_t v) {
       const double w = current + data_.weight[v];
       members_.push_back(v);
@@ -273,24 +318,17 @@ class ProtocolRootSearch {
   /// Offer the current members (couple indices ascending, so the list
   /// itself is the signature) to the incumbent.
   void consider(double w) {
-    const bool taken = best_.offer(w, [&] {
-      return std::vector<std::uint64_t>(members_.begin(), members_.end());
-    });
-    if (!taken) return;
-    // The beaten best is itself a feasible set above the floor — keep the
-    // most recent few as runner-up extras.
-    if (!best_members_.empty()) {
-      if (extras_.size() == kMaxExtras) extras_.erase(extras_.begin());
-      extras_.push_back(best_members_);
-    }
-    best_members_ = members_;
+    chain_.offer(
+        w,
+        [&] {
+          return std::vector<std::uint64_t>(members_.begin(), members_.end());
+        },
+        [&] { return members_; });
   }
 
   const ProtocolPricerData& data_;
-  Incumbent best_;
-  std::vector<std::size_t> members_;       ///< couple indices, ascending
-  std::vector<std::size_t> best_members_;
-  std::vector<std::vector<std::size_t>> extras_;
+  Chain<Set> chain_;
+  std::vector<std::size_t> members_;  ///< couple indices, ascending
   std::vector<std::vector<util::BitWord>> buffers_;  ///< candidate set per depth
 };
 
@@ -300,6 +338,30 @@ struct PhysicalPricerData {
   std::span<const double> link_weight;  ///< by universe position
   std::vector<double> w_alone;          ///< link weight * alone mbps
   std::vector<std::size_t> order;       ///< candidates, descending w_alone
+};
+
+/// The exact physical search's inputs: PhysicalPricerData's candidates
+/// re-indexed densely by their rank in `order` (a "slot"), so a search
+/// node reads contiguous rows, plus a clique cover of the candidates for
+/// the node bound.
+struct PhysicalSearchData {
+  const PhysicalPricerData* pricer = nullptr;
+  std::size_t size = 0;                  ///< number of candidates (slots)
+  std::vector<double> signal;            ///< by slot
+  std::vector<double> weight;            ///< link weight, by slot
+  std::vector<phy::RateIndex> rate_cap;  ///< by slot
+  std::vector<double> cross;  ///< [a * size + b]: a's power at b's receiver
+  std::vector<char> shares;   ///< [a * size + b]: a and b share a node
+  std::vector<std::size_t> clique;  ///< by slot: its clique of the cover
+  std::size_t num_cliques = 0;
+};
+
+/// A physical search's set: universe positions and their concurrent rates,
+/// in insertion order.
+struct PhysicalSet {
+  std::vector<std::size_t> members;
+  std::vector<phy::RateIndex> rates;
+  bool empty() const { return members.empty(); }
 };
 
 /// Canonical signature of a physical set: its (universe position, rate)
@@ -317,156 +379,187 @@ std::vector<std::uint64_t> physical_signature(
 }
 
 /// Branch-and-bound max-weight independent set under cumulative SINR.
-/// Tracks incremental interference exactly like PhysicalMisEnumerator so
-/// each member's rate is its true concurrent maximum; the optimistic bound
-/// is the current members' weight (rates only degrade in supersets) plus
-/// each unblocked future candidate's alone weight.
+/// Tracks interference exactly like PhysicalMisEnumerator so each member's
+/// rate is its true concurrent maximum. A subtree's optimistic bound is the
+/// members' weight (their rates only degrade in supersets) plus, for each
+/// clique of the cover, the best score among its later candidates that can
+/// still join the members, each scored at its rate under the members'
+/// interference (a superset can only add interference, and holds at most
+/// one link per clique). Each child is bounded the same way over the
+/// candidates after it, before it is even pushed.
 class PhysicalRootSearch {
  public:
-  PhysicalRootSearch(const PhysicalPricerData& data, double floor)
-      : data_(data), best_(floor) {
-    const std::size_t n = data_.ctx->size();
-    interference_.assign(n, 0.0);
-    blocked_.assign(n, 0);
+  using Set = PhysicalSet;
+
+  PhysicalRootSearch(const PhysicalSearchData& data, double floor)
+      : data_(data),
+        chain_(floor),
+        levels_(data.size + 1),
+        clique_best_(data.num_cliques, 0.0) {
+    levels_[0].interference.assign(data_.size, 0.0);
+    levels_[0].blocked.assign(data_.size, 0);
   }
 
-  /// Explore every set whose first member (in candidate order) is
-  /// order[root].
+  /// Upper bound on every set whose first member (in slot order) is `root`.
+  double root_bound(std::size_t root) {
+    push(root);
+    const double bound = scan(root + 1, member_weight());
+    members_.pop_back();
+    return bound;
+  }
+
+  /// Explore every set whose first member (in slot order) is `root`.
   void run(std::size_t root) {
-    members_.clear();
-    push(data_.order[root]);
-    const double w = member_weight();
-    consider(w);
-    dfs(root + 1, w);
-    pop(data_.order[root]);
+    push(root);
+    visit(root + 1);
+    members_.pop_back();
   }
 
-  double best_weight() const { return best_.weight(); }
-  double top_weight() const { return best_.top(); }
-  const std::vector<std::uint64_t>& best_signature() const {
-    return best_.signature();
-  }
-  const std::vector<std::size_t>& best_members() const { return best_members_; }
-  const std::vector<phy::RateIndex>& best_rates() const { return best_rates_; }
-  /// Beaten former bests (members + their rates), oldest first, capped at
-  /// kMaxExtras.
-  const std::vector<std::pair<std::vector<std::size_t>,
-                              std::vector<phy::RateIndex>>>&
-  extras() const {
-    return extras_;
-  }
+  const Chain<Set>& chain() const { return chain_; }
+  Chain<Set> take_chain() { return std::move(chain_); }
 
  private:
-  double cross(std::size_t k, std::size_t u) const {
-    return data_.ctx->cross_power[k * data_.ctx->size() + u];
-  }
-  bool shares(std::size_t k, std::size_t u) const {
-    return data_.ctx->shares[k * data_.ctx->size() + u] != 0;
+  /// The search state with k members lives in levels_[k], derived from
+  /// levels_[k - 1] on push, so popping a member restores its parent's
+  /// state exactly: a node's state depends only on its member sequence,
+  /// never on which other subtrees were searched before it.
+  struct Level {
+    std::vector<double> interference;  ///< by slot
+    std::vector<char> blocked;         ///< by slot: shares a member's node
+    std::vector<std::size_t> addable;  ///< slots scan() found can join
+    std::vector<double> bound;  ///< per addable slot: its subtree's bound
+  };
+
+  Level& level() { return levels_[members_.size()]; }
+
+  double cross(std::size_t a, std::size_t b) const {
+    return data_.cross[a * data_.size + b];
   }
 
-  /// Max supported rate of universe member `u` under the current members'
-  /// interference plus `extra` watts. The running sum can drift a hair
-  /// below zero after push/pop pairs; clamp it. The link's rate cap clamps
-  /// the result (smaller index = faster), matching the model's usable and
-  /// interferes semantics — candidates are alive by construction
-  /// (alone_usable gates data_.order).
-  std::optional<phy::RateIndex> rate_of(std::size_t u, double extra) const {
-    const auto rate = data_.ctx->phy->max_rate(
-        data_.ctx->signal[u], std::max(interference_[u], 0.0) + extra);
+  /// Max supported rate of slot `a` under the current members'
+  /// interference plus `extra` watts, clamped by the link's rate cap
+  /// (smaller index = faster), matching the model's usable and interferes
+  /// semantics — candidates are alive by construction (alone_usable gates
+  /// PhysicalPricerData::order).
+  std::optional<phy::RateIndex> rate_of(std::size_t a, double extra) {
+    const auto rate = data_.pricer->ctx->phy->max_rate(
+        data_.signal[a], level().interference[a] + extra);
     if (!rate) return rate;
-    return std::max(*rate, data_.ctx->rate_cap[u]);
+    return std::max(*rate, data_.rate_cap[a]);
   }
 
-  bool extension_feasible(std::size_t v) const {
-    if (!rate_of(v, 0.0)) return false;
-    for (std::size_t j : members_)
-      if (!rate_of(j, cross(v, j))) return false;
-    return true;
-  }
-
-  // Interference and blocked counts are only ever read at candidate
-  // positions (members and extension targets all come from data_.order),
-  // so push/pop maintain just those entries. With sparse weights over a
-  // large universe this is the difference between O(|universe|) and
-  // O(|candidates|) per search node.
-  void push(std::size_t v) {
-    members_.push_back(v);
-    for (const std::size_t u : data_.order) {
-      if (u == v) continue;
-      interference_[u] += cross(v, u);
-      blocked_[u] += shares(v, u);
+  void push(std::size_t a) {
+    const Level& from = level();
+    Level& to = levels_[members_.size() + 1];
+    const std::size_t n = data_.size;
+    to.interference.resize(n);
+    to.blocked.resize(n);
+    const double* row = &data_.cross[a * n];
+    const char* shares = &data_.shares[a * n];
+    for (std::size_t b = 0; b < n; ++b) {
+      to.interference[b] = from.interference[b] + row[b];
+      to.blocked[b] = static_cast<char>(from.blocked[b] | shares[b]);
     }
-  }
-
-  void pop(std::size_t v) {
-    members_.pop_back();
-    for (const std::size_t u : data_.order) {
-      if (u == v) continue;
-      interference_[u] -= cross(v, u);
-      blocked_[u] -= shares(v, u);
-    }
+    members_.push_back(a);
   }
 
   /// Total weight of the members at their current concurrent max rates;
   /// fills rates_scratch_ in members_ order as a side effect.
   double member_weight() {
-    const phy::RateTable& rates = data_.ctx->phy->rates();
+    const phy::RateTable& rates = data_.pricer->ctx->phy->rates();
     rates_scratch_.clear();
     double total = 0.0;
     for (std::size_t j : members_) {
       const auto rate = rate_of(j, 0.0);
       MRWSN_ASSERT(rate.has_value(), "member of a feasible set lost its rate");
       rates_scratch_.push_back(*rate);
-      total += data_.link_weight[j] * rates[*rate].mbps;
+      total += data_.weight[j] * rates[*rate].mbps;
     }
     return total;
   }
 
-  void dfs(std::size_t start, double current) {
-    double optimistic = current;
-    for (std::size_t i = start; i < data_.order.size(); ++i) {
-      const std::size_t v = data_.order[i];
-      if (blocked_[v] == 0) optimistic += data_.w_alone[v];
+  /// Record in level().addable the slots from `start` on that can join the
+  /// current members (no shared node, every member and the newcomer still
+  /// decode), and in level().bound, per addable slot, the optimistic bound
+  /// of every set that extends the members by it and later slots only:
+  /// the members' weight `current` plus, per clique, the best score among
+  /// the addable slots from it on. Returns the bound of the whole subtree.
+  double scan(std::size_t start, double current) {
+    const phy::RateTable& rates = data_.pricer->ctx->phy->rates();
+    Level& here = level();
+    here.addable.clear();
+    here.bound.clear();
+    for (std::size_t b = start; b < data_.size; ++b) {
+      if (here.blocked[b] != 0) continue;
+      const auto rate = rate_of(b, 0.0);
+      if (!rate) continue;
+      bool tolerated = true;
+      for (std::size_t j : members_)
+        if (!rate_of(j, cross(b, j))) {
+          tolerated = false;
+          break;
+        }
+      if (!tolerated) continue;
+      here.addable.push_back(b);
+      here.bound.push_back(data_.weight[b] * rates[*rate].mbps);
     }
-    if (best_.prunes(optimistic)) return;
-    for (std::size_t i = start; i < data_.order.size(); ++i) {
-      const std::size_t v = data_.order[i];
-      if (blocked_[v] != 0) continue;
-      if (!extension_feasible(v)) continue;
-      push(v);
-      const double w = member_weight();
-      consider(w);
-      dfs(i + 1, w);
-      pop(v);
+    // Suffix maxima per clique, from the last addable slot back. Scores
+    // are positive, so clique_best_ == 0 marks a clique not seen yet.
+    double sum = 0.0;
+    for (std::size_t i = here.addable.size(); i-- > 0;) {
+      const std::size_t c = data_.clique[here.addable[i]];
+      const double score = here.bound[i];
+      if (score > clique_best_[c]) {
+        if (clique_best_[c] == 0.0) touched_.push_back(c);
+        sum += score - clique_best_[c];
+        clique_best_[c] = score;
+      }
+      here.bound[i] = padded(current + sum);
     }
+    for (std::size_t c : touched_) clique_best_[c] = 0.0;
+    touched_.clear();
+    return here.bound.empty() ? padded(current) : here.bound.front();
+  }
+
+  void visit(std::size_t start) {
+    const double w = member_weight();
+    scan(start, w);
+    consider(w);
+    // Deeper levels never touch this one, so the reference stays valid.
+    const Level& here = level();
+    for (std::size_t i = 0; i < here.addable.size(); ++i) {
+      // The bounds only fall along the list: once one cannot reach the
+      // incumbent, no later child can either.
+      if (chain_.best.prunes(here.bound[i])) break;
+      push(here.addable[i]);
+      visit(here.addable[i] + 1);
+      members_.pop_back();
+    }
+  }
+
+  /// The members as universe positions.
+  std::vector<std::size_t> positions() const {
+    std::vector<std::size_t> out(members_.size());
+    for (std::size_t i = 0; i < members_.size(); ++i)
+      out[i] = data_.pricer->order[members_[i]];
+    return out;
   }
 
   /// Offer the current members (rates in rates_scratch_, as member_weight
   /// left them) to the incumbent.
   void consider(double w) {
-    const bool taken = best_.offer(
-        w, [&] { return physical_signature(members_, rates_scratch_); });
-    if (!taken) return;
-    // The beaten best is itself a feasible set above the floor — keep the
-    // most recent few as runner-up extras.
-    if (!best_members_.empty()) {
-      if (extras_.size() == kMaxExtras) extras_.erase(extras_.begin());
-      extras_.emplace_back(best_members_, best_rates_);
-    }
-    best_members_ = members_;
-    best_rates_ = rates_scratch_;
+    chain_.offer(
+        w, [&] { return physical_signature(positions(), rates_scratch_); },
+        [&] { return PhysicalSet{positions(), rates_scratch_}; });
   }
 
-  const PhysicalPricerData& data_;
-  Incumbent best_;
-  std::vector<double> interference_;   ///< by universe position
-  std::vector<int> blocked_;           ///< node-sharing member count
-  std::vector<std::size_t> members_;   ///< universe positions, order order
+  const PhysicalSearchData& data_;
+  Chain<Set> chain_;
+  std::vector<Level> levels_;         ///< by member count; never resized
+  std::vector<std::size_t> members_;  ///< slots, ascending
   std::vector<phy::RateIndex> rates_scratch_;
-  std::vector<std::size_t> best_members_;
-  std::vector<phy::RateIndex> best_rates_;
-  std::vector<std::pair<std::vector<std::size_t>, std::vector<phy::RateIndex>>>
-      extras_;
+  std::vector<double> clique_best_;   ///< scan() scratch, zero between scans
+  std::vector<std::size_t> touched_;  ///< scan() scratch: cliques with a score
 };
 
 ProtocolPricerData build_protocol_data(const ConflictMatrix& matrix,
@@ -520,6 +613,61 @@ PhysicalPricerData build_physical_data(const PricingContext& context,
   return data;
 }
 
+PhysicalSearchData build_physical_search_data(
+    const PhysicalPricerData& pricer) {
+  const PricingContext& ctx = *pricer.ctx;
+  const std::size_t n = ctx.size();
+  const std::size_t m = pricer.order.size();
+  PhysicalSearchData data;
+  data.pricer = &pricer;
+  data.size = m;
+  data.signal.resize(m);
+  data.weight.resize(m);
+  data.rate_cap.resize(m);
+  data.cross.assign(m * m, 0.0);
+  data.shares.assign(m * m, 0);
+  for (std::size_t a = 0; a < m; ++a) {
+    const std::size_t u = pricer.order[a];
+    data.signal[a] = ctx.signal[u];
+    data.weight[a] = pricer.link_weight[u];
+    data.rate_cap[a] = ctx.rate_cap[u];
+    for (std::size_t b = 0; b < m; ++b) {
+      if (b == a) continue;  // a link never interferes with itself
+      data.cross[a * m + b] = ctx.cross_power[u * n + pricer.order[b]];
+      data.shares[a * m + b] = ctx.shares[u * n + pricer.order[b]];
+    }
+  }
+
+  // Greedy clique cover of the pairwise conflict relation, in slot order:
+  // two links conflict when they share a node or either one cannot decode
+  // with only the other transmitting. Interference only grows with more
+  // transmitters, so no feasible set holds two links of one clique.
+  const phy::PhyModel& phy = *ctx.phy;
+  const auto conflict = [&](std::size_t a, std::size_t b) {
+    return data.shares[a * m + b] != 0 ||
+           !phy.max_rate(data.signal[b], data.cross[a * m + b]) ||
+           !phy.max_rate(data.signal[a], data.cross[b * m + a]);
+  };
+  constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
+  data.clique.assign(m, kUnassigned);
+  std::vector<std::size_t> clique;
+  for (std::size_t a = 0; a < m; ++a) {
+    if (data.clique[a] != kUnassigned) continue;
+    clique.assign(1, a);
+    data.clique[a] = data.num_cliques;
+    for (std::size_t b = a + 1; b < m; ++b) {
+      if (data.clique[b] != kUnassigned) continue;
+      if (!std::all_of(clique.begin(), clique.end(),
+                       [&](std::size_t c) { return conflict(c, b); }))
+        continue;
+      data.clique[b] = data.num_cliques;
+      clique.push_back(b);
+    }
+    ++data.num_cliques;
+  }
+  return data;
+}
+
 /// Couple-index list (ascending) -> sorted IndependentSet.
 IndependentSet protocol_members_to_set(const ConflictMatrix& matrix,
                                        const phy::RateTable& rates,
@@ -561,37 +709,53 @@ IndependentSet physical_members_to_set(
 
 /// Run `roots` independent root searches and reduce deterministically:
 /// among the roots whose incumbent is tied with the overall top weight,
-/// the tie_preferred one wins. Sequential below the thread-fan-out threshold
-/// (with a carried best for extra pruning — the same answer), per-root
-/// otherwise so the result cannot depend on MRWSN_THREADS. `*top` receives
-/// the maximum weight over all roots.
+/// the tie_preferred one wins, and its chain is the answer. Sequential
+/// below the thread-fan-out threshold (with a carried best for extra
+/// pruning — the same answer), per-root otherwise so the result cannot
+/// depend on MRWSN_THREADS. `*top` receives the maximum weight over all
+/// roots.
 template <typename Search, typename Data>
-std::optional<Search> run_roots(const Data& data, std::size_t num_roots,
-                                double floor, double* top) {
+std::optional<Chain<typename Search::Set>> run_roots(const Data& data,
+                                                     std::size_t num_roots,
+                                                     double floor,
+                                                     double* top) {
   *top = floor;
   if (num_roots == 0) return std::nullopt;
   if (num_roots < kParallelRootThreshold) {
     Search search(data, floor);
     for (std::size_t r = 0; r < num_roots; ++r) search.run(r);
-    if (search.best_weight() <= floor) return std::nullopt;
-    *top = search.top_weight();
-    return search;
+    if (search.chain().best.weight() <= floor) return std::nullopt;
+    *top = search.chain().best.top();
+    return search.take_chain();
   }
-  std::vector<std::optional<Search>> results(num_roots);
+  // A root whose bound falls below the tie band of a finished root's top
+  // holds no set that could win or raise *top, so skipping it leaves the
+  // answer unchanged, whichever roots happened to finish first. The
+  // finished tops are never fed into a running root's own search: its
+  // chain — the source of `extras` — must not depend on scheduling.
+  std::vector<std::optional<Chain<typename Search::Set>>> results(num_roots);
+  std::atomic<double> finished_top{floor};
   util::parallel_for(num_roots, [&](std::size_t r) {
     Search search(data, floor);
+    if (below_band(search.root_bound(r), floor, finished_top.load())) return;
     search.run(r);
-    if (search.best_weight() > floor) results[r].emplace(std::move(search));
+    const Incumbent& best = search.chain().best;
+    if (best.weight() <= floor) return;
+    double seen = finished_top.load();
+    while (seen < best.top() &&
+           !finished_top.compare_exchange_weak(seen, best.top())) {
+    }
+    results[r].emplace(search.take_chain());
   });
   for (const auto& result : results)
-    if (result) *top = std::max(*top, result->top_weight());
+    if (result) *top = std::max(*top, result->best.top());
   std::size_t winner = num_roots;
   for (std::size_t r = 0; r < num_roots; ++r) {
-    if (!results[r] || results[r]->best_weight() < *top - tie_band(*top))
+    if (!results[r] || results[r]->best.weight() < *top - tie_band(*top))
       continue;
     if (winner == num_roots ||
-        tie_preferred(results[r]->best_signature(),
-                      results[winner]->best_signature()))
+        tie_preferred(results[r]->best.signature(),
+                      results[winner]->best.signature()))
       winner = r;
   }
   if (winner == num_roots) return std::nullopt;
@@ -699,11 +863,11 @@ ProtocolStartOutcome protocol_heuristic_start(const ProtocolPricerData& data,
   return {weight, std::move(members)};
 }
 
-/// Greedy + drop-one/refill counterpart of PhysicalRootSearch. Shares its
-/// incremental interference bookkeeping (only data.order entries are
-/// maintained) but accepts a candidate only when insertion strictly raises
-/// the total member weight — under cumulative SINR a newcomer can degrade
-/// existing members' rates by more than it contributes.
+/// Greedy + drop-one/refill counterpart of PhysicalRootSearch. Tracks
+/// interference incrementally (only data.order entries are maintained) but
+/// accepts a candidate only when insertion strictly raises the total
+/// member weight — under cumulative SINR a newcomer can degrade existing
+/// members' rates by more than it contributes.
 class PhysicalHeuristicSearch {
  public:
   static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
@@ -794,8 +958,8 @@ class PhysicalHeuristicSearch {
     }
   }
 
-  /// Unlike PhysicalRootSearch::pop this removes by value: the interference
-  /// updates are symmetric, so removal order does not matter.
+  /// Removes by value: the interference updates are symmetric, so removal
+  /// order does not matter.
   void remove(std::size_t v) {
     members_.erase(std::find(members_.begin(), members_.end(), v));
     in_set_[v] = 0;
@@ -908,10 +1072,10 @@ MaxWeightSetResult max_weight_independent_set_protocol(
   const auto best = run_roots<ProtocolRootSearch>(
       data, data.roots.size(), floor, &result.max_weight);
   if (!best) return result;
-  result.weight = best->best_weight();
-  result.set = protocol_members_to_set(matrix, rates, best->best_members());
-  result.extras.reserve(best->extras().size());
-  for (const auto& members : best->extras())
+  result.weight = best->best.weight();
+  result.set = protocol_members_to_set(matrix, rates, best->set);
+  result.extras.reserve(best->extras.size());
+  for (const auto& members : best->extras)
     result.extras.push_back(protocol_members_to_set(matrix, rates, members));
   return result;
 }
@@ -919,18 +1083,19 @@ MaxWeightSetResult max_weight_independent_set_protocol(
 MaxWeightSetResult max_weight_independent_set_physical(
     const PricingContext& context, std::span<const double> link_weight,
     double floor) {
-  const PhysicalPricerData data = build_physical_data(context, link_weight);
+  const PhysicalPricerData pricer = build_physical_data(context, link_weight);
+  const PhysicalSearchData data = build_physical_search_data(pricer);
   MaxWeightSetResult result;
-  const auto best = run_roots<PhysicalRootSearch>(
-      data, data.order.size(), floor, &result.max_weight);
+  const auto best =
+      run_roots<PhysicalRootSearch>(data, data.size, floor, &result.max_weight);
   if (!best) return result;
-  result.weight = best->best_weight();
+  result.weight = best->best.weight();
   result.set =
-      physical_members_to_set(context, best->best_members(), best->best_rates());
-  result.extras.reserve(best->extras().size());
-  for (const auto& [members, member_rates] : best->extras())
+      physical_members_to_set(context, best->set.members, best->set.rates);
+  result.extras.reserve(best->extras.size());
+  for (const PhysicalSet& extra : best->extras)
     result.extras.push_back(
-        physical_members_to_set(context, members, member_rates));
+        physical_members_to_set(context, extra.members, extra.rates));
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include "util/parallel.hpp"
 
 #include <cstdlib>
+#include <deque>
 
 namespace mrwsn::util {
 
@@ -23,6 +24,108 @@ bool spin_briefly(Pred&& ready) {
   }
   return ready();
 }
+
+/// One parallel_for call in flight: the type-erased body and the shared
+/// index its participants drain. Lives on the calling thread's stack.
+struct FanOutJob {
+  std::size_t count = 0;
+  void (*invoke)(void* body, std::size_t i) = nullptr;
+  void* body = nullptr;
+  std::atomic<std::size_t> next{0};
+  // Guarded by FanOutPool::mu_.
+  std::size_t open_slots = 0;  ///< helpers that may still join
+  std::size_t active = 0;      ///< helpers currently draining
+  std::exception_ptr error;    ///< first exception thrown by any participant
+};
+
+/// The process-wide helpers behind parallel_for. Workers start lazily, the
+/// first time a call asks for more helpers than exist, and then live until
+/// exit, parked on work_cv_ between calls. A worker joins the oldest job
+/// with an open helper slot, drains its index, and leaves; the caller
+/// closes its job's open slots once its own draining ends and waits only
+/// for the helpers that actually joined. Nobody ever waits for an idle
+/// worker, so nested and concurrent calls cannot deadlock, and a call
+/// whose helpers are all busy elsewhere simply runs on its caller.
+class FanOutPool {
+ public:
+  static FanOutPool& instance() {
+    static FanOutPool pool;
+    return pool;
+  }
+
+  FanOutPool(const FanOutPool&) = delete;
+  FanOutPool& operator=(const FanOutPool&) = delete;
+
+  void run(FanOutJob& job, std::size_t helpers) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      while (threads_.size() < helpers)
+        threads_.emplace_back([this] { worker_loop(); });
+      job.open_slots = helpers;
+      open_.push_back(&job);
+    }
+    for (std::size_t h = 0; h < helpers; ++h) work_cv_.notify_one();
+    drain(job);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (job.open_slots > 0) {
+      open_.erase(std::find(open_.begin(), open_.end(), &job));
+      job.open_slots = 0;
+    }
+    left_cv_.wait(lock, [&] { return job.active == 0; });
+    if (job.error) std::rethrow_exception(job.error);
+  }
+
+ private:
+  FanOutPool() = default;
+
+  ~FanOutPool() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (std::thread& th : threads_) th.join();
+  }
+
+  void worker_loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      work_cv_.wait(lock, [&] { return stop_ || !open_.empty(); });
+      if (stop_) return;
+      FanOutJob& job = *open_.front();
+      if (--job.open_slots == 0) open_.pop_front();
+      ++job.active;
+      lock.unlock();
+      drain(job);
+      lock.lock();
+      if (--job.active == 0) left_cv_.notify_all();
+    }
+  }
+
+  /// Run the job's remaining indices on this thread. The first exception
+  /// is recorded and ends the job: no participant starts another index.
+  void drain(FanOutJob& job) {
+    for (;;) {
+      const std::size_t i = job.next.fetch_add(1);
+      if (i >= job.count) return;
+      try {
+        job.invoke(job.body, i);
+      } catch (...) {
+        job.next.store(job.count);
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (!job.error) job.error = std::current_exception();
+        return;
+      }
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;  ///< a job has an open helper slot
+  std::condition_variable left_cv_;  ///< a helper left its job
+  std::deque<FanOutJob*> open_;  ///< jobs with open slots, oldest first
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  ///< declared last: they use the above
+};
 
 }  // namespace
 
@@ -113,11 +216,25 @@ void WorkerPool::worker_loop(std::size_t index) {
 std::size_t configured_threads() {
   if (const char* env = std::getenv("MRWSN_THREADS")) {
     char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) return static_cast<std::size_t>(v);
+    const long v = std::strtol(env, &end, 10);  // overflow saturates: clamped
+    if (end != env && *end == '\0' && v >= 1)
+      return std::min(static_cast<std::size_t>(v), kMaxThreads);
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return hw == 0 ? 1 : std::min<std::size_t>(hw, kMaxThreads);
 }
+
+namespace detail {
+
+void run_fan_out(std::size_t count, std::size_t helpers,
+                 void (*invoke)(void* body, std::size_t i), void* body) {
+  FanOutJob job;
+  job.count = count;
+  job.invoke = invoke;
+  job.body = body;
+  FanOutPool::instance().run(job, helpers);
+}
+
+}  // namespace detail
 
 }  // namespace mrwsn::util

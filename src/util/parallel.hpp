@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -8,21 +9,44 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 /// MRWSN_THREADS-aware fan-out shared by the Eq. 9 rate-vector sweep
-/// (core/bounds.cpp) and the column-generation pricing oracles
-/// (core/independent_set.cpp). Callers write results into indexed slots and
-/// reduce serially, so any thread count produces identical results.
+/// (core/bounds.cpp), the column-generation pricing oracles
+/// (core/independent_set.cpp) and batch admission queries. Callers write
+/// results into indexed slots and reduce serially, so any thread count
+/// produces identical results.
 namespace mrwsn::util {
 
+/// Ceiling on configured_threads(). The fan-out pool keeps every worker it
+/// ever started, so an absurd MRWSN_THREADS (a typo, an overflowed number)
+/// must not turn into thousands of parked threads.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// Worker count for indexed fan-outs: MRWSN_THREADS when set (>= 1;
-/// 1 = deterministic serial execution), else the hardware concurrency.
+/// 1 = deterministic serial execution), else the hardware concurrency;
+/// either way clamped to kMaxThreads.
 std::size_t configured_threads();
 
-/// Run fn(i) for every i in [0, count) across configured_threads() workers
-/// pulling from a shared atomic counter. The first exception thrown by any
-/// worker is rethrown on the calling thread after all workers join.
+namespace detail {
+
+/// Run invoke(body, i) for every i in [0, count) on the calling thread plus
+/// up to `helpers` fan-out pool workers (see parallel_for).
+void run_fan_out(std::size_t count, std::size_t helpers,
+                 void (*invoke)(void* body, std::size_t i), void* body);
+
+}  // namespace detail
+
+/// Run fn(i) for every i in [0, count) on min(configured_threads(), count)
+/// threads: the calling thread plus workers of one process-wide pool, all
+/// pulling from a shared atomic index. The pool starts workers lazily and
+/// keeps them parked on a condition variable between calls, so a call
+/// costs a wake-up instead of a thread spawn and join. The caller drains
+/// the index too, so a nested call (from inside fn) or calls from several
+/// threads at once always make progress, even when every worker is busy.
+/// The first exception thrown by fn stops further indices from starting
+/// and is rethrown on the calling thread after every helper left the call.
 template <typename Fn>
 void parallel_for(std::size_t count, Fn&& fn) {
   const std::size_t threads = std::min(configured_threads(), count);
@@ -30,41 +54,26 @@ void parallel_for(std::size_t count, Fn&& fn) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mu;
-  std::exception_ptr error;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= count) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
+  using Body = std::remove_reference_t<Fn>;
+  detail::run_fan_out(
+      count, threads - 1,
+      [](void* body, std::size_t i) { (*static_cast<Body*>(body))(i); },
+      const_cast<void*>(static_cast<const void*>(&fn)));
 }
 
 /// A persistent pool of spinning workers for fine-grained, repeated
-/// fan-outs. util::parallel_for spawns and joins std::threads per call
-/// (fine for the colgen oracles, whose tasks run for milliseconds); the
-/// sharded MAC simulator (mac/parallel_sim.*) instead crosses a barrier
-/// every lookahead window — tens of thousands of times per simulated
-/// second — so thread spawn/join would dwarf the event work. WorkerPool
-/// keeps its workers alive between run() calls and synchronizes them with
-/// an epoch counter. Waiters spin on it for a bounded budget — dispatch
-/// gaps between MAC windows are usually sub-microsecond, so the fast path
-/// stays a few microseconds per round trip — and then park on a condition
-/// variable, so an idle pool (a serve session between requests, a bench
-/// harness between traces) costs no CPU instead of burning cores.
+/// fan-outs. util::parallel_for wakes parked workers through a mutex and a
+/// condition variable per call (fine for the colgen oracles, whose tasks
+/// run for milliseconds); the sharded MAC simulator (mac/parallel_sim.*)
+/// instead crosses a barrier every lookahead window — tens of thousands of
+/// times per simulated second — so even a condition-variable wake-up per
+/// window would dwarf the event work. WorkerPool keeps its workers alive
+/// between run() calls and synchronizes them with an epoch counter.
+/// Waiters spin on it for a bounded budget — dispatch gaps between MAC
+/// windows are usually sub-microsecond, so the fast path stays a few
+/// microseconds per round trip — and then park on a condition variable, so
+/// an idle pool (a serve session between requests, a bench harness between
+/// traces) costs no CPU instead of burning cores.
 ///
 /// run(fn) invokes fn(worker) once per worker, including worker 0 on the
 /// calling thread. Workers partition their work statically from the worker

@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <numeric>
+
+#include "core/interference.hpp"
+#include "net/network.hpp"
+#include "phy/phy_model.hpp"
+#include "util/rng.hpp"
+
 namespace mrwsn::core {
 namespace {
 
@@ -70,6 +81,170 @@ TEST(RemoveDominated, ExactDuplicatesCollapseToOne) {
 
 TEST(RemoveDominated, EmptyInput) {
   EXPECT_TRUE(remove_dominated({}).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Exact physical pricing: brute-force optimum, thread invariance, floors
+// ---------------------------------------------------------------------------
+
+/// Sets MRWSN_THREADS for one scope.
+class ThreadEnvGuard {
+ public:
+  explicit ThreadEnvGuard(const char* value) {
+    ::setenv("MRWSN_THREADS", value, 1);
+  }
+  ~ThreadEnvGuard() { ::unsetenv("MRWSN_THREADS"); }
+};
+
+/// A random small physical pricing instance: 20 alive links of a random
+/// 14-node placement, two of them at zero weight, so 18 candidates reach
+/// the exact search — enough for its per-root parallel path.
+struct PhysicalCase {
+  std::unique_ptr<net::Network> network;
+  std::vector<net::LinkId> universe;
+  std::vector<double> weight;  ///< parallel to universe
+};
+
+constexpr std::size_t kCaseLinks = 20;
+constexpr std::size_t kCaseZeroWeights = 2;
+
+PhysicalCase random_physical_case(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<geom::Point> points;
+  for (int i = 0; i < 14; ++i)
+    points.push_back({rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)});
+  PhysicalCase c;
+  c.network = std::make_unique<net::Network>(std::move(points),
+                                             phy::PhyModel::paper_default());
+  std::vector<net::LinkId> ids(c.network->num_links());
+  std::iota(ids.begin(), ids.end(), net::LinkId{0});
+  for (std::size_t i = ids.size(); i > 1; --i)
+    std::swap(ids[i - 1], ids[rng.uniform_int(0, i - 1)]);
+  std::vector<net::LinkId> picked;
+  for (net::LinkId id : ids) {
+    if (!c.network->link(id).alive) continue;
+    picked.push_back(id);
+    if (picked.size() == kCaseLinks) break;
+  }
+  c.universe = canonical_universe(picked);
+  for (std::size_t i = 0; i < c.universe.size(); ++i)
+    c.weight.push_back(i < kCaseZeroWeights ? 0.0 : rng.uniform(0.1, 2.0));
+  std::swap(c.weight[0], c.weight[c.universe.size() / 2]);  // spread zeros
+  return c;
+}
+
+/// Maximum weight over every feasible concurrent set of the universe, by
+/// exhaustive extension: a superset of an infeasible set is infeasible
+/// (it shares the node, or adds interference), so only feasible sets are
+/// extended.
+double brute_force_max(const PhysicalInterferenceModel& model,
+                       const PhysicalCase& c) {
+  const phy::RateTable& rates = c.network->phy().rates();
+  double best = 0.0;
+  std::vector<net::LinkId> links;
+  std::vector<std::size_t> positions;
+  std::function<void(std::size_t)> extend = [&](std::size_t from) {
+    for (std::size_t i = from; i < c.universe.size(); ++i) {
+      links.push_back(c.universe[i]);
+      positions.push_back(i);
+      if (const auto r = model.max_rate_vector(links)) {
+        double w = 0.0;
+        for (std::size_t k = 0; k < links.size(); ++k)
+          w += c.weight[positions[k]] * rates[(*r)[k]].mbps;
+        best = std::max(best, w);
+        extend(i + 1);
+      }
+      links.pop_back();
+      positions.pop_back();
+    }
+  };
+  extend(0);
+  return best;
+}
+
+double set_weight(const PhysicalCase& c, const IndependentSet& set) {
+  double w = 0.0;
+  for (std::size_t k = 0; k < set.size(); ++k) {
+    const auto it =
+        std::lower_bound(c.universe.begin(), c.universe.end(), set.links[k]);
+    w += c.weight[static_cast<std::size_t>(it - c.universe.begin())] *
+         set.mbps[k];
+  }
+  return w;
+}
+
+void expect_sets_equal(const IndependentSet& a, const IndependentSet& b) {
+  EXPECT_EQ(a.links, b.links);
+  EXPECT_EQ(a.rates, b.rates);
+  EXPECT_EQ(a.mbps, b.mbps);
+}
+
+constexpr std::uint64_t kPhysicalSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8};
+
+TEST(PhysicalPricing, MatchesBruteForceOptimum) {
+  for (std::uint64_t seed : kPhysicalSeeds) {
+    SCOPED_TRACE(seed);
+    const PhysicalCase c = random_physical_case(seed);
+    ASSERT_EQ(c.universe.size(), kCaseLinks);
+    const PhysicalInterferenceModel model(*c.network);
+    const double brute = brute_force_max(model, c);
+    const MaxWeightSetResult r =
+        model.max_weight_independent_set(c.universe, c.weight);
+    ASSERT_TRUE(r.found());
+    const double tol = 1e-9 * std::max(1.0, brute);
+    EXPECT_NEAR(r.max_weight, brute, tol);
+    EXPECT_NEAR(r.weight, brute, tol);
+    EXPECT_TRUE(model.supports(r.set.links, r.set.rates));
+    EXPECT_NEAR(set_weight(c, r.set), r.weight, tol);
+    for (const IndependentSet& extra : r.extras) {
+      EXPECT_TRUE(model.supports(extra.links, extra.rates));
+      EXPECT_LE(set_weight(c, extra), r.max_weight + tol);
+    }
+  }
+}
+
+TEST(PhysicalPricing, IdenticalAcrossThreadCounts) {
+  for (std::uint64_t seed : kPhysicalSeeds) {
+    SCOPED_TRACE(seed);
+    const PhysicalCase c = random_physical_case(seed);
+    const PhysicalInterferenceModel model(*c.network);
+    const double brute = brute_force_max(model, c);
+    // No floor, and a floor that lets only the better sets through.
+    for (const double floor : {0.0, 0.6 * brute}) {
+      std::vector<MaxWeightSetResult> runs;
+      for (const char* threads : {"1", "4", "8"}) {
+        ThreadEnvGuard env(threads);
+        runs.push_back(model.max_weight_independent_set(c.universe, c.weight,
+                                                        floor));
+      }
+      ASSERT_TRUE(runs[0].found());
+      for (std::size_t i = 1; i < runs.size(); ++i) {
+        expect_sets_equal(runs[i].set, runs[0].set);
+        EXPECT_EQ(runs[i].weight, runs[0].weight);
+        EXPECT_EQ(runs[i].max_weight, runs[0].max_weight);
+        ASSERT_EQ(runs[i].extras.size(), runs[0].extras.size());
+        for (std::size_t k = 0; k < runs[0].extras.size(); ++k)
+          expect_sets_equal(runs[i].extras[k], runs[0].extras[k]);
+      }
+    }
+  }
+}
+
+TEST(PhysicalPricing, FloorAboveEverySetReturnsEmpty) {
+  for (std::uint64_t seed : kPhysicalSeeds) {
+    SCOPED_TRACE(seed);
+    const PhysicalCase c = random_physical_case(seed);
+    const PhysicalInterferenceModel model(*c.network);
+    const double floor = brute_force_max(model, c) * (1.0 + 1e-6) + 1e-6;
+    for (const char* threads : {"1", "4"}) {
+      ThreadEnvGuard env(threads);
+      const MaxWeightSetResult r =
+          model.max_weight_independent_set(c.universe, c.weight, floor);
+      EXPECT_FALSE(r.found());
+      EXPECT_TRUE(r.extras.empty());
+      EXPECT_EQ(r.max_weight, floor);
+    }
+  }
 }
 
 }  // namespace

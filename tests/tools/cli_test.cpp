@@ -74,6 +74,29 @@ TEST(Cli, UnknownCommandFails) {
   EXPECT_NE(r.code, 0);
 }
 
+TEST(Cli, HelpPrintsUsageAndSucceeds) {
+  for (const char* flag : {"help", "--help", "-h"}) {
+    const CliResult r = run({flag});
+    EXPECT_EQ(r.code, 0) << flag;
+    EXPECT_NE(r.out.find("usage:"), std::string::npos) << flag;
+    EXPECT_EQ(r.err, "") << flag;
+  }
+}
+
+TEST(Cli, UnknownCommandPrintsUsageBeforeReadingAnyFile) {
+  // Neither a missing scenario argument nor an unreadable file may mask
+  // the real problem: the command itself is unknown.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"frobnicate"},
+        std::vector<std::string>{"frobnicate", "/nonexistent/file.txt"}}) {
+    const CliResult r = run(args);
+    EXPECT_EQ(r.code, 2);
+    EXPECT_NE(r.err.find("usage:"), std::string::npos);
+    EXPECT_EQ(r.err.find("needs a scenario file"), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("cannot open"), std::string::npos) << r.err;
+  }
+}
+
 TEST(Cli, GenerateProducesParsableScenario) {
   const CliResult r = run({"generate", "--nodes", "12", "--seed", "3",
                            "--flows", "2"});

@@ -1,13 +1,19 @@
 // WorkerPool: the bounded-spin-then-park barrier must survive rapid
 // back-to-back rounds (spin path), long idle gaps (park path), exceptions,
 // and arbitrary pool sizes, with block() covering every index exactly once.
+// parallel_for: its shared fan-out pool must run nested calls, calls from
+// several threads at once, and calls after an exception to completion,
+// and follow MRWSN_THREADS (clamped to kMaxThreads) from call to call.
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -107,6 +113,113 @@ TEST(ParallelFor, MatchesSerialSum) {
   std::uint64_t expect = 0;
   for (std::size_t i = 0; i < kItems; ++i) expect += 3 * i + 1;
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), std::uint64_t{0}), expect);
+}
+
+/// Sets MRWSN_THREADS for one scope.
+class ThreadEnvGuard {
+ public:
+  explicit ThreadEnvGuard(const char* value) {
+    ::setenv("MRWSN_THREADS", value, 1);
+  }
+  ~ThreadEnvGuard() { ::unsetenv("MRWSN_THREADS"); }
+};
+
+TEST(ParallelFor, NestedCallsRunEveryInnerIndex) {
+  ThreadEnvGuard env("4");
+  constexpr std::size_t kOuter = 12, kInner = 97;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  parallel_for(kOuter, [&](std::size_t i) {
+    parallel_for(kInner, [&](std::size_t j) { ++hits[i * kInner + j]; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, ConcurrentCallersEachCompleteTheirOwnWork) {
+  ThreadEnvGuard env("4");
+  constexpr std::size_t kCallers = 4, kRounds = 25, kItems = 300;
+  std::vector<std::uint64_t> totals(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        std::vector<std::uint64_t> out(kItems, 0);
+        parallel_for(kItems, [&](std::size_t i) { out[i] = c + i; });
+        totals[c] += std::accumulate(out.begin(), out.end(), std::uint64_t{0});
+      }
+    });
+  }
+  for (std::thread& th : callers) th.join();
+  for (std::size_t c = 0; c < kCallers; ++c)
+    EXPECT_EQ(totals[c], kRounds * (kItems * c + kItems * (kItems - 1) / 2));
+}
+
+TEST(ParallelFor, RethrowsTheExceptionAndThePoolKeepsWorking) {
+  ThreadEnvGuard env("4");
+  EXPECT_THROW(parallel_for(200,
+                            [](std::size_t i) {
+                              if (i == 17) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
+  // A nested call that throws surfaces through both levels.
+  EXPECT_THROW(parallel_for(8,
+                            [](std::size_t) {
+                              parallel_for(8, [](std::size_t j) {
+                                if (j == 5) throw std::logic_error("inner");
+                              });
+                            }),
+               std::logic_error);
+  std::vector<int> out(500, 0);
+  parallel_for(out.size(), [&](std::size_t i) { out[i] = 1; });
+  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 500);
+}
+
+TEST(ParallelFor, FanOutFollowsThreadCountChangesBetweenCalls) {
+  const auto threads_used = [](std::size_t items) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    std::vector<int> out(items, 0);
+    parallel_for(items, [&](std::size_t i) {
+      out[i] = 1;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      const std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0),
+              static_cast<int>(items));
+    return ids;
+  };
+  {
+    ThreadEnvGuard env("1");
+    const auto ids = threads_used(64);
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+  }
+  {
+    ThreadEnvGuard env("8");
+    EXPECT_LE(threads_used(64).size(), 8u);
+    EXPECT_LE(threads_used(3).size(), 3u);  // never more threads than items
+  }
+  {
+    ThreadEnvGuard env("2");
+    EXPECT_LE(threads_used(64).size(), 2u);
+  }
+}
+
+TEST(ConfiguredThreads, ClampsToTheCeiling) {
+  {
+    ThreadEnvGuard env("3");
+    EXPECT_EQ(configured_threads(), 3u);
+  }
+  for (const char* huge : {"100000", "99999999999999999999999"}) {
+    ThreadEnvGuard env(huge);
+    EXPECT_EQ(configured_threads(), kMaxThreads) << huge;
+  }
+  for (const char* bad : {"0", "-4", "abc", "4x", ""}) {
+    ThreadEnvGuard env(bad);
+    const std::size_t threads = configured_threads();
+    EXPECT_GE(threads, 1u) << bad;
+    EXPECT_LE(threads, kMaxThreads) << bad;
+  }
 }
 
 }  // namespace

@@ -937,10 +937,10 @@ int cmd_fig4(const Options& options, std::ostream& out) {
   return benchx::run_scaled_fig4(scaled, out);
 }
 
-void usage(std::ostream& err) {
-  err << "usage: mrwsn "
+void usage(std::ostream& os) {
+  os << "usage: mrwsn "
          "<generate|info|scenario|capacity|available|admit|mobility|simulate|"
-         "fig4> "
+         "fig4|help> "
          "...\n"
          "  mrwsn generate --nodes 30 --seed 1 --flows 8\n"
          "  mrwsn info scenario.txt\n"
@@ -979,14 +979,23 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       return 2;
     }
     const std::string& command = args[0];
+    if (command == "help" || command == "--help" || command == "-h") {
+      usage(out);
+      return 0;
+    }
     if (command == "generate") return cmd_generate(Options(args, 1), out);
     if (command == "fig4") return cmd_fig4(Options(args, 1), out);
     if (command == "scenario") return cmd_scenario(args, out, err);
 
-    MRWSN_REQUIRE(args.size() >= 2, command + " needs a scenario file");
-    const io::ScenarioFile scenario = io::load_scenario(args[1]);
-    if (command == "info") return cmd_info(scenario, out);
+    // The remaining commands read a scenario file; an unknown command must
+    // reach the usage message below without touching one.
+    const auto load = [&] {
+      MRWSN_REQUIRE(args.size() >= 2, command + " needs a scenario file");
+      return io::load_scenario(args[1]);
+    };
+    if (command == "info") return cmd_info(load(), out);
     if (command == "capacity" || command == "available") {
+      const io::ScenarioFile scenario = load();
       MRWSN_REQUIRE(args.size() >= 4, command + " needs <src> <dst>");
       const auto src = static_cast<net::NodeId>(std::stoull(args[2]));
       const auto dst = static_cast<net::NodeId>(std::stoull(args[3]));
@@ -994,6 +1003,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       return cmd_available(scenario, src, dst, Options(args, 4), out, err);
     }
     if (command == "admit") {
+      const io::ScenarioFile scenario = load();
       const Options options(args, 2);
       if (options.has("--batch")) return cmd_batch(scenario, options, out, err);
       if (options.has("--serve")) return cmd_serve(scenario, options, in, out, err);
@@ -1002,9 +1012,9 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       return cmd_admit(scenario, options, out, err);
     }
     if (command == "mobility")
-      return cmd_mobility(scenario, Options(args, 2), out, err);
+      return cmd_mobility(load(), Options(args, 2), out, err);
     if (command == "simulate")
-      return cmd_simulate(scenario, Options(args, 2), out, err);
+      return cmd_simulate(load(), Options(args, 2), out, err);
     usage(err);
     return 2;
   } catch (const std::exception& e) {

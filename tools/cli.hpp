@@ -30,8 +30,11 @@ namespace mrwsn::cli {
 ///             <demand>, stats, reset, quit
 ///   simulate  <scenario> [--seconds T] [--arf] [--seed S]
 ///             -> CSMA/CA run of the scenario's flows
+///   help | --help | -h                        -> usage on `out`
 ///
 /// Returns a process exit code (0 on success); diagnostics go to `err`.
+/// No arguments or an unknown subcommand print usage on `err` and return
+/// 2 before any file is read.
 /// The first overload reads interactive input (--serve) from `in`; the
 /// second is the production entry point and uses std::cin.
 int run_cli(const std::vector<std::string>& args, std::istream& in,

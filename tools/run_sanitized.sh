@@ -26,20 +26,24 @@ echo "sanitized test run ($SANITIZERS) passed"
 # ThreadSanitizer stage for the sharded parallel MAC engine. TSan cannot
 # share a build with ASan, so it gets its own tree; only the parallel
 # simulator's determinism suite drives every cross-region message path at
-# several thread counts, and the admission-concurrency suite races
-# snapshot readers against committing writers, concurrent EnginePool
-# acquires, and churn repairs (apply_topology_delta racing evaluate(),
-# with per-epoch shadow verification) — between them, every multithreaded
-# path in the repository (util::WorkerPool, mac/parallel_sim.*, the
-# engine's snapshot/commit/churn surface, EnginePool) runs under TSan.
+# several thread counts, the admission-concurrency suite races snapshot
+# readers against committing writers, concurrent EnginePool acquires, and
+# churn repairs (apply_topology_delta racing evaluate(), with per-epoch
+# shadow verification), and the util suite drives the parallel_for fan-out
+# pool through nested calls, concurrent callers, exceptions and
+# thread-count changes — between them, every multithreaded path in the
+# repository (util::WorkerPool, util::parallel_for, mac/parallel_sim.*,
+# the engine's snapshot/commit/churn surface, EnginePool) runs under TSan.
 # Skippable with MRWSN_SKIP_TSAN=1 (e.g. on kernels without ASLR compat).
 if [ "${MRWSN_SKIP_TSAN:-0}" != "1" ]; then
   TSAN_BUILD=${MRWSN_TSAN_BUILD:-"$REPO/build-tsan"}
   cmake -B "$TSAN_BUILD" -S "$REPO" -DMRWSN_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$TSAN_BUILD" -j "$(nproc 2>/dev/null || echo 4)" \
-    --target test_mac_parallel --target test_admission_concurrent
+    --target test_mac_parallel --target test_admission_concurrent \
+    --target test_util
   "$TSAN_BUILD/tests/test_mac_parallel"
   "$TSAN_BUILD/tests/test_admission_concurrent"
-  echo "tsan parallel-MAC + admission-concurrency run passed"
+  "$TSAN_BUILD/tests/test_util"
+  echo "tsan parallel-MAC + admission-concurrency + fan-out pool run passed"
 fi
