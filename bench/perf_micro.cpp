@@ -642,12 +642,7 @@ std::vector<core::IndependentSet> synthesize_columns(
       if (set.links.size() >= cap) break;
     }
     if (set.links.size() < 2) continue;
-    std::vector<std::uint64_t> key;
-    key.reserve(set.links.size());
-    for (std::size_t i = 0; i < set.links.size(); ++i)
-      key.push_back((static_cast<std::uint64_t>(set.links[i]) << 16) |
-                    static_cast<std::uint64_t>(set.rates[i]));
-    if (!seen.insert(std::move(key)).second) continue;
+    if (!seen.insert(core::column_signature(set)).second) continue;
     set.mbps.assign(set.links.size(), 0.0);
     out.push_back(std::move(set));
   }

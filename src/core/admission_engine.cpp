@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/colgen_driver.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -26,24 +27,215 @@ constexpr double kAirtimeTol = 1e-9;
 /// keep asking for — it simply arrives a round later.
 constexpr std::size_t kTier0PerRound = 64;
 
-/// Canonical (links, rates) key — the dedup signature shared by the
-/// persistent pool and the per-query column sets.
-std::vector<std::uint64_t> column_signature(const IndependentSet& set) {
-  std::vector<std::uint64_t> key;
-  key.reserve(set.links.size());
-  for (std::size_t i = 0; i < set.links.size(); ++i)
-    key.push_back((static_cast<std::uint64_t>(set.links[i]) << 16) |
-                  static_cast<std::uint64_t>(set.rates[i]));
-  return key;
+/// Tier 0 of both engine masters, by pool scan: the live pool columns not
+/// yet in the master (`slot_of_pool[idx] < 0`) whose links all have a row
+/// (`row_of_link[link] >= 0`), ranked under `weight` (by link id) above
+/// `floor`, at most kTier0PerRound. A master only ever holds columns its
+/// duals asked for, so its size tracks the active basis, not the pool.
+std::vector<std::size_t> scan_pool(const AdmissionEngine::PoolSeg& pool,
+                                   std::span<const int> slot_of_pool,
+                                   std::span<const int> row_of_link,
+                                   std::span<const double> weight,
+                                   double floor) {
+  Tier0Ranking ranking(weight, floor);
+  pool.for_each([&](std::size_t idx, const IndependentSet& set) {
+    // Tombstoned by churn, or already in the master.
+    if (set.links.empty() || slot_of_pool[idx] >= 0) return;
+    if (std::all_of(set.links.begin(), set.links.end(),
+                    [&](net::LinkId link) { return row_of_link[link] >= 0; }))
+      ranking.offer(idx, set);
+  });
+  return ranking.best(kTier0PerRound);
 }
 
-/// Deterministic Tier-0 order: best score first, pool index as tiebreak.
-bool better_candidate(const std::pair<double, std::size_t>& a,
-                      const std::pair<double, std::size_t>& b) {
-  return a.first > b.first || (a.first == b.first && a.second < b.second);
-}
+/// One query's Eq. 6 master (maximize f against the background rows and
+/// the query path), grown in place: f is VarId 0 and λ columns follow in
+/// arrival order, so every row stays sorted as columns append. Pricing
+/// runs over every link id, so the duals land at link-id positions.
+/// Columns come from the snapshot's pool (Tier 0 and the warm-basis seed)
+/// or are generated here; `generated()` hands the latter back for the
+/// persistent pool.
+class QueryMaster final : public ColGenMaster {
+ public:
+  QueryMaster(const AdmissionEngine::PoolSeg& pool,
+              std::span<const net::LinkId> universe,
+              std::span<const int> position,
+              std::span<const net::LinkId> path,
+              const AdmissionEngine::DemandSeg& demand, lp::Engine engine)
+      : pool_(pool),
+        universe_(universe),
+        position_(position),
+        slot_of_pool_(pool.size(), -1),
+        engine_(engine) {
+    const lp::VarId f = master_.add_variable(1.0, "f");
+    master_.add_constraint({}, lp::Sense::kLessEqual, 1.0);
+    for (const net::LinkId link : universe) {
+      std::vector<std::pair<lp::VarId, double>> row;
+      if (std::find(path.begin(), path.end(), link) != path.end())
+        row.emplace_back(f, -1.0);
+      master_.add_constraint(row, lp::Sense::kGreaterEqual, demand[link]);
+    }
+  }
+
+  /// Take pool column `idx` into the master; returns its column slot
+  /// (its VarId is 1 + slot).
+  int add_pool_column(std::size_t idx) {
+    const int slot = static_cast<int>(num_columns());
+    slot_of_pool_[idx] = slot;
+    seen_.insert(column_signature(pool_[idx]));
+    append(pool_[idx]);
+    return slot;
+  }
+
+  void set_basis(lp::Basis basis) { basis_ = std::move(basis); }
+  std::size_t pivots() const { return pivots_; }
+  std::vector<IndependentSet>& generated() { return generated_; }
+
+  lp::Objective sense() const override { return lp::Objective::kMaximize; }
+
+  lp::Solution solve() override {
+    lp::SolveOptions solve_options;
+    solve_options.engine = engine_;
+    solve_options.context = &context_;
+    if (!basis_.empty()) solve_options.warm_start = &basis_;
+    lp::SolveStats lp_stats;
+    solve_options.stats = &lp_stats;
+    lp::Solution solution = lp::solve(master_, solve_options);
+    pivots_ += lp_stats.pivots;
+    if (solution.optimal()) basis_ = solution.basis;
+    return solution;
+  }
+
+  void duals(const lp::Solution& solution,
+             std::span<double> out) const override {
+    std::fill(out.begin(), out.end(), 0.0);
+    out[0] = solution.dual(0);
+    for (std::size_t p = 0; p < universe_.size(); ++p)
+      out[1 + universe_[p]] = solution.dual(1 + p);
+  }
+
+  std::size_t tier0(std::span<const double> link_weight,
+                    double floor) override {
+    const std::vector<std::size_t> picked =
+        scan_pool(pool_, slot_of_pool_, position_, link_weight, floor);
+    for (const std::size_t idx : picked) add_pool_column(idx);
+    return picked.size();
+  }
+
+  bool add_column(IndependentSet set) override {
+    if (!seen_.insert(column_signature(set)).second) return false;
+    append(set);
+    generated_.push_back(std::move(set));
+    return true;
+  }
+
+  std::size_t num_columns() const override {
+    return master_.num_variables() - 1;
+  }
+
+ private:
+  void append(const IndependentSet& set) {
+    const lp::VarId id = master_.add_variable(0.0);
+    master_.append_term(0, id, 1.0);
+    for (std::size_t k = 0; k < set.links.size(); ++k)
+      master_.append_term(
+          1 + static_cast<std::size_t>(position_[set.links[k]]), id,
+          set.mbps[k]);
+  }
+
+  const AdmissionEngine::PoolSeg& pool_;
+  std::span<const net::LinkId> universe_;
+  std::span<const int> position_;  ///< by link id; -1 = not in universe
+  std::vector<int> slot_of_pool_;  ///< by pool index; -1 = not taken
+  std::set<std::vector<std::uint64_t>> seen_;  ///< every column's signature
+  std::vector<IndependentSet> generated_;
+  lp::Problem master_{lp::Objective::kMaximize};
+  lp::Engine engine_;
+  lp::Basis basis_;
+  lp::RevisedContext context_;
+  std::size_t pivots_ = 0;
+};
 
 }  // namespace
+
+/// The background master (minimize total airtime subject to delivering
+/// every background demand), grown in place over the engine's members.
+/// Its columns cost one unit of airtime each and it has no Σλ row, so it
+/// reports y_0 = −1 (ColGenMaster's convention). The first solve of a
+/// refresh chains the dual-simplex row re-solve from the stored basis.
+class AdmissionEngine::BackgroundMaster final : public ColGenMaster {
+ public:
+  explicit BackgroundMaster(AdmissionEngine& engine) : e_(engine) {}
+
+  lp::Objective sense() const override { return lp::Objective::kMinimize; }
+
+  lp::Solution solve() override {
+    lp::SolveOptions solve_options;
+    solve_options.engine = e_.options_.engine;
+    solve_options.context = &e_.bg_context_;
+    lp::SolveStats lp_stats;
+    solve_options.stats = &lp_stats;
+    const bool warm = !e_.bg_basis_.empty();
+    if (warm) {
+      solve_options.warm_start = &e_.bg_basis_;
+      // Only the first master after a commit has changed rows/rhs; later
+      // rounds append columns and chain primal warm starts as usual. A
+      // genuine re-solve lands within a handful of dual pivots; the cap
+      // keeps a degenerate dual stall from costing more than the cold
+      // solve it is trying to avoid.
+      solve_options.dual_resolve = first_;
+      solve_options.dual_pivot_cap = e_.bg_master_.num_constraints() + 64;
+    }
+    lp::Solution solution = lp::solve(e_.bg_master_, solve_options);
+    e_.stats_.lp_pivots += lp_stats.pivots;
+    if (first_ && warm) {
+      if (lp_stats.dual_phase &&
+          lp_stats.fallback_reason == lp::Fallback::kNone) {
+        ++e_.stats_.dual_resolves;
+      } else {
+        ++e_.stats_.dual_fallbacks;
+        e_.stats_.last_fallback = lp_stats.fallback_reason;
+      }
+    }
+    first_ = false;
+    if (solution.optimal()) e_.bg_basis_ = solution.basis;
+    return solution;
+  }
+
+  void duals(const lp::Solution& solution,
+             std::span<double> out) const override {
+    std::fill(out.begin(), out.end(), 0.0);
+    out[0] = -1.0;
+    for (std::size_t r = 0; r < e_.bg_links_.size(); ++r)
+      out[1 + e_.bg_links_[r]] = solution.dual(r);
+  }
+
+  /// Columns priced by queries (or shelved by readers) since the last
+  /// refresh enter here — but only when they improve this master.
+  std::size_t tier0(std::span<const double> link_weight,
+                    double floor) override {
+    const std::vector<std::size_t> picked = scan_pool(
+        e_.pool_, e_.master_var_of_pool_, e_.bg_row_of_, link_weight, floor);
+    for (const std::size_t idx : picked) e_.enter_background_master(idx);
+    return picked.size();
+  }
+
+  bool add_column(IndependentSet set) override {
+    const auto [idx, fresh] = e_.pool_add(std::move(set));
+    if (!fresh) ++e_.stats_.pool_hits;
+    if (e_.master_var_of_pool_[idx] >= 0) return false;
+    e_.enter_background_master(idx);
+    return true;
+  }
+
+  std::size_t num_columns() const override {
+    return e_.bg_master_cols_.size();
+  }
+
+ private:
+  AdmissionEngine& e_;
+  bool first_ = true;
+};
 
 AdmissionEngine::AdmissionEngine(const InterferenceModel& model,
                                  ColumnGenOptions options)
@@ -82,18 +274,21 @@ std::pair<std::size_t, bool> AdmissionEngine::pool_add(IndependentSet set) {
   return {it->second, fresh};
 }
 
-void AdmissionEngine::seed_singleton(net::LinkId link) {
-  const auto rate = model_->max_rate_alone(link);
-  if (!rate) return;
-  IndependentSet set;
-  set.links = {link};
-  set.rates = {*rate};
-  set.mbps = {model_->rate_table()[*rate].mbps};
-  const auto [idx, fresh] = pool_add(std::move(set));
-  (void)fresh;
-  if (master_var_of_pool_[idx] >= 0) return;
-  master_var_of_pool_[idx] = static_cast<int>(bg_master_cols_.size());
+void AdmissionEngine::enter_background_master(std::size_t idx) {
+  const lp::VarId id = bg_master_.add_variable(1.0);
+  master_var_of_pool_[idx] = id;
   bg_master_cols_.push_back(idx);
+  const IndependentSet& set = pool_[idx];
+  for (std::size_t k = 0; k < set.links.size(); ++k)
+    bg_master_.append_term(static_cast<std::size_t>(bg_row_of_[set.links[k]]),
+                           id, set.mbps[k]);
+}
+
+void AdmissionEngine::seed_singleton(net::LinkId link) {
+  std::optional<IndependentSet> set = singleton_column(*model_, link);
+  if (!set) return;
+  const std::size_t idx = pool_add(std::move(*set)).first;
+  if (master_var_of_pool_[idx] < 0) enter_background_master(idx);
 }
 
 void AdmissionEngine::update_blocked(net::LinkId link) {
@@ -121,6 +316,7 @@ void AdmissionEngine::add_background_locked(LinkFlow flow) {
     if (bg_row_of_[link] < 0) {
       bg_row_of_[link] = static_cast<int>(bg_links_.size());
       bg_links_.push_back(link);
+      bg_master_.add_constraint({}, lp::Sense::kGreaterEqual, 0.0);
       // The singleton column of a brand-new row enters the background
       // master immediately: it guarantees the master stays feasible, and
       // its only nonzero sits on the new row whose extended dual is zero,
@@ -128,6 +324,8 @@ void AdmissionEngine::add_background_locked(LinkFlow flow) {
       seed_singleton(link);
     }
     bg_demand_.mutate(link) += flow.demand_mbps;
+    bg_master_.set_rhs(static_cast<std::size_t>(bg_row_of_[link]),
+                       bg_demand_[link]);
     update_blocked(link);
   }
   background_.push_back(std::move(flow));
@@ -178,13 +376,12 @@ void AdmissionEngine::clear_locked() {
   bg_master_cols_.clear();
   std::fill(master_var_of_pool_.begin(), master_var_of_pool_.end(), -1);
   bg_master_ = lp::Problem(lp::Objective::kMinimize);
-  bg_synced_cols_ = 0;
-  bg_synced_rows_ = 0;
   bg_basis_.clear();
   bg_basis_snap_.reset();
   bg_context_.reset();
   bg_airtime_ = 0.0;
   bg_feasible_ = true;
+  bg_converged_ = true;
   bg_dirty_ = false;
   bg_impossible_ = false;
   std::fill(bg_blocked_.begin(), bg_blocked_.end(), 0);
@@ -192,95 +389,15 @@ void AdmissionEngine::clear_locked() {
   publish_stale_ = true;
 }
 
-std::size_t AdmissionEngine::extend_background_master(
-    const std::vector<double>& weights, double floor) {
-  // Tier-0 pricing by scan: score every live out-of-master pool column
-  // whose links all sit on background rows, and fold in the improving
-  // ones (score > floor), best first, capped per round. Unlike the old
-  // fold-everything extension this keeps the master lean — a degenerate
-  // preloaded pool no longer bloats the LP (or stalls its convergence),
-  // because a column only enters when the duals actually pay for it.
-  std::vector<std::pair<double, std::size_t>> improving;
-  pool_.for_each([&](std::size_t idx, const IndependentSet& set) {
-    if (set.links.empty()) return;              // tombstoned by churn
-    if (master_var_of_pool_[idx] >= 0) return;  // already in the master
-    double score = 0.0;
-    bool fits = true;
-    for (std::size_t k = 0; k < set.links.size(); ++k) {
-      if (bg_row_of_[set.links[k]] < 0) {
-        fits = false;
-        break;
-      }
-      score += weights[set.links[k]] * set.mbps[k];
-    }
-    if (fits && score > floor) improving.emplace_back(score, idx);
-  });
-  const std::size_t take = std::min(kTier0PerRound, improving.size());
-  std::partial_sort(improving.begin(),
-                    improving.begin() + static_cast<std::ptrdiff_t>(take),
-                    improving.end(), better_candidate);
-  for (std::size_t i = 0; i < take; ++i) {
-    const std::size_t idx = improving[i].second;
-    master_var_of_pool_[idx] = static_cast<int>(bg_master_cols_.size());
-    bg_master_cols_.push_back(idx);
-  }
-  return take;
-}
-
-void AdmissionEngine::sync_background_master() {
-  // Minimize total airtime subject to delivering every background demand.
-  // Rows are the background links in first-seen order and columns follow
-  // bg_master_cols_ order — both append-only, which is what keeps a saved
-  // basis (and its factorization) meaningful across commits, and what lets
-  // the master grow in place instead of being rebuilt every round.
-  //
-  // A column only enters the master once every one of its links has a row,
-  // so a pre-sync column can never touch a post-sync row: new columns
-  // extend old rows via append_term and contribute the initial terms of
-  // the new rows, never the other way around.
-  //
-  // A kRetiredColumn slot (churn retired the column before it was ever
-  // materialized) still gets its variable — a stillborn zero column at
-  // cost 1, which a minimization can never price in — so the VarId <->
-  // master-position bijection survives retirement.
-  std::vector<std::vector<std::pair<lp::VarId, double>>> new_rows(
-      bg_links_.size() - bg_synced_rows_);
-  for (std::size_t i = bg_synced_cols_; i < bg_master_cols_.size(); ++i) {
-    const lp::VarId id = bg_master_.add_variable(1.0);
-    const std::size_t pool_idx = bg_master_cols_[i];
-    if (pool_idx == kRetiredColumn) continue;
-    const IndependentSet& set = pool_[pool_idx];
-    for (std::size_t k = 0; k < set.links.size(); ++k) {
-      const std::size_t r = static_cast<std::size_t>(bg_row_of_[set.links[k]]);
-      if (r < bg_synced_rows_)
-        bg_master_.append_term(r, id, set.mbps[k]);
-      else
-        new_rows[r - bg_synced_rows_].emplace_back(id, set.mbps[k]);
-    }
-  }
-  bg_synced_cols_ = bg_master_cols_.size();
-  for (const auto& terms : new_rows)
-    bg_master_.add_constraint(terms, lp::Sense::kGreaterEqual, 0.0);
-  bg_synced_rows_ = bg_links_.size();
-  for (std::size_t r = 0; r < bg_links_.size(); ++r)
-    bg_master_.set_rhs(r, bg_demand_[bg_links_[r]]);
-}
-
 void AdmissionEngine::refresh_background() {
   if (!bg_dirty_) return;
   bg_dirty_ = false;
   ++stats_.background_solves;
-  if (bg_impossible_) {
-    bg_feasible_ = false;
-    bg_airtime_ = std::numeric_limits<double>::infinity();
-    bg_basis_.clear();
-    bg_basis_snap_.reset();
-    bg_context_.reset();
-    return;
-  }
-  if (bg_links_.empty()) {
-    bg_feasible_ = true;
-    bg_airtime_ = 0.0;
+  bg_converged_ = true;
+  if (bg_impossible_ || bg_links_.empty()) {
+    bg_feasible_ = !bg_impossible_;
+    bg_airtime_ =
+        bg_impossible_ ? std::numeric_limits<double>::infinity() : 0.0;
     bg_basis_.clear();
     bg_basis_snap_.reset();
     bg_context_.reset();
@@ -292,121 +409,24 @@ void AdmissionEngine::refresh_background() {
   // searching, so the result (and its rate vector) is identical to
   // pricing over the restricted universe — but the model's pricing
   // context is built for `all_links_` once and reused forever instead of
-  // being rebuilt for every distinct background link set.
-  std::vector<double> weights(all_links_.size(), 0.0);
-
-  bool first = true;
-  bool converged = false;
-  lp::Solution sol;
-  for (std::size_t round = 0; round <= options_.max_rounds; ++round) {
-    sync_background_master();
-    const lp::Problem& master = bg_master_;
-    lp::SolveOptions solve_options;
-    solve_options.engine = options_.engine;
-    solve_options.context = &bg_context_;
-    lp::SolveStats lp_stats;
-    solve_options.stats = &lp_stats;
-    if (!bg_basis_.empty()) {
-      solve_options.warm_start = &bg_basis_;
-      // Only the first master after a commit has changed rows/rhs; later
-      // rounds append columns and chain primal warm starts as usual. A
-      // genuine re-solve lands within a handful of dual pivots; the cap
-      // keeps a degenerate dual stall from costing more than the cold
-      // solve it is trying to avoid.
-      solve_options.dual_resolve = first;
-      solve_options.dual_pivot_cap = master.num_constraints() + 64;
-    }
-    sol = lp::solve(master, solve_options);
-    stats_.lp_pivots += lp_stats.pivots;
-    if (first && !bg_basis_.empty()) {
-      if (lp_stats.dual_phase &&
-          lp_stats.fallback_reason == lp::Fallback::kNone) {
-        ++stats_.dual_resolves;
-      } else {
-        ++stats_.dual_fallbacks;
-        stats_.last_fallback = lp_stats.fallback_reason;
-      }
-    }
-    first = false;
-    if (!sol.optimal()) break;  // master infeasible cannot happen: every
-                                // demanded row holds its singleton column
-    bg_basis_ = sol.basis;
-
-    std::fill(weights.begin(), weights.end(), 0.0);
-    for (std::size_t r = 0; r < bg_links_.size(); ++r)
-      weights[bg_links_[r]] = std::max(0.0, sol.dual(r));
-    const double floor = 1.0 + options_.reduced_cost_tol;
-    ++stats_.pricing_rounds;
-
-    // Tier 0: scored pool re-seeding against this round's duals. Columns
-    // priced by queries (or shelved by readers) since the last refresh
-    // enter here — but only when they actually improve this master.
-    const std::size_t seeded = extend_background_master(weights, floor);
-    if (seeded > 0) {
-      stats_.tier0_columns += seeded;
-      if (bg_master_cols_.size() > options_.max_columns) break;
-      continue;
-    }
-
-    // Fold `set` into pool + background master; true when the master
-    // gained the column.
-    const auto fold_in = [&](const IndependentSet& set) {
-      const auto [idx, was_fresh] = pool_add(set);
-      (void)was_fresh;
-      if (master_var_of_pool_[idx] >= 0) return false;
-      master_var_of_pool_[idx] = static_cast<int>(bg_master_cols_.size());
-      bg_master_cols_.push_back(idx);
-      return true;
-    };
-
-    // Tier 1: heuristic pricing. Heuristic duplicates certify nothing —
-    // only a dry exact round may declare convergence.
-    if (options_.pricing == PricingMode::kTiered &&
-        options_.heuristic_starts > 0) {
-      HeuristicPricingParams params;
-      params.starts = options_.heuristic_starts;
-      const MaxWeightSetResult h = model_->heuristic_max_weight_independent_set(
-          all_links_, weights, floor, params);
-      if (h.found()) {
-        std::size_t added = fold_in(h.set) ? 1 : 0;
-        for (const IndependentSet& extra : h.extras)
-          if (fold_in(extra)) ++added;
-        if (added > 0) {
-          stats_.heuristic_columns += added;
-          if (bg_master_cols_.size() > options_.max_columns) break;
-          continue;
-        }
-      }
-    }
-
-    // Tier 2 / exact-only: the certificate tier.
-    ++stats_.exact_rounds;
-    const MaxWeightSetResult priced =
-        model_->max_weight_independent_set(all_links_, weights, floor);
-    if (!priced.found()) {
-      converged = true;
-      break;
-    }
-    const auto [idx, fresh] = pool_add(priced.set);
-    if (!fresh) ++stats_.pool_hits;
-    if (master_var_of_pool_[idx] >= 0) {
-      // The oracle re-priced a master column: its reduced cost sits at the
-      // tolerance boundary. The master is optimal for all purposes.
-      converged = true;
-      break;
-    }
-    master_var_of_pool_[idx] = static_cast<int>(bg_master_cols_.size());
-    bg_master_cols_.push_back(idx);
-    // The oracle's runner-up extras are feasible sets over the same rows
-    // (zero weight outside the row set keeps their links inside it);
-    // folding them in now saves later solve/price rounds.
-    for (const IndependentSet& extra : priced.extras) fold_in(extra);
-    if (bg_master_cols_.size() > options_.max_columns) break;
-  }
+  // being rebuilt for every distinct background link set. No early stop:
+  // the airtime feeds parity gates across independently built engines,
+  // so it must not depend on the path the solver took (DESIGN.md §9).
+  BackgroundMaster master(*this);
+  ColumnGenStats colgen;
+  const ColGenOutcome outcome =
+      ColGenDriver(*model_, all_links_, options_).run(master, &colgen);
+  stats_.pricing_rounds += colgen.rounds;
+  stats_.tier0_columns += colgen.pool_hit_columns;
+  stats_.heuristic_columns += colgen.heuristic_columns;
+  stats_.exact_rounds += colgen.exact_rounds;
   stats_.pool_columns = pool_live_;
-  bg_airtime_ = sol.optimal() ? sol.objective
-                              : std::numeric_limits<double>::infinity();
-  bg_feasible_ = converged && bg_airtime_ <= 1.0 + kAirtimeTol;
+  bg_converged_ = outcome.converged;
+  bg_airtime_ = outcome.solved ? outcome.solution.objective
+                               : std::numeric_limits<double>::infinity();
+  // A capped run's restricted optimum is still a schedule: when it fits in
+  // unit airtime the background is feasible, converged or not.
+  bg_feasible_ = bg_airtime_ <= 1.0 + kAirtimeTol;
   // Freeze the refreshed basis once; every publish until the next
   // re-solve aliases this copy instead of copying the basis again.
   bg_basis_snap_ = std::make_shared<const lp::Basis>(bg_basis_);
@@ -427,10 +447,10 @@ bool AdmissionEngine::background_feasible() {
 AdmissionAnswer AdmissionEngine::solve_query(
     std::span<const net::LinkId> path, double demand_mbps,
     const BackgroundView& bg,
-    std::vector<IndependentSet>* fresh_columns,
-    std::size_t* pool_hits) const {
+    std::vector<IndependentSet>* fresh_columns) const {
   MRWSN_REQUIRE(!path.empty(), "admission query needs a non-empty path");
   AdmissionAnswer answer;
+  answer.converged = bg.converged;
   if (!bg.feasible) return answer;  // Eq. 6 infeasible: nothing available
   answer.background_feasible = true;
 
@@ -451,48 +471,20 @@ AdmissionAnswer AdmissionEngine::solve_query(
                   "admission query references an unknown link");
     position[universe[p]] = static_cast<int>(p);
   }
-  std::vector<char> on_path(bg_demand.size(), 0);
-  for (const net::LinkId link : path) on_path[link] = 1;
+  QueryMaster master(pool, universe, position, path, bg_demand,
+                     options_.engine);
 
-  // The query's column set, seeded LEAN: the background master's live
-  // columns (their links all sit on background rows ⊂ universe, and they
-  // carry the warm basis), singletons for universe links those leave
-  // uncovered, then per-round Tier-0 improving pool columns and whatever
-  // pricing generates. Seeding the master instead of every fitting pool
-  // column is what makes the query LP track the active basis size, not
-  // the pool size. Pointers stay valid because `generated` never
-  // reallocates (reserved to its worst case up front) and pool chunks are
-  // immutable for the duration of the solve. `seen` holds every column's
-  // canonical signature so later oracle output dedups in one set lookup.
-  std::vector<const IndependentSet*> columns;
-  std::set<Signature> seen;
-  std::vector<IndependentSet> generated;
-  // Worst case: one singleton per universe link, plus per pricing round
-  // either the heuristic winner with up to four runner-up extras or the
-  // exact best set with up to three.
-  generated.reserve(universe.size() + 6 * (options_.max_rounds + 1));
+  // The query's columns, seeded LEAN: exactly the basis-referenced
+  // background master columns (their links all sit on background rows ⊂
+  // universe, and they reproduce the background's optimal point for the
+  // warm start below), then singletons for universe links those leave
+  // uncovered. The master's nonbasic columns — and the rest of the pool —
+  // stay behind the per-round Tier-0 scan and only enter if this query's
+  // own duals ask for them, so the query LP starts at basis size, not
+  // master or pool size.
   std::vector<char> covered(universe.size(), 0);
-  std::vector<char> pool_used(pool.size(), 0);
   // Master position -> query column slot, for the warm-basis remap.
   std::vector<int> col_of_master_pos(master_cols.size(), -1);
-
-  const auto add_pool_column = [&](std::size_t idx) {
-    const IndependentSet& set = pool[idx];
-    pool_used[idx] = 1;
-    const int slot = static_cast<int>(columns.size());
-    columns.push_back(&set);
-    seen.insert(column_signature(set));
-    if (set.size() == 1 && position[set.links[0]] >= 0)
-      covered[static_cast<std::size_t>(position[set.links[0]])] = 1;
-    return slot;
-  };
-
-  // Seed exactly the basis-referenced master columns: those reproduce
-  // the background's optimal point (the warm start below), while the
-  // master's nonbasic columns — and the rest of the pool — stay behind
-  // the per-round Tier-0 scan and only enter if this query's own duals
-  // ask for them. The query LP therefore starts at basis size, not
-  // master or pool size.
   const bool basis_usable =
       bg.basis && bg.basis->size() == bg_links.size() && !bg.basis->empty();
   if (basis_usable) {
@@ -503,22 +495,18 @@ AdmissionAnswer AdmissionEngine::solve_query(
       const std::size_t pool_idx = master_cols[pos];
       if (pool_idx == kRetiredColumn || pool[pool_idx].links.empty())
         continue;  // retired under churn; the basis repair fell to slack
-      if (col_of_master_pos[pos] < 0)
-        col_of_master_pos[pos] = add_pool_column(pool_idx);
+      if (col_of_master_pos[pos] >= 0) continue;
+      col_of_master_pos[pos] = master.add_pool_column(pool_idx);
+      const IndependentSet& set = pool[pool_idx];
+      if (set.size() == 1)
+        covered[static_cast<std::size_t>(position[set.links[0]])] = 1;
     }
   }
-  answer.tier0_columns = columns.size();
+  answer.tier0_columns = master.num_columns();
   for (std::size_t p = 0; p < universe.size(); ++p) {
     if (covered[p]) continue;
-    const auto rate = model_->max_rate_alone(universe[p]);
-    if (!rate) continue;
-    IndependentSet set;
-    set.links = {universe[p]};
-    set.rates = {*rate};
-    set.mbps = {model_->rate_table()[*rate].mbps};
-    seen.insert(column_signature(set));
-    generated.push_back(std::move(set));
-    columns.push_back(&generated.back());
+    if (auto set = singleton_column(*model_, universe[p]))
+      master.add_column(std::move(*set));
   }
 
   // Seed the first solve with a primal-feasible basis derived from the
@@ -561,171 +549,31 @@ AdmissionAnswer AdmissionEngine::solve_query(
                                             1 + column};
     }
   }
-  lp::RevisedContext context;
-  lp::Solution sol;
-  // Full-universe pricing weights (see refresh_background): zero outside
+  master.set_basis(std::move(basis));
+
+  // Full-universe pricing (see refresh_background): zero weight outside
   // the query universe, so priced sets only ever contain universe links.
-  std::vector<double> weights(all_links_.size(), 0.0);
-
-  // Build the restricted master once; pricing rounds append their column
-  // in place (the rows' sorted-sparse invariant holds because every new
-  // λ's id exceeds everything already in its rows).
-  lp::Problem master(lp::Objective::kMaximize);
-  const lp::VarId f = master.add_variable(1.0, "f");
-  std::vector<lp::VarId> lambda;
-  lambda.reserve(columns.size());
-  for (std::size_t i = 0; i < columns.size(); ++i)
-    lambda.push_back(master.add_variable(0.0));
-  {
-    std::vector<std::pair<lp::VarId, double>> share;
-    share.reserve(columns.size());
-    for (const lp::VarId id : lambda) share.emplace_back(id, 1.0);
-    master.add_constraint(share, lp::Sense::kLessEqual, 1.0);
-    // f is VarId 0 and the λ ids ascend, so seeding f first keeps every
-    // row pre-sorted — add_constraint's linear canonicalization path.
-    std::vector<std::vector<std::pair<lp::VarId, double>>> rows(
-        universe.size());
-    for (std::size_t p = 0; p < universe.size(); ++p)
-      if (on_path[universe[p]]) rows[p].emplace_back(f, -1.0);
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-      const IndependentSet& set = *columns[i];
-      for (std::size_t k = 0; k < set.links.size(); ++k)
-        rows[static_cast<std::size_t>(position[set.links[k]])].emplace_back(
-            lambda[i], set.mbps[k]);
-    }
-    for (std::size_t p = 0; p < universe.size(); ++p)
-      master.add_constraint(rows[p], lp::Sense::kGreaterEqual,
-                            bg_demand[universe[p]]);
-  }
-
-  // Append one column to the master LP in place.
-  const auto append_master_column = [&](const IndependentSet& added) {
-    const lp::VarId id = master.add_variable(0.0);
-    master.append_term(0, id, 1.0);
-    for (std::size_t k = 0; k < added.links.size(); ++k)
-      master.append_term(
-          1 + static_cast<std::size_t>(position[added.links[k]]), id,
-          added.mbps[k]);
-  };
-
-  for (std::size_t round = 0; round <= options_.max_rounds; ++round) {
-    lp::SolveOptions solve_options;
-    solve_options.engine = options_.engine;
-    solve_options.context = &context;
-    if (!basis.empty()) solve_options.warm_start = &basis;
-    lp::SolveStats lp_stats;
-    solve_options.stats = &lp_stats;
-    sol = lp::solve(master, solve_options);
-    answer.lp_pivots += lp_stats.pivots;
-    if (!sol.optimal()) break;
-    basis = sol.basis;
-
-    // Phase-B pricing: weights from the link-row duals (maximize => the
-    // improving direction is -dual), floor from the airtime row's dual.
-    std::fill(weights.begin(), weights.end(), 0.0);
-    for (std::size_t p = 0; p < universe.size(); ++p)
-      weights[universe[p]] = std::max(0.0, -sol.dual(1 + p));
-    const double floor =
-        std::max(0.0, sol.dual(0)) + options_.reduced_cost_tol;
-    ++answer.pricing_rounds;
-
-    // Tier 0: scored pool scan against this round's duals — the pool
-    // seeds the master on demand instead of wholesale, so a query's LP
-    // carries only the columns its own duals asked for.
-    {
-      std::vector<std::pair<double, std::size_t>> improving;
-      pool.for_each([&](std::size_t idx, const IndependentSet& set) {
-        if (pool_used[idx] || set.links.empty()) return;
-        double score = 0.0;
-        bool fits = true;
-        for (std::size_t k = 0; k < set.links.size(); ++k) {
-          if (position[set.links[k]] < 0) {
-            fits = false;
-            break;
-          }
-          score += weights[set.links[k]] * set.mbps[k];
-        }
-        if (fits && score > floor) improving.emplace_back(score, idx);
-      });
-      const std::size_t take = std::min(kTier0PerRound, improving.size());
-      std::partial_sort(improving.begin(),
-                        improving.begin() + static_cast<std::ptrdiff_t>(take),
-                        improving.end(), better_candidate);
-      for (std::size_t i = 0; i < take; ++i)
-        append_master_column(*columns[static_cast<std::size_t>(
-            add_pool_column(improving[i].second))]);
-      if (take > 0) {
-        answer.tier0_columns += take;
-        if (columns.size() > options_.max_columns) break;
-        continue;
-      }
-    }
-
-    // Signature-set dedup against this query's columns; true when the
-    // master gained the column.
-    const auto add_column = [&](const IndependentSet& set) {
-      if (!seen.insert(column_signature(set)).second) return false;
-      generated.push_back(set);
-      columns.push_back(&generated.back());
-      append_master_column(generated.back());
-      return true;
-    };
-
-    // Tier 1: heuristic pricing. A heuristic round that only reproduces
-    // existing columns certifies nothing and falls through to the exact
-    // tier.
-    if (options_.pricing == PricingMode::kTiered &&
-        options_.heuristic_starts > 0) {
-      HeuristicPricingParams params;
-      params.starts = options_.heuristic_starts;
-      const MaxWeightSetResult h = model_->heuristic_max_weight_independent_set(
-          all_links_, weights, floor, params);
-      if (h.found()) {
-        std::size_t added = add_column(h.set) ? 1 : 0;
-        for (const IndependentSet& extra : h.extras)
-          if (add_column(extra)) ++added;
-        if (added > 0) {
-          answer.heuristic_columns += added;
-          if (columns.size() > options_.max_columns) break;
-          continue;
-        }
-      }
-    }
-
-    // Tier 2 / exact-only: the certificate tier.
-    ++answer.exact_rounds;
-    const MaxWeightSetResult priced =
-        model_->max_weight_independent_set(all_links_, weights, floor);
-    if (!priced.found()) {
-      answer.converged = true;
-      break;
-    }
-    // Re-pricing an existing column means the master already sits at the
-    // tolerance boundary.
-    if (seen.count(column_signature(priced.set)) != 0) {
-      ++*pool_hits;
-      answer.converged = true;
-      break;
-    }
-    add_column(priced.set);
-    // Runner-up extras from the same search: more columns per oracle call
-    // means fewer solve/price rounds to converge, at no search cost.
-    for (const IndependentSet& extra : priced.extras) add_column(extra);
-    if (columns.size() > options_.max_columns) break;
-  }
-
-  answer.master_columns = columns.size();
-  if (sol.optimal()) answer.available_mbps = std::max(0.0, sol.objective);
-  if (!sol.optimal()) answer.converged = false;
-  answer.admitted = answer.background_feasible &&
-                    answer.available_mbps + kDemandSlack >= demand_mbps;
-  *fresh_columns = std::move(generated);
+  ColumnGenStats colgen;
+  const ColGenOutcome outcome =
+      ColGenDriver(*model_, all_links_, options_).run(master, &colgen);
+  answer.converged = bg.converged && outcome.converged;
+  answer.pricing_rounds = colgen.rounds;
+  answer.tier0_columns += colgen.pool_hit_columns;
+  answer.heuristic_columns = colgen.heuristic_columns;
+  answer.exact_rounds = colgen.exact_rounds;
+  answer.lp_pivots = master.pivots();
+  answer.master_columns = master.num_columns();
+  if (outcome.solved)
+    answer.available_mbps = std::max(0.0, outcome.solution.objective);
+  answer.admitted = answer.available_mbps + kDemandSlack >= demand_mbps;
+  *fresh_columns = std::move(master.generated());
   return answer;
 }
 
 AdmissionEngine::BackgroundView AdmissionEngine::engine_view() const {
   BackgroundView view;
   view.feasible = bg_feasible_;
+  view.converged = bg_converged_;
   view.links = &bg_links_;
   view.demand = &bg_demand_;
   view.basis = &bg_basis_;
@@ -737,6 +585,7 @@ AdmissionEngine::BackgroundView AdmissionEngine::engine_view() const {
 AdmissionEngine::BackgroundView AdmissionEngine::view_of(const Snapshot& snap) {
   BackgroundView view;
   view.feasible = snap.feasible;
+  view.converged = snap.converged;
   view.links = &snap.links;
   view.demand = &snap.demand;
   view.basis = snap.basis ? snap.basis.get() : nullptr;
@@ -745,26 +594,26 @@ AdmissionEngine::BackgroundView AdmissionEngine::view_of(const Snapshot& snap) {
   return view;
 }
 
-AdmissionAnswer AdmissionEngine::query_locked(
-    std::span<const net::LinkId> path, double demand_mbps) {
-  refresh_background();
-  std::vector<IndependentSet> fresh;
-  std::size_t hits = 0;
-  AdmissionAnswer answer =
-      solve_query(path, demand_mbps, engine_view(), &fresh, &hits);
-  for (IndependentSet& set : fresh) {
-    const auto [idx, inserted] = pool_add(std::move(set));
-    (void)idx;
-    if (!inserted) ++hits;
-  }
+void AdmissionEngine::record_query_locked(
+    const AdmissionAnswer& answer, std::vector<IndependentSet>* fresh) {
+  for (IndependentSet& set : *fresh)
+    if (!pool_add(std::move(set)).second) ++stats_.pool_hits;
   ++stats_.queries;
   stats_.pricing_rounds += answer.pricing_rounds;
   stats_.lp_pivots += answer.lp_pivots;
-  stats_.pool_hits += hits;
   stats_.tier0_columns += answer.tier0_columns;
   stats_.heuristic_columns += answer.heuristic_columns;
   stats_.exact_rounds += answer.exact_rounds;
   stats_.pool_columns = pool_live_;
+}
+
+AdmissionAnswer AdmissionEngine::query_locked(
+    std::span<const net::LinkId> path, double demand_mbps) {
+  refresh_background();
+  std::vector<IndependentSet> fresh;
+  AdmissionAnswer answer =
+      solve_query(path, demand_mbps, engine_view(), &fresh);
+  record_query_locked(answer, &fresh);
   return answer;
 }
 
@@ -793,26 +642,12 @@ std::vector<AdmissionAnswer> AdmissionEngine::query_batch(
   const BackgroundView view = engine_view();
   std::vector<AdmissionAnswer> answers(queries.size());
   std::vector<std::vector<IndependentSet>> fresh(queries.size());
-  std::vector<std::size_t> hits(queries.size(), 0);
   util::parallel_for(queries.size(), [&](std::size_t i) {
     answers[i] = solve_query(queries[i].path, queries[i].demand_mbps, view,
-                             &fresh[i], &hits[i]);
+                             &fresh[i]);
   });
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    for (IndependentSet& set : fresh[i]) {
-      const auto [idx, inserted] = pool_add(std::move(set));
-      (void)idx;
-      if (!inserted) ++hits[i];
-    }
-    stats_.pricing_rounds += answers[i].pricing_rounds;
-    stats_.lp_pivots += answers[i].lp_pivots;
-    stats_.pool_hits += hits[i];
-    stats_.tier0_columns += answers[i].tier0_columns;
-    stats_.heuristic_columns += answers[i].heuristic_columns;
-    stats_.exact_rounds += answers[i].exact_rounds;
-  }
-  stats_.queries += queries.size();
-  stats_.pool_columns = pool_live_;
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    record_query_locked(answers[i], &fresh[i]);
   return answers;
 }
 
@@ -832,6 +667,7 @@ void AdmissionEngine::publish_locked() {
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = ++epoch_counter_;
   snap->feasible = bg_feasible_;
+  snap->converged = bg_converged_;
   snap->airtime = bg_airtime_;
   snap->background = background_.share();
   snap->links = bg_links_.share();
@@ -874,7 +710,6 @@ AdmissionAnswer AdmissionEngine::evaluate(std::span<const net::LinkId> path,
   // One shared_ptr load pins one consistent epoch for the whole solve:
   // a commit publishing mid-flight retires the snapshot, not this read.
   std::vector<IndependentSet> fresh;
-  std::size_t hits = 0;
   AdmissionAnswer answer;
   SnapshotPtr snap;
   {
@@ -893,7 +728,7 @@ AdmissionAnswer AdmissionEngine::evaluate(std::span<const net::LinkId> path,
       const std::lock_guard<std::mutex> lock(snap_mu_);
       snap = published_;
     }
-    answer = solve_query(path, demand_mbps, view_of(*snap), &fresh, &hits);
+    answer = solve_query(path, demand_mbps, view_of(*snap), &fresh);
   }
   answer.epoch = snap->epoch;
   if (!fresh.empty()) {
@@ -971,25 +806,22 @@ void AdmissionEngine::retire_pool_column(std::size_t idx) {
   const int pos = master_var_of_pool_[idx];
   if (pos >= 0) {
     master_var_of_pool_[idx] = -1;
-    if (static_cast<std::size_t>(pos) < bg_synced_cols_) {
-      // Materialized: zero the column out of its rows in place. The LP
-      // variable survives as an inert placeholder — a zero column at cost
-      // 1 can never price into the minimization — so every other master
-      // position (and therefore the saved basis and its factorization,
-      // when the retiree was nonbasic) stays exactly as it was.
-      for (const net::LinkId link : column.links)
-        bg_master_.remove_term(static_cast<std::size_t>(bg_row_of_[link]),
-                               pos);
-      // A retired basic column hands its row back to that row's slack.
-      // The patched basis need not stay feasible — the next re-solve's
-      // dual audit (or the primal warm-start check) falls back cold when
-      // the churn cut too deep; results never change.
-      for (std::size_t r = 0; r < bg_basis_.size(); ++r) {
-        lp::BasisEntry& entry = bg_basis_[r];
-        if (entry.kind == lp::BasisEntry::Kind::kStructural &&
-            entry.index == pos)
-          entry = {lp::BasisEntry::Kind::kSlack, static_cast<int>(r)};
-      }
+    // Zero the column out of its rows in place. The LP variable survives
+    // as an inert placeholder — a zero column at cost 1 can never price
+    // into the minimization — so every other master position (and
+    // therefore the saved basis and its factorization, when the retiree
+    // was nonbasic) stays exactly as it was.
+    for (const net::LinkId link : column.links)
+      bg_master_.remove_term(static_cast<std::size_t>(bg_row_of_[link]), pos);
+    // A retired basic column hands its row back to that row's slack. The
+    // patched basis need not stay feasible — the next re-solve's dual
+    // audit (or the primal warm-start check) falls back cold when the
+    // churn cut too deep; results never change.
+    for (std::size_t r = 0; r < bg_basis_.size(); ++r) {
+      lp::BasisEntry& entry = bg_basis_[r];
+      if (entry.kind == lp::BasisEntry::Kind::kStructural &&
+          entry.index == pos)
+        entry = {lp::BasisEntry::Kind::kSlack, static_cast<int>(r)};
     }
     bg_master_cols_.set(static_cast<std::size_t>(pos), kRetiredColumn);
   }

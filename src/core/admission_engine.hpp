@@ -29,16 +29,21 @@ struct AdmissionAnswer {
   bool background_feasible = false;
   double available_mbps = 0.0;
   bool admitted = false;  ///< available_mbps covers the demand (1e-6 slack)
-  bool converged = true;  ///< pricing proved optimality for this query
+  /// Pricing proved optimality for this query and for the background it
+  /// ran against. False when an effort cap (max_rounds, max_columns)
+  /// stopped either master: `available_mbps` is then the restricted
+  /// master's optimum, a schedulable lower bound on the exact value.
+  bool converged = true;
   std::size_t pricing_rounds = 0;  ///< pricing rounds this query cost
   std::size_t master_columns = 0;  ///< columns in the query's final master
   std::size_t lp_pivots = 0;       ///< simplex pivots across this query's
                                    ///< master solves
 
-  /// Per-tier pricing telemetry (mirrors ColumnGenStats): columns seeded
-  /// from the persistent pool before any search, columns the heuristic
-  /// tier added, and exact B&B invocations. Convergence always comes from
-  /// an exact round, so `converged` implies `exact_rounds >= 1`.
+  /// Per-tier pricing telemetry (mirrors ColumnGenStats): persistent-pool
+  /// columns the query master took (its warm-basis seed plus the per-round
+  /// Tier 0 scan), columns the heuristic tier added, and exact B&B
+  /// invocations. Convergence always comes from an exact round, so a
+  /// converged answer on a feasible background has `exact_rounds >= 1`.
   std::size_t tier0_columns = 0;
   std::size_t heuristic_columns = 0;
   std::size_t exact_rounds = 0;
@@ -67,7 +72,7 @@ struct AdmissionEngineStats {
   std::size_t background_solves = 0;  ///< background-master refreshes
   std::size_t pricing_rounds = 0;     ///< pricing rounds across all masters
   std::size_t pool_hits = 0;    ///< priced columns the pool already held
-  std::size_t tier0_columns = 0;      ///< pool columns seeded before search
+  std::size_t tier0_columns = 0;      ///< pool columns taken by masters
   std::size_t heuristic_columns = 0;  ///< columns from the heuristic tier
   std::size_t exact_rounds = 0;       ///< exact B&B invocations
   std::size_t pool_columns = 0;  ///< current persistent pool size
@@ -102,9 +107,9 @@ struct AdmissionEngineOptions {
 ///    every query over a recurring universe pays the build cost once.
 ///  - The engine owns a persistent cross-query column pool: every column
 ///    the pricing oracle ever generated, deduplicated by (links, rates)
-///    signature. A new query seeds its restricted master from the pool
-///    columns that fit its universe instead of starting from singletons,
-///    which is what collapses per-query pricing to a handful of rounds.
+///    signature. Every master's Tier 0 draws on it (see "Column
+///    generation" below), which is what collapses per-query pricing to a
+///    handful of rounds.
 ///  - Per-query state reduces to the background-flow row set: a background
 ///    "min total airtime subject to delivering every background demand"
 ///    master whose rows are the background links in first-seen order.
@@ -143,13 +148,17 @@ struct AdmissionEngineOptions {
 /// NOT advance the published snapshot; call snapshot() to publish after
 /// sequential preloading.
 ///
-/// ColumnGenOptions knobs honored: engine, max_rounds, max_columns,
-/// reduced_cost_tol, pricing, heuristic_starts. Dual smoothing (stabilize)
-/// is not used — engine masters start from a warm pool, which removes the
-/// tailing-off the smoothing exists for. Under PricingMode::kTiered every
-/// master's rounds run the heuristic tier before the exact B&B; since the
-/// query master is seeded pool-first with every fitting persistent column,
-/// Tier 0 is structural here and `tier0_columns` counts that seeding.
+/// Column generation: both masters — the background refresh and each
+/// query — are ColGenMaster adapters run by the shared ColGenDriver, so
+/// every ColumnGenOptions knob applies with the one-shot solver's
+/// semantics (effort caps, tiers, stabilize). Tier 0 is a per-round pool
+/// scan: the live persistent columns that fit the master's rows and price
+/// above the floor under its duals, best first, at most 64 per round. A
+/// query master starts from the background's basic columns plus
+/// singletons, so its LP tracks the active basis size, not the pool size.
+/// An effort cap that stops either master clears the answer's
+/// `converged`; a capped background whose restricted optimum fits in unit
+/// airtime still counts as feasible, because that optimum is a schedule.
 class AdmissionEngine {
  public:
   /// Committed state lives in persistent chunked vectors (structure
@@ -182,6 +191,7 @@ class AdmissionEngine {
   struct Snapshot {
     std::uint64_t epoch = 0;
     bool feasible = true;
+    bool converged = true;  ///< the background refresh was not capped
     double airtime = 0.0;
     FlowSeg background;
     LinkSeg links;     ///< background rows, first-seen order
@@ -311,6 +321,7 @@ class AdmissionEngine {
   /// lock held) or over an immutable Snapshot (evaluate()).
   struct BackgroundView {
     bool feasible = true;
+    bool converged = true;
     const LinkSeg* links = nullptr;
     const DemandSeg* demand = nullptr;  ///< by link id; size() = num_links
     const lp::Basis* basis = nullptr;
@@ -320,20 +331,18 @@ class AdmissionEngine {
   static BackgroundView view_of(const Snapshot& snap);
   BackgroundView engine_view() const;  // over members; commit lock held
 
+  /// The background master's ColGenMaster adapter (defined in the .cpp).
+  class BackgroundMaster;
+
   /// Pool append with signature dedup; returns (pool index, was fresh).
   std::pair<std::size_t, bool> pool_add(IndependentSet set);
+  /// Append pool column `idx` to the background master — bg_master_cols_
+  /// and a new bg_master_ variable. It must not be there yet, and every
+  /// one of its links must already have a row.
+  void enter_background_master(std::size_t idx);
   /// Ensure the singleton column of `link` exists in pool and background
   /// master (no-op when the link carries no rate).
   void seed_singleton(net::LinkId link);
-  /// Tier-0 pricing for the background master: score every live pool
-  /// column that fits the background rows against the current duals and
-  /// fold in the improving ones (score > floor), best first, at most
-  /// kTier0PerRound per call. Returns how many were added. This replaces
-  /// the old fold-everything extension — the master only ever holds
-  /// columns the duals asked for, so its size tracks the active basis,
-  /// not the pool.
-  std::size_t extend_background_master(const std::vector<double>& weights,
-                                       double floor);
   /// Retire one pool column in place: tombstone the pool slot, erase the
   /// dedup index, zero its materialized master column (keeping the LP
   /// variable as an inert placeholder), and hand any basis slot it held
@@ -342,18 +351,18 @@ class AdmissionEngine {
   /// Recompute the blocked flag of one link (demanded but rate-less) and
   /// keep the aggregate count in step; bg_impossible_ == count > 0.
   void update_blocked(net::LinkId link);
-  /// Bring bg_master_ (the long-lived min-airtime Problem) up to date with
-  /// bg_master_cols_ / bg_links_ / bg_demand_: new columns and rows are
-  /// appended in place (kRetiredColumn slots as stillborn variables),
-  /// demands refreshed via set_rhs. Never rebuilds.
-  void sync_background_master();
   /// Re-solve the background master if commits happened since, chaining
   /// the dual-simplex row re-solve into the pricing loop.
   void refresh_background();
+  /// Answer one query against `bg`; columns it generated land in
+  /// `fresh_columns` for the caller to merge or shelve.
   AdmissionAnswer solve_query(std::span<const net::LinkId> path,
                               double demand_mbps, const BackgroundView& bg,
-                              std::vector<IndependentSet>* fresh_columns,
-                              std::size_t* pool_hits) const;
+                              std::vector<IndependentSet>* fresh_columns) const;
+  /// Merge a sequential query's fresh columns into the pool and fold its
+  /// telemetry into stats_; caller holds commit_mu_.
+  void record_query_locked(const AdmissionAnswer& answer,
+                           std::vector<IndependentSet>* fresh);
   /// query() body; caller holds commit_mu_.
   AdmissionAnswer query_locked(std::span<const net::LinkId> path,
                                double demand_mbps);
@@ -406,14 +415,13 @@ class AdmissionEngine {
   std::vector<int> master_var_of_pool_;  // parallel to pool_; master
                                          // position / VarId, -1 = absent
 
-  // The background master LP lives as long as the background state and
-  // only ever mutates in place (columns via append_term, rows via
-  // add_constraint, demands via set_rhs, churn retirement via
-  // remove_term); bg_synced_* mark how much of bg_master_cols_ /
-  // bg_links_ has been materialized into it.
+  // The background master LP (minimize total airtime subject to
+  // delivering every background demand) lives as long as the background
+  // state and only ever mutates in place: a row per bg_links_ entry and a
+  // variable per bg_master_cols_ entry, both append-only — which keeps a
+  // saved basis (and its factorization) meaningful across commits —
+  // demands via set_rhs, churn retirement via remove_term.
   lp::Problem bg_master_{lp::Objective::kMinimize};
-  std::size_t bg_synced_cols_ = 0;
-  std::size_t bg_synced_rows_ = 0;
   lp::Basis bg_basis_;
   // Frozen copy of bg_basis_ refreshed once per background re-solve;
   // publish_locked() aliases it into each snapshot, so an epoch costs no
@@ -422,6 +430,7 @@ class AdmissionEngine {
   lp::RevisedContext bg_context_;
   double bg_airtime_ = 0.0;
   bool bg_feasible_ = true;
+  bool bg_converged_ = true;  // the last refresh was not effort-capped
   bool bg_dirty_ = false;
   bool bg_impossible_ = false;  // a demanded link carries no usable rate
   std::vector<char> bg_blocked_;  // by link id: demanded but rate-less

@@ -43,13 +43,16 @@ enum class SolveMethod {
 /// How each column-generation pricing round finds improving columns.
 ///
 /// kTiered runs a three-tier pipeline: Tier 0 re-scores previously priced
-/// columns (runner-up extras stashed by earlier rounds) against the current
-/// duals; Tier 1 runs the deterministic multi-start greedy + local-search
-/// heuristics; Tier 2 — the exact branch-and-bound — fires only when the
-/// cheap tiers find nothing. Exactness is preserved: convergence is only
-/// ever declared from a Tier 2 round that proved no improving column
-/// exists, so the terminal round always carries the exact certificate.
-/// kExactOnly calls the exact oracle every round (the legacy behavior).
+/// columns (the one-shot solver's stash of exact-round runner-ups,
+/// AdmissionEngine's persistent pool) against the current duals; Tier 1
+/// runs the deterministic multi-start greedy + local-search heuristics;
+/// Tier 2 — the exact branch-and-bound — fires only when the cheap tiers
+/// find nothing. Exactness is preserved: convergence is only ever declared
+/// from a Tier 2 round that proved no improving column exists, so the
+/// terminal round always carries the exact certificate. kExactOnly skips
+/// Tier 1 and calls the exact oracle every round Tier 0 comes back empty
+/// (the one-shot solver stashes nothing then, so there it is the legacy
+/// exact-every-round loop).
 enum class PricingMode {
   kTiered,
   kExactOnly,
@@ -76,9 +79,6 @@ struct ColumnGenOptions {
   /// 40-link chain: more starts find better columns per round (fewer
   /// exact-certificate calls), but each round pays for every start.
   std::size_t heuristic_starts = 12;
-  /// Most pool (Tier 0) columns promoted into the master per round; keeps
-  /// degenerate duals from flooding the master with near-duplicates.
-  std::size_t max_tier0_columns = 4;
 
   /// LP engine for the restricted masters. The revised engine re-solves a
   /// warm-chained master from the cached factorization of the previous
@@ -86,21 +86,12 @@ struct ColumnGenOptions {
   lp::Engine engine = lp::Engine::kRevised;
 
   /// Wentges (in-out) dual smoothing: price against a convex combination
-  /// of the stability center and the incumbent master duals. Damps the
+  /// of the stability center and the incumbent master duals (center
+  /// weight 0.3, after 8 pricing rounds; see ColGenDriver). Damps the
   /// dual oscillation that makes degenerate masters tail off near the
   /// optimum. Convergence stays exact — optimality is only ever declared
   /// from a pricing round that used the exact incumbent duals.
   bool stabilize = true;
-  /// Weight of the stability center in the smoothed duals
-  /// (0 = no smoothing, values near 1 trust the center heavily). 0.3
-  /// measured best on the long-chain tailing-off instances (26-link chain:
-  /// 117 pricing rounds vs 144 unstabilized) while staying neutral on
-  /// two-dimensional grid universes.
-  double smoothing_alpha = 0.3;
-  /// Exact pricing rounds before smoothing activates. Keeps short solves
-  /// (every seed scenario converges within this many rounds) on the
-  /// byte-identical unstabilized path.
-  std::size_t smoothing_warmup = 8;
 };
 
 /// Diagnostics of one column-generation solve.
@@ -112,9 +103,10 @@ struct ColumnGenStats {
   std::size_t warm_starts = 0;  ///< master re-solves started from a basis
   std::size_t mispricings = 0;  ///< smoothed rounds that fell back to exact duals
 
-  /// Per-tier pricing telemetry (all zero under kExactOnly except
-  /// exact_rounds, which then equals the oracle invocation count).
-  std::size_t pool_hit_columns = 0;   ///< Tier 0: stashed columns promoted
+  /// Per-tier pricing telemetry (one-shot solves under kExactOnly: all
+  /// zero except exact_rounds, which then equals the oracle invocation
+  /// count).
+  std::size_t pool_hit_columns = 0;   ///< Tier 0: stored columns promoted
   std::size_t heuristic_columns = 0;  ///< Tier 1: heuristic columns added
   std::size_t exact_rounds = 0;       ///< Tier 2: exact B&B invocations
   /// True when convergence was declared by an exact (Tier 2) round over the

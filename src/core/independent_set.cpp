@@ -24,6 +24,15 @@ double IndependentSet::mbps_on(net::LinkId link) const {
   return mbps[static_cast<std::size_t>(it - links.begin())];
 }
 
+std::vector<std::uint64_t> column_signature(const IndependentSet& set) {
+  std::vector<std::uint64_t> key;
+  key.reserve(set.links.size());
+  for (std::size_t i = 0; i < set.links.size(); ++i)
+    key.push_back((static_cast<std::uint64_t>(set.links[i]) << 16) |
+                  static_cast<std::uint64_t>(set.rates[i]));
+  return key;
+}
+
 bool IndependentSet::dominated_by(const IndependentSet& other) const {
   // Both link arrays are sorted ascending: one merged scan replaces a
   // binary search per member.

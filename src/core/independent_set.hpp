@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -36,6 +37,11 @@ struct IndependentSet {
   /// Dominated sets are redundant in the available-bandwidth LP.
   bool dominated_by(const IndependentSet& other) const;
 };
+
+/// Canonical (links, rates) key of a column — the dedup signature of every
+/// column store (the one-shot masters' pool and stash, AdmissionEngine's
+/// persistent pool and its per-query masters).
+std::vector<std::uint64_t> column_signature(const IndependentSet& set);
 
 /// Remove every set dominated by another set in the collection (keeps the
 /// first of exact duplicates).

@@ -26,6 +26,17 @@ std::vector<net::LinkId> canonical_universe(std::span<const net::LinkId> univers
   return links;
 }
 
+std::optional<IndependentSet> singleton_column(const InterferenceModel& model,
+                                               net::LinkId link) {
+  const auto rate = model.max_rate_alone(link);
+  if (!rate) return std::nullopt;
+  IndependentSet set;
+  set.links = {link};
+  set.rates = {*rate};
+  set.mbps = {model.rate_table()[*rate].mbps};
+  return set;
+}
+
 std::shared_ptr<const ConflictMatrix> InterferenceModel::conflict_matrix(
     std::span<const net::LinkId> universe) const {
   return caches_.conflict.get(*this, canonical_universe(universe));

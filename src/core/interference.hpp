@@ -132,6 +132,12 @@ class InterferenceModel {
   mutable ModelCaches caches_;
 };
 
+/// The singleton column of `link`: the link alone at its best alone rate —
+/// the cover that keeps every restricted master feasible. nullopt when the
+/// link cannot carry traffic at all.
+std::optional<IndependentSet> singleton_column(const InterferenceModel& model,
+                                               net::LinkId link);
+
 /// What a topology mutation touched, in model terms: the nodes whose
 /// position/power/liveness changed and the links whose derived interference
 /// state that invalidates (links incident to those nodes, plus any link

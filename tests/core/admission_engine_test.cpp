@@ -271,7 +271,8 @@ TEST(AdmissionEngine, TieredTelemetryAndExactOnlyParity) {
     EXPECT_GE(b.exact_rounds, 1u);
     EXPECT_EQ(b.heuristic_columns, 0u);
   }
-  // The pool-first seeding (structural Tier 0) fed the query masters.
+  // The persistent pool fed the masters through Tier 0: the query
+  // masters' warm-basis seed and the per-round pool scan.
   EXPECT_GT(tiered.stats().tier0_columns, 0u);
   EXPECT_EQ(exact.stats().heuristic_columns, 0u);
 }

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/admission_engine.hpp"
 #include "core/scenarios.hpp"
 #include "core/schedule.hpp"
 #include "geom/topology.hpp"
@@ -803,15 +804,53 @@ TEST(TieredPricing, IdenticalAcrossThreadCounts) {
 
 TEST(ColumnGenerationOptions, EffortCapsReportNonConvergence) {
   GridScenario scenario = make_grid_scenario();
-  PhysicalInterferenceModel model(scenario.net);
-  ColumnGenOptions options;
-  options.max_rounds = 1;
+  PhysicalInterferenceModel grid_model(scenario.net);
+  ColumnGenOptions grid_options;
+  grid_options.max_rounds = 1;
   const auto result =
-      max_path_bandwidth(model, scenario.background, scenario.snake,
-                         SolveMethod::kColumnGeneration, options);
+      max_path_bandwidth(grid_model, scenario.background, scenario.snake,
+                         SolveMethod::kColumnGeneration, grid_options);
   EXPECT_TRUE(result.colgen.used);
   EXPECT_FALSE(result.colgen.converged);
   EXPECT_LE(result.colgen.rounds, 1u);
+
+  // The same caps through AdmissionEngine's sequential query() and its
+  // snapshot evaluate(), on the 11-hop path of a 12-node chain (exact
+  // capacity 7.33 Mbps). A capped answer is a restricted master's optimum:
+  // a schedulable lower bound that must not claim convergence. With 1 Mbps
+  // of background on every hop the capped background master still
+  // schedules it in about 0.31 airtime, so the background stays feasible.
+  const net::Network net(geom::chain(12, 70.0), phy::PhyModel::paper_default());
+  PhysicalInterferenceModel model(net);
+  const std::vector<net::LinkId> path = chain_links(net, 11);
+  for (const double bg_mbps : {0.0, 1.0}) {
+    std::vector<LinkFlow> background;
+    if (bg_mbps > 0.0) background.push_back({path, bg_mbps});
+    const double exact = max_path_bandwidth(model, background, path,
+                                            SolveMethod::kColumnGeneration)
+                             .available_mbps;
+    for (const std::size_t max_rounds : {0u, 1u, 2u}) {
+      SCOPED_TRACE("background " + std::to_string(bg_mbps) + " Mbps, " +
+                   std::to_string(max_rounds) + " rounds");
+      ColumnGenOptions options;
+      options.max_rounds = max_rounds;
+      const auto one_shot = max_path_bandwidth(
+          model, background, path, SolveMethod::kColumnGeneration, options);
+      EXPECT_FALSE(one_shot.colgen.converged);
+      EXPECT_LE(one_shot.colgen.rounds, max_rounds);
+
+      AdmissionEngine engine(model, options);
+      for (const LinkFlow& flow : background) engine.add_background(flow);
+      engine.snapshot();
+      for (const AdmissionAnswer& answer :
+           {engine.query(path, 0.5), engine.evaluate(path, 0.5)}) {
+        EXPECT_TRUE(answer.background_feasible);
+        EXPECT_FALSE(answer.converged);
+        EXPECT_LE(answer.pricing_rounds, max_rounds);
+        EXPECT_LT(answer.available_mbps, exact - 1e-6);
+      }
+    }
+  }
 }
 
 }  // namespace

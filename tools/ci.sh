@@ -28,6 +28,13 @@
 #      120 s timeout. Seed 3 is the study's heavy tail: its LP truth prices
 #      seven flows against an undeliverable background, which took minutes
 #      of CPU before phase A stopped at the first exact round proving it.
+#   7. portable kernels: test_core built in a -DMRWSN_FAST_KERNELS=OFF
+#      tree (build-nofast, sibling of build/) running the pinned
+#      column-generation suites — the stabilization and exact-only round
+#      counts, tiered-pricing thread-count identity, the phase A
+#      certificate sweeps and the effort caps. Those pins count rounds of
+#      degenerate masters, so they must hold without -march=native
+#      floating-point contraction too, not just in the stage 1 tree.
 #
 # Stages 4 and 5 archive their median reports into BENCH_history/ (one
 # compact JSON per run, named by UTC stamp + git revision) so the perf
@@ -111,5 +118,11 @@ fi
 echo "== ci stage 6: perfbench self-tests + Fig. 4 heavy-tail guard =="
 python3 "$REPO/perfbench/selftest.py"
 timeout 120 "$BUILD/tools/mrwsn" fig4 --seed 3
+
+echo "== ci stage 7: pinned column-generation tests, MRWSN_FAST_KERNELS=OFF =="
+NOFAST_BUILD="$REPO/build-nofast"
+cmake -B "$NOFAST_BUILD" -S "$REPO" -DMRWSN_FAST_KERNELS=OFF
+cmake --build "$NOFAST_BUILD" -j "$JOBS" --target test_core
+"$NOFAST_BUILD/tests/test_core" --gtest_filter='ColumnGenerationStabilization.*:TieredPricing.*:BackgroundCertificate.*:ColumnGenerationOptions.*'
 
 echo "ci gate passed"
