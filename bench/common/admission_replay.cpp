@@ -279,10 +279,10 @@ ReplayRunStats run_replay(const ReplayTrace& trace,
       if (epoch <= writers.size()) {
         const ReplayOp& op = writers[epoch - 1].op;
         if (op.kind == ReplayOp::Kind::kEvict) {
-          shadow.clear();
+          shadow.evict();
         } else {
           const core::AdmissionQuery& query = trace.queries[op.query];
-          shadow.admit(query.path, query.demand_mbps);
+          shadow.commit(query.path, query.demand_mbps);
         }
       }
     }

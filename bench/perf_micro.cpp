@@ -470,13 +470,38 @@ void BM_BatchAdmissionWarm(benchmark::State& state) {
     core::AdmissionEngine engine(model);
     admitted = 0;
     for (const core::AdmissionQuery& query : replay.queries)
-      if (engine.admit(query.path, query.demand_mbps).admitted) ++admitted;
+      if (engine.commit(query.path, query.demand_mbps).admitted) ++admitted;
     benchmark::DoNotOptimize(admitted);
   }
   state.counters["links"] = double(replay.network.num_links());
   state.counters["admitted"] = double(admitted);
 }
 BENCHMARK(BM_BatchAdmissionWarm)->Unit(benchmark::kMillisecond);
+
+// BM_BatchAdmissionSequential: the same replay through the calls
+// routing::AdmissionController::run makes — query(), then
+// add_background() when the demand fits. Each query() publishes the
+// flow staged by the request before it (and the columns the previous
+// read shelved), so this is the publish-per-read cost of the staging
+// surface that BM_BatchAdmissionWarm's commit() loop does not show.
+void BM_BatchAdmissionSequential(benchmark::State& state) {
+  const AdmissionReplay replay = make_admission_replay();
+  std::size_t admitted = 0;
+  for (auto _ : state) {
+    core::PhysicalInterferenceModel model(replay.network);
+    core::AdmissionEngine engine(model);
+    admitted = 0;
+    for (const core::AdmissionQuery& query : replay.queries) {
+      if (!engine.query(query.path, query.demand_mbps).admitted) continue;
+      engine.add_background(core::LinkFlow{query.path, query.demand_mbps});
+      ++admitted;
+    }
+    benchmark::DoNotOptimize(admitted);
+  }
+  state.counters["links"] = double(replay.network.num_links());
+  state.counters["admitted"] = double(admitted);
+}
+BENCHMARK(BM_BatchAdmissionSequential)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // BM_ChurnReadmit{Incremental,Rebuild}: topology churn on a 100-node chain

@@ -15,9 +15,6 @@ namespace mrwsn::core {
 
 namespace {
 
-/// Demand slack when deciding admitted: matches the admission
-/// controller's historical tolerance against LP round-off.
-constexpr double kDemandSlack = 1e-6;
 /// Background feasibility threshold on total airtime; matches
 /// flows_feasible().
 constexpr double kAirtimeTol = 1e-9;
@@ -361,34 +358,6 @@ std::size_t AdmissionEngine::preload_columns(
   return added;
 }
 
-void AdmissionEngine::clear() {
-  const std::lock_guard<std::mutex> lock(commit_mu_);
-  clear_locked();
-}
-
-void AdmissionEngine::clear_locked() {
-  background_.clear();
-  const std::size_t num_links = bg_demand_.size();
-  bg_demand_.clear();
-  bg_demand_.resize(num_links, 0.0);
-  bg_links_.clear();
-  std::fill(bg_row_of_.begin(), bg_row_of_.end(), -1);
-  bg_master_cols_.clear();
-  std::fill(master_var_of_pool_.begin(), master_var_of_pool_.end(), -1);
-  bg_master_ = lp::Problem(lp::Objective::kMinimize);
-  bg_basis_.clear();
-  bg_basis_snap_.reset();
-  bg_context_.reset();
-  bg_airtime_ = 0.0;
-  bg_feasible_ = true;
-  bg_converged_ = true;
-  bg_dirty_ = false;
-  bg_impossible_ = false;
-  std::fill(bg_blocked_.begin(), bg_blocked_.end(), 0);
-  bg_blocked_count_ = 0;
-  publish_stale_ = true;
-}
-
 void AdmissionEngine::refresh_background() {
   if (!bg_dirty_) return;
   bg_dirty_ = false;
@@ -446,18 +415,18 @@ bool AdmissionEngine::background_feasible() {
 
 AdmissionAnswer AdmissionEngine::solve_query(
     std::span<const net::LinkId> path, double demand_mbps,
-    const BackgroundView& bg,
-    std::vector<IndependentSet>* fresh_columns) const {
+    const Snapshot& snap, std::vector<IndependentSet>* fresh_columns) const {
   MRWSN_REQUIRE(!path.empty(), "admission query needs a non-empty path");
   AdmissionAnswer answer;
-  answer.converged = bg.converged;
-  if (!bg.feasible) return answer;  // Eq. 6 infeasible: nothing available
+  answer.converged = snap.converged;
+  if (!snap.feasible) return answer;  // Eq. 6 infeasible: nothing available
   answer.background_feasible = true;
 
-  const LinkSeg& bg_links = *bg.links;
-  const DemandSeg& bg_demand = *bg.demand;
-  const IndexSeg& master_cols = *bg.master_cols;
-  const PoolSeg& pool = *bg.pool;
+  const LinkSeg& bg_links = snap.links;
+  const DemandSeg& bg_demand = snap.demand;
+  const IndexSeg& master_cols = snap.master_cols;
+  const PoolSeg& pool = snap.pool;
+  const lp::Basis* bg_basis = snap.basis.get();
 
   // Canonical universe: background links plus the query path.
   std::vector<net::LinkId> universe(bg_links.begin(), bg_links.end());
@@ -486,9 +455,9 @@ AdmissionAnswer AdmissionEngine::solve_query(
   // Master position -> query column slot, for the warm-basis remap.
   std::vector<int> col_of_master_pos(master_cols.size(), -1);
   const bool basis_usable =
-      bg.basis && bg.basis->size() == bg_links.size() && !bg.basis->empty();
+      bg_basis && bg_basis->size() == bg_links.size() && !bg_basis->empty();
   if (basis_usable) {
-    for (const lp::BasisEntry& entry : *bg.basis) {
+    for (const lp::BasisEntry& entry : *bg_basis) {
       if (entry.kind != lp::BasisEntry::Kind::kStructural) continue;
       const std::size_t pos = static_cast<std::size_t>(entry.index);
       if (pos >= master_cols.size()) continue;
@@ -524,7 +493,7 @@ AdmissionAnswer AdmissionEngine::solve_query(
       basis[1 + p] = {lp::BasisEntry::Kind::kSlack, static_cast<int>(1 + p)};
     for (std::size_t r = 0; r < bg_links.size(); ++r) {
       const int q = 1 + position[bg_links[r]];
-      const lp::BasisEntry& entry = (*bg.basis)[r];
+      const lp::BasisEntry& entry = (*bg_basis)[r];
       if (entry.kind == lp::BasisEntry::Kind::kSlack) {
         // entry.index is the background row whose slack is basic — not
         // necessarily row r, the entry's position — so the slack's row is
@@ -556,7 +525,7 @@ AdmissionAnswer AdmissionEngine::solve_query(
   ColumnGenStats colgen;
   const ColGenOutcome outcome =
       ColGenDriver(*model_, all_links_, options_).run(master, &colgen);
-  answer.converged = bg.converged && outcome.converged;
+  answer.converged = snap.converged && outcome.converged;
   answer.pricing_rounds = colgen.rounds;
   answer.tier0_columns += colgen.pool_hit_columns;
   answer.heuristic_columns = colgen.heuristic_columns;
@@ -570,102 +539,24 @@ AdmissionAnswer AdmissionEngine::solve_query(
   return answer;
 }
 
-AdmissionEngine::BackgroundView AdmissionEngine::engine_view() const {
-  BackgroundView view;
-  view.feasible = bg_feasible_;
-  view.converged = bg_converged_;
-  view.links = &bg_links_;
-  view.demand = &bg_demand_;
-  view.basis = &bg_basis_;
-  view.master_cols = &bg_master_cols_;
-  view.pool = &pool_;
-  return view;
-}
-
-AdmissionEngine::BackgroundView AdmissionEngine::view_of(const Snapshot& snap) {
-  BackgroundView view;
-  view.feasible = snap.feasible;
-  view.converged = snap.converged;
-  view.links = &snap.links;
-  view.demand = &snap.demand;
-  view.basis = snap.basis ? snap.basis.get() : nullptr;
-  view.master_cols = &snap.master_cols;
-  view.pool = &snap.pool;
-  return view;
-}
-
-void AdmissionEngine::record_query_locked(
-    const AdmissionAnswer& answer, std::vector<IndependentSet>* fresh) {
-  for (IndependentSet& set : *fresh)
-    if (!pool_add(std::move(set)).second) ++stats_.pool_hits;
-  ++stats_.queries;
-  stats_.pricing_rounds += answer.pricing_rounds;
-  stats_.lp_pivots += answer.lp_pivots;
-  stats_.tier0_columns += answer.tier0_columns;
-  stats_.heuristic_columns += answer.heuristic_columns;
-  stats_.exact_rounds += answer.exact_rounds;
-  stats_.pool_columns = pool_live_;
-}
-
-AdmissionAnswer AdmissionEngine::query_locked(
-    std::span<const net::LinkId> path, double demand_mbps) {
-  refresh_background();
-  std::vector<IndependentSet> fresh;
-  AdmissionAnswer answer =
-      solve_query(path, demand_mbps, engine_view(), &fresh);
-  record_query_locked(answer, &fresh);
-  return answer;
-}
-
-AdmissionAnswer AdmissionEngine::query(std::span<const net::LinkId> path,
-                                       double demand_mbps) {
-  const std::lock_guard<std::mutex> lock(commit_mu_);
-  return query_locked(path, demand_mbps);
-}
-
-AdmissionAnswer AdmissionEngine::admit(std::span<const net::LinkId> path,
-                                       double demand_mbps) {
-  const std::lock_guard<std::mutex> lock(commit_mu_);
-  AdmissionAnswer answer = query_locked(path, demand_mbps);
-  if (answer.admitted)
-    add_background_locked(LinkFlow{{path.begin(), path.end()}, demand_mbps});
-  return answer;
-}
-
-std::vector<AdmissionAnswer> AdmissionEngine::query_batch(
-    std::span<const AdmissionQuery> queries) {
-  const std::lock_guard<std::mutex> lock(commit_mu_);
-  refresh_background();
-  // Workers read a fixed view of the engine state and collect new columns
-  // locally; the merge happens after the join. Answers are therefore
-  // deterministic and independent of the thread count.
-  const BackgroundView view = engine_view();
-  std::vector<AdmissionAnswer> answers(queries.size());
-  std::vector<std::vector<IndependentSet>> fresh(queries.size());
-  util::parallel_for(queries.size(), [&](std::size_t i) {
-    answers[i] = solve_query(queries[i].path, queries[i].demand_mbps, view,
-                             &fresh[i]);
-  });
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    record_query_locked(answers[i], &fresh[i]);
-  return answers;
-}
-
-// --- Concurrent service surface -------------------------------------------
+// --- Publishing ------------------------------------------------------------
 
 AdmissionEngine::SnapshotPtr AdmissionEngine::published() const {
   const std::lock_guard<std::mutex> lock(snap_mu_);
   return published_;
 }
 
-void AdmissionEngine::publish_locked() {
-  // O(Δ) publication: every SegVector share() is a spine of chunk-pointer
+std::shared_ptr<AdmissionEngine::Snapshot> AdmissionEngine::capture_locked() {
+  // Shelf first: the refresh then prices from the pool the previous reads
+  // grew, exactly as if they had merged their columns themselves.
+  merge_shelved_locked();
+  refresh_background();
+  // O(Δ) capture: every SegVector share() is a spine of chunk-pointer
   // copies — epoch N+1 aliases every chunk this commit/churn event did
   // not touch from epoch N — and the basis is aliased from the frozen
   // copy the last background re-solve left behind. Nothing here scales
   // with the background or pool size beyond chunk-count pointer copies.
   auto snap = std::make_shared<Snapshot>();
-  snap->epoch = ++epoch_counter_;
   snap->feasible = bg_feasible_;
   snap->converged = bg_converged_;
   snap->airtime = bg_airtime_;
@@ -675,12 +566,17 @@ void AdmissionEngine::publish_locked() {
   snap->basis = bg_basis_snap_;
   snap->master_cols = bg_master_cols_.share();
   snap->pool = pool_.share();
+  return snap;
+}
+
+void AdmissionEngine::publish_locked(std::shared_ptr<Snapshot> snap) {
+  snap->epoch = ++epoch_counter_;
   publish_stale_ = false;
   const std::lock_guard<std::mutex> lock(snap_mu_);
   published_ = std::move(snap);
 }
 
-std::size_t AdmissionEngine::merge_shelved_locked() {
+void AdmissionEngine::merge_shelved_locked() {
   std::vector<IndependentSet> shelved;
   {
     const std::lock_guard<std::mutex> lock(shelf_mu_);
@@ -693,54 +589,48 @@ std::size_t AdmissionEngine::merge_shelved_locked() {
     if (!model_->supports(set.links, set.rates)) continue;
     if (pool_add(std::move(set)).second) ++merged;
   }
-  if (merged > 0) stats_.pool_columns = pool_live_;
-  return merged;
+  if (merged > 0) {
+    stats_.pool_columns = pool_live_;
+    publish_stale_ = true;
+  }
 }
 
 AdmissionEngine::SnapshotPtr AdmissionEngine::snapshot() {
   const std::lock_guard<std::mutex> lock(commit_mu_);
-  refresh_background();
-  if (merge_shelved_locked() > 0 || publish_stale_ || epoch_counter_ == 0)
-    publish_locked();
+  merge_shelved_locked();
+  if (publish_stale_ || epoch_counter_ == 0) publish_locked(capture_locked());
   return published();
 }
 
-AdmissionAnswer AdmissionEngine::evaluate(std::span<const net::LinkId> path,
-                                          double demand_mbps) {
-  // One shared_ptr load pins one consistent epoch for the whole solve:
-  // a commit publishing mid-flight retires the snapshot, not this read.
-  std::vector<IndependentSet> fresh;
-  AdmissionAnswer answer;
-  SnapshotPtr snap;
-  {
-    // Shared against apply_topology_delta's mutation window: the snapshot
-    // is immutable, but the solve reads the borrowed model's kernels and
-    // caches, which that window patches in place. Loading the snapshot
-    // inside the same hold is what pairs it with the model it was built
-    // over — churn repairs publish before releasing the write side, so a
-    // reader never solves a pre-churn epoch against a post-churn model.
-    // Back off while a repair is waiting: rwlocks prefer readers, and a
-    // steady evaluate() stream must not starve the churn path.
-    while (churn_pending_.load(std::memory_order_acquire))
-      std::this_thread::yield();
-    const std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    {
-      const std::lock_guard<std::mutex> lock(snap_mu_);
-      snap = published_;
-    }
-    answer = solve_query(path, demand_mbps, view_of(*snap), &fresh);
-  }
-  answer.epoch = snap->epoch;
-  if (!fresh.empty()) {
-    // Shelve reader-priced columns for the next commit to fold into the
+// --- Reads -----------------------------------------------------------------
+
+std::shared_lock<std::shared_mutex> AdmissionEngine::lock_topology_for_read()
+    const {
+  // Shared against apply_topology_delta's mutation window: a snapshot is
+  // immutable, but the solve reads the borrowed model's kernels and
+  // caches, which that window patches in place. Loading the snapshot
+  // inside the same hold is what pairs it with the model it was built
+  // over — churn repairs publish before releasing the write side, so a
+  // reader never solves a pre-churn epoch against a post-churn model.
+  // Back off while a repair is waiting: rwlocks prefer readers, and a
+  // steady read stream must not starve the churn path.
+  while (churn_pending_.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  return std::shared_lock<std::shared_mutex>(topo_mu_);
+}
+
+void AdmissionEngine::record_read(const AdmissionAnswer& answer,
+                                  std::vector<IndependentSet>* fresh) {
+  if (!fresh->empty()) {
+    // Shelve reader-priced columns for the next capture to fold into the
     // persistent pool; bounded (AdmissionEngineOptions::shelf_capacity)
     // so a pathological query storm cannot grow the shelf without a
-    // commit ever draining it. Overflow is dropped and counted.
+    // publish ever draining it. Overflow is dropped and counted.
     std::size_t taken = 0;
     std::size_t dropped = 0;
     {
       const std::lock_guard<std::mutex> lock(shelf_mu_);
-      for (IndependentSet& set : fresh) {
+      for (IndependentSet& set : *fresh) {
         if (shelf_.size() >= shelf_capacity_) {
           ++dropped;
           continue;
@@ -756,27 +646,81 @@ AdmissionAnswer AdmissionEngine::evaluate(std::span<const net::LinkId> path,
   read_queries_.fetch_add(1, std::memory_order_relaxed);
   read_rounds_.fetch_add(answer.pricing_rounds, std::memory_order_relaxed);
   read_pivots_.fetch_add(answer.lp_pivots, std::memory_order_relaxed);
+}
+
+AdmissionAnswer AdmissionEngine::evaluate(std::span<const net::LinkId> path,
+                                          double demand_mbps) {
+  // One shared_ptr load pins one consistent epoch for the whole solve:
+  // a commit publishing mid-flight retires the snapshot, not this read.
+  std::vector<IndependentSet> fresh;
+  AdmissionAnswer answer;
+  {
+    const std::shared_lock<std::shared_mutex> topo = lock_topology_for_read();
+    const SnapshotPtr snap = published();
+    answer = solve_query(path, demand_mbps, *snap, &fresh);
+    answer.epoch = snap->epoch;
+  }
+  record_read(answer, &fresh);
   return answer;
 }
+
+AdmissionAnswer AdmissionEngine::query(std::span<const net::LinkId> path,
+                                       double demand_mbps) {
+  snapshot();
+  return evaluate(path, demand_mbps);
+}
+
+std::vector<AdmissionAnswer> AdmissionEngine::query_batch(
+    std::span<const AdmissionQuery> queries) {
+  snapshot();
+  // Workers solve against one pinned snapshot and collect new columns
+  // locally; they are shelved in index order after the join, so answers
+  // and the pool they grow are independent of the thread count.
+  std::vector<AdmissionAnswer> answers(queries.size());
+  std::vector<std::vector<IndependentSet>> fresh(queries.size());
+  {
+    const std::shared_lock<std::shared_mutex> topo = lock_topology_for_read();
+    const SnapshotPtr snap = published();
+    util::parallel_for(queries.size(), [&](std::size_t i) {
+      answers[i] = solve_query(queries[i].path, queries[i].demand_mbps, *snap,
+                               &fresh[i]);
+      answers[i].epoch = snap->epoch;
+    });
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    record_read(answers[i], &fresh[i]);
+  return answers;
+}
+
+// --- Writes ----------------------------------------------------------------
 
 AdmissionAnswer AdmissionEngine::commit(std::span<const net::LinkId> path,
                                         double demand_mbps) {
   const std::lock_guard<std::mutex> lock(commit_mu_);
-  merge_shelved_locked();
-  AdmissionAnswer answer = query_locked(path, demand_mbps);
-  if (answer.admitted) {
+  // Decide on an unpublished capture of the committed state, staged
+  // writes included.
+  const std::shared_ptr<const Snapshot> state = capture_locked();
+  std::vector<IndependentSet> fresh;
+  AdmissionAnswer answer = solve_query(path, demand_mbps, *state, &fresh);
+  // The writer holds the lock, so its own columns go straight to the pool.
+  for (IndependentSet& set : fresh)
+    if (!pool_add(std::move(set)).second) ++stats_.pool_hits;
+  ++stats_.queries;
+  stats_.pricing_rounds += answer.pricing_rounds;
+  stats_.lp_pivots += answer.lp_pivots;
+  stats_.tier0_columns += answer.tier0_columns;
+  stats_.heuristic_columns += answer.heuristic_columns;
+  stats_.exact_rounds += answer.exact_rounds;
+  stats_.pool_columns = pool_live_;
+  if (answer.admitted)
     add_background_locked(LinkFlow{{path.begin(), path.end()}, demand_mbps});
-    // Publish with the background master already re-solved so readers on
-    // the new epoch inherit a warm basis, not a dirty flag they cannot
-    // refresh.
-    refresh_background();
-  }
   // Every commit publishes — even a rejection, whose epoch differs only by
-  // merged shelf columns. The k-th commit/evict therefore publishes epoch
-  // k+1 (after the initial snapshot() publication), which is what lets the
-  // replay harness verify reader answers against a sequential re-execution
-  // of the same writer prefix.
-  publish_locked();
+  // pool columns. The k-th writer op therefore publishes epoch k+1 (after
+  // the initial snapshot() publication), which is what lets the replay
+  // harness verify reader answers against a sequential re-execution of
+  // the same writer prefix. The capture re-solves an admitted flow's
+  // background first, so readers on the new epoch inherit a warm basis.
+  publish_locked(capture_locked());
   answer.epoch = epoch_counter_;
   return answer;
 }
@@ -795,8 +739,7 @@ std::uint64_t AdmissionEngine::apply_topology_delta(
   churn_pending_.store(false, std::memory_order_release);
   const ModelRepair repair = mutate();
   repair_engine_locked(repair);
-  refresh_background();
-  publish_locked();
+  publish_locked(capture_locked());
   return epoch_counter_;
 }
 
@@ -883,10 +826,26 @@ void AdmissionEngine::repair_engine_locked(const ModelRepair& repair) {
 
 void AdmissionEngine::evict() {
   const std::lock_guard<std::mutex> lock(commit_mu_);
-  merge_shelved_locked();
-  clear_locked();
-  refresh_background();
-  publish_locked();
+  background_.clear();
+  const std::size_t num_links = bg_demand_.size();
+  bg_demand_.clear();
+  bg_demand_.resize(num_links, 0.0);
+  bg_links_.clear();
+  std::fill(bg_row_of_.begin(), bg_row_of_.end(), -1);
+  bg_master_cols_.clear();
+  std::fill(master_var_of_pool_.begin(), master_var_of_pool_.end(), -1);
+  bg_master_ = lp::Problem(lp::Objective::kMinimize);
+  bg_basis_.clear();
+  bg_basis_snap_.reset();
+  bg_context_.reset();
+  bg_airtime_ = 0.0;
+  bg_feasible_ = true;
+  bg_converged_ = true;
+  bg_dirty_ = false;
+  bg_impossible_ = false;
+  std::fill(bg_blocked_.begin(), bg_blocked_.end(), 0);
+  bg_blocked_count_ = 0;
+  publish_locked(capture_locked());
 }
 
 SnapshotReadStats AdmissionEngine::snapshot_read_stats() const {

@@ -16,6 +16,11 @@
 
 namespace mrwsn::core {
 
+/// Demand slack when deciding `admitted`: absorbs LP round-off at the
+/// boundary. The one admission tolerance — routing's estimator policies
+/// decide with it too.
+inline constexpr double kDemandSlack = 1e-6;
+
 /// One admission query against the engine's current background state.
 struct AdmissionQuery {
   std::vector<net::LinkId> path;  ///< ordered links of the candidate path
@@ -28,7 +33,8 @@ struct AdmissionQuery {
 struct AdmissionAnswer {
   bool background_feasible = false;
   double available_mbps = 0.0;
-  bool admitted = false;  ///< available_mbps covers the demand (1e-6 slack)
+  bool admitted = false;  ///< available_mbps covers the demand
+                          ///< (kDemandSlack)
   /// Pricing proved optimality for this query and for the background it
   /// ran against. False when an effort cap (max_rounds, max_columns)
   /// stopped either master: `available_mbps` is then the restricted
@@ -48,26 +54,25 @@ struct AdmissionAnswer {
   std::size_t heuristic_columns = 0;
   std::size_t exact_rounds = 0;
 
-  /// Committed-state epoch this answer was computed against. Stamped by
-  /// the snapshot service API (evaluate/commit); sequential query/admit
-  /// leave it 0.
+  /// Epoch of the snapshot this answer was solved against; for commit(),
+  /// the epoch the commit published. Every answer carries one.
   std::uint64_t epoch = 0;
 };
 
-/// Telemetry of the lock-free read side (evaluate()); separate from
-/// AdmissionEngineStats because readers run concurrently with commits and
-/// must not share its unguarded counters.
+/// Telemetry of the lock-free read side (evaluate(), query(), and each
+/// query_batch() item); separate from AdmissionEngineStats because readers
+/// run concurrently with commits and must not share its unguarded counters.
 struct SnapshotReadStats {
-  std::size_t queries = 0;         ///< evaluate() calls
+  std::size_t queries = 0;         ///< reads answered
   std::size_t pricing_rounds = 0;  ///< pricing rounds across evaluations
   std::size_t lp_pivots = 0;       ///< simplex pivots across evaluations
   std::size_t shelved_columns = 0;  ///< fresh columns parked for the next
-                                    ///< commit to fold into the pool
+                                    ///< publish to fold into the pool
 };
 
 /// Aggregate telemetry over the engine's lifetime.
 struct AdmissionEngineStats {
-  std::size_t queries = 0;  ///< query()/admit() calls and batch items
+  std::size_t queries = 0;  ///< commit() decisions
   std::size_t commits = 0;  ///< background flows accepted into the row set
   std::size_t background_solves = 0;  ///< background-master refreshes
   std::size_t pricing_rounds = 0;     ///< pricing rounds across all masters
@@ -90,10 +95,10 @@ struct AdmissionEngineStats {
 /// Engine construction knobs beyond column generation.
 struct AdmissionEngineOptions {
   ColumnGenOptions colgen;
-  /// Capacity of the reader column shelf: fresh columns priced by
-  /// evaluate() park here until the next commit folds them into the pool.
-  /// Overflow is dropped (counted in AdmissionEngineStats::shelf_dropped)
-  /// so a query storm with no commits cannot grow the shelf unboundedly.
+  /// Capacity of the reader column shelf: fresh columns priced by reads
+  /// park here until the next publish folds them into the pool. Overflow
+  /// is dropped (counted in AdmissionEngineStats::shelf_dropped) so a
+  /// query storm with no writes cannot grow the shelf unboundedly.
   std::size_t shelf_capacity = 4096;
 };
 
@@ -127,26 +132,26 @@ struct AdmissionEngineOptions {
 /// audits dual feasibility on entry and falls back cold otherwise, so it
 /// never changes the background answer either.
 ///
-/// Thread safety: query_batch() shards its queries over
-/// util::parallel_for. Worker queries read the engine state and the model
-/// caches (thread-safe) and collect newly priced columns locally; the pool
-/// merge happens after the join, so answers are deterministic and
-/// independent of MRWSN_THREADS.
-///
-/// Concurrent service surface (epoch/snapshot isolation): the committed
-/// background state is additionally published as an immutable refcounted
-/// Snapshot. evaluate() loads the latest published snapshot (a mutex held
-/// only for the pointer copy, never across a solve) and answers against
-/// it, so any number of evaluate() callers run concurrently and never
-/// block behind a commit. commit()/evict() serialize on the commit lock,
-/// build the next epoch, and publish it atomically; an evaluate that races
-/// a commit sees either the pre- or the post-commit epoch in full — never
-/// a torn mix — and stamps which one in AdmissionAnswer::epoch. Fresh
-/// columns priced by readers are shelved and folded into the persistent
-/// pool at the next commit/snapshot publication. The sequential API
-/// (query/admit/add_background/clear) also takes the commit lock but does
-/// NOT advance the published snapshot; call snapshot() to publish after
-/// sequential preloading.
+/// One admission path (epoch/snapshot isolation): every answer is solved
+/// against an immutable refcounted Snapshot of the committed state and
+/// stamped with its epoch (AdmissionAnswer::epoch).
+///  - Reads. evaluate() answers on the latest published snapshot; it never
+///    takes the commit lock, so any number of readers run concurrently
+///    with one another and with writers, and a read racing a write sees
+///    the pre- or the post-write epoch in full, never a torn mix.
+///    snapshot(), query() and query_batch() publish staged state first,
+///    then read the same way; query_batch() pins one snapshot for the
+///    whole batch and shards it over util::parallel_for.
+///  - Writes. commit(), evict() and apply_topology_delta() serialize on
+///    the commit lock and publish exactly one epoch each; commit() decides
+///    on the committed state, staged writes included.
+///  - Staging. add_background() and preload_columns() change the committed
+///    state without publishing; the next publish carries them.
+/// Columns a read prices are shelved in read order (batch index order for
+/// query_batch(), so the pool does not depend on the thread count). Every
+/// capture folds the shelf into the pool before it refreshes the
+/// background, so a sequential query loop prices from the pool the
+/// previous queries grew.
 ///
 /// Column generation: both masters — the background refresh and each
 /// query — are ColGenMaster adapters run by the shared ColGenDriver, so
@@ -166,8 +171,10 @@ class AdmissionEngine {
   /// event did not touch from epoch N, so the publish step is O(Δ) pointer
   /// copies instead of a deep copy of the background. Chunk sizes follow
   /// element weight — small for heavy IndependentSet/LinkFlow records,
-  /// larger for scalars.
-  using PoolSeg = util::SegVector<IndependentSet, 64>;
+  /// larger for scalars. The pool's are smallest: the first append after
+  /// each publish clones its tail chunk, and query() publishes on most
+  /// reads of a sequential loop.
+  using PoolSeg = util::SegVector<IndependentSet, 16>;
   using FlowSeg = util::SegVector<LinkFlow, 64>;
   using LinkSeg = util::SegVector<net::LinkId, 256>;
   using DemandSeg = util::SegVector<double, 256>;
@@ -207,21 +214,18 @@ class AdmissionEngine {
   AdmissionEngine(const InterferenceModel& model,
                   AdmissionEngineOptions options);
 
-  /// Evaluate one path against the current background; commits nothing.
+  /// snapshot() then evaluate(): one read that sees every staged write.
   AdmissionAnswer query(std::span<const net::LinkId> path,
                         double demand_mbps);
 
-  /// Evaluate and, when the demand fits, commit the flow to the
-  /// background row set.
-  AdmissionAnswer admit(std::span<const net::LinkId> path,
-                        double demand_mbps);
-
-  /// Evaluate independent queries against the same background snapshot,
-  /// sharded over util::parallel_for. Commits nothing.
+  /// Publish staged state, then answer independent queries against one
+  /// pinned snapshot, sharded over util::parallel_for. Commits nothing;
+  /// answers do not depend on the thread count.
   std::vector<AdmissionAnswer> query_batch(
       std::span<const AdmissionQuery> queries);
 
-  /// Commit a flow unconditionally (preloading a scenario's background).
+  /// Stage a flow into the background unconditionally (preloading a
+  /// scenario's background). Does not publish.
   void add_background(LinkFlow flow);
 
   /// Seed the persistent column pool with externally generated columns
@@ -229,18 +233,18 @@ class AdmissionEngine {
   /// candidate must be a sorted rate-coupled set; its mbps vector is
   /// recomputed from the model's rate table, candidates the current model
   /// does not support are skipped, and duplicates dedup against the pool.
-  /// Returns how many columns were actually added. Does not publish.
+  /// Returns how many columns were actually added. Stages; does not
+  /// publish.
   std::size_t preload_columns(std::span<const IndependentSet> columns);
 
   const FlowSeg& background() const { return background_; }
 
-  /// Drop the background state. The column pool and the model's caches
-  /// survive — they depend only on the topology, and keeping them warm
-  /// across scenario resets is the engine's reason to exist.
-  void clear();
+  /// Same as evict().
+  void clear() { evict(); }
 
   /// Minimum total airtime that delivers the background demands (refreshed
-  /// lazily). The background is feasible iff this is <= 1.
+  /// lazily; publishes nothing). The background is feasible iff this is
+  /// <= 1.
   double background_airtime();
   bool background_feasible();
 
@@ -253,28 +257,29 @@ class AdmissionEngine {
     return out;
   }
 
-  // --- Concurrent service surface (see the class comment) ---
-
   /// Thread-safe evaluate-only query against the latest published epoch.
   /// Never takes the commit lock; safe to call from any number of threads
   /// concurrently with one another and with commit()/evict().
   AdmissionAnswer evaluate(std::span<const net::LinkId> path,
                            double demand_mbps);
 
-  /// Evaluate against the committed (not merely published) state and, when
-  /// the demand fits, commit and publish the next epoch. Serializes with
-  /// other commits; readers keep answering on the previous epoch until the
-  /// new one is published. The answer's epoch is the post-call epoch.
+  /// Evaluate against the committed (not merely published) state and,
+  /// when the demand fits, commit the flow; either way publish the next
+  /// epoch. Serializes with other writers; readers keep answering on the
+  /// previous epoch until the new one is published. The answer's epoch is
+  /// the one this call published.
   AdmissionAnswer commit(std::span<const net::LinkId> path,
                          double demand_mbps);
 
-  /// Drop the background state (pool stays warm, as clear()) and publish
-  /// the resulting empty epoch. Thread-safe against readers.
+  /// Drop the background state and publish the resulting empty epoch. The
+  /// column pool and the model's caches survive — they depend only on the
+  /// topology, and keeping them warm across scenario resets is the
+  /// engine's reason to exist. Thread-safe against readers.
   void evict();
 
   /// Apply a topology mutation and repair the engine in place instead of
   /// rebuilding it. `mutate` runs under the engine's topology write lock
-  /// (readers in evaluate() hold it shared, so the model is never patched
+  /// (every read holds it shared, so the model is never patched
   /// under a solve in flight) and must perform exactly the mutation whose
   /// ModelRepair it returns — normally one core::TopologyDelta call on the
   /// network/model this engine was built over.
@@ -297,10 +302,9 @@ class AdmissionEngine {
   std::uint64_t apply_topology_delta(
       const std::function<ModelRepair()>& mutate);
 
-  /// Refresh the background if dirty, fold shelved reader columns into the
-  /// pool, and publish the current committed state; returns the published
-  /// snapshot. Call after sequential preloading (add_background) to make
-  /// the state visible to evaluate().
+  /// Publish staged state — add_background(), preload_columns() or shelved
+  /// reader columns — as the next epoch, if there is any (the first call
+  /// always publishes); returns the published snapshot.
   SnapshotPtr snapshot();
 
   /// Latest published snapshot; never blocks behind a commit. Non-null
@@ -310,26 +314,11 @@ class AdmissionEngine {
   /// Epoch of the latest published snapshot.
   std::uint64_t epoch() const { return published()->epoch; }
 
-  /// Read-side telemetry (evaluate() calls), tracked with atomics.
+  /// Read-side telemetry, tracked with atomics.
   SnapshotReadStats snapshot_read_stats() const;
 
  private:
   using Signature = std::vector<std::uint64_t>;
-
-  /// The committed-state fields solve_query() needs, as borrowed views:
-  /// built either over the engine's own members (sequential paths, commit
-  /// lock held) or over an immutable Snapshot (evaluate()).
-  struct BackgroundView {
-    bool feasible = true;
-    bool converged = true;
-    const LinkSeg* links = nullptr;
-    const DemandSeg* demand = nullptr;  ///< by link id; size() = num_links
-    const lp::Basis* basis = nullptr;
-    const IndexSeg* master_cols = nullptr;
-    const PoolSeg* pool = nullptr;
-  };
-  static BackgroundView view_of(const Snapshot& snap);
-  BackgroundView engine_view() const;  // over members; commit lock held
 
   /// The background master's ColGenMaster adapter (defined in the .cpp).
   class BackgroundMaster;
@@ -354,26 +343,28 @@ class AdmissionEngine {
   /// Re-solve the background master if commits happened since, chaining
   /// the dual-simplex row re-solve into the pricing loop.
   void refresh_background();
-  /// Answer one query against `bg`; columns it generated land in
+  /// Answer one query against `snap`; columns it generated land in
   /// `fresh_columns` for the caller to merge or shelve.
   AdmissionAnswer solve_query(std::span<const net::LinkId> path,
-                              double demand_mbps, const BackgroundView& bg,
+                              double demand_mbps, const Snapshot& snap,
                               std::vector<IndependentSet>* fresh_columns) const;
-  /// Merge a sequential query's fresh columns into the pool and fold its
-  /// telemetry into stats_; caller holds commit_mu_.
-  void record_query_locked(const AdmissionAnswer& answer,
-                           std::vector<IndependentSet>* fresh);
-  /// query() body; caller holds commit_mu_.
-  AdmissionAnswer query_locked(std::span<const net::LinkId> path,
-                               double demand_mbps);
+  /// Shared hold of topo_mu_ for one read, taken after backing off while a
+  /// repair waits for the write side.
+  std::shared_lock<std::shared_mutex> lock_topology_for_read() const;
+  /// Shelve one read's fresh columns and count it in the read stats.
+  void record_read(const AdmissionAnswer& answer,
+                   std::vector<IndependentSet>* fresh);
   void add_background_locked(LinkFlow flow);
-  void clear_locked();
-  /// Move shelved reader columns into the pool; caller holds commit_mu_.
-  /// Returns how many were fresh.
-  std::size_t merge_shelved_locked();
-  /// Build a Snapshot from the (refreshed) members and publish it as the
-  /// next epoch; caller holds commit_mu_.
-  void publish_locked();
+  /// Move shelved reader columns into the pool, marking the state stale
+  /// when any was fresh; caller holds commit_mu_.
+  void merge_shelved_locked();
+  /// Fold the shelf into the pool, refresh the background, and take an
+  /// O(Δ) share() of the committed state as an unstamped, unpublished
+  /// Snapshot; caller holds commit_mu_.
+  std::shared_ptr<Snapshot> capture_locked();
+  /// Stamp `snap` with the next epoch and publish it; caller holds
+  /// commit_mu_.
+  void publish_locked(std::shared_ptr<Snapshot> snap);
   /// apply_topology_delta() repair body; caller holds commit_mu_ (the
   /// model has already been mutated under the topology write lock).
   void repair_engine_locked(const ModelRepair& repair);
@@ -424,7 +415,7 @@ class AdmissionEngine {
   lp::Problem bg_master_{lp::Objective::kMinimize};
   lp::Basis bg_basis_;
   // Frozen copy of bg_basis_ refreshed once per background re-solve;
-  // publish_locked() aliases it into each snapshot, so an epoch costs no
+  // capture_locked() aliases it into each snapshot, so an epoch costs no
   // basis copy at all when the basis did not move (rejected commits).
   std::shared_ptr<const lp::Basis> bg_basis_snap_;
   lp::RevisedContext bg_context_;
@@ -440,7 +431,7 @@ class AdmissionEngine {
 
   // --- Snapshot service state ---
   // commit_mu_ serializes every mutation of the committed state above
-  // (all public mutating entry points take it). snap_mu_ guards only the
+  // (all public mutating and publishing entry points take it). snap_mu_ guards only the
   // published_ pointer swap — held for nanoseconds, which is what lets
   // readers load a snapshot without ever waiting on a commit in flight.
   // shelf_mu_ guards the reader column shelf.
@@ -448,8 +439,8 @@ class AdmissionEngine {
   // topo_mu_ fences topology mutation against lock-free readers: the
   // borrowed model is immutable to every engine path EXCEPT
   // apply_topology_delta's mutation window, which takes it unique while
-  // evaluate() holds it shared across its solve. Sequential paths already
-  // serialize with mutations on commit_mu_ and never need it.
+  // every read holds it shared across its solve. commit()'s own solve
+  // already serializes with mutations on commit_mu_ and never needs it.
   // churn_pending_ is the writer's anti-starvation gate: pthread rwlocks
   // prefer readers, so a steady evaluate() stream could park a repair
   // indefinitely — readers spin off the fast path while a writer waits.
@@ -458,7 +449,9 @@ class AdmissionEngine {
   mutable std::mutex snap_mu_;
   SnapshotPtr published_;
   std::uint64_t epoch_counter_ = 0;  // commit_mu_ held
-  bool publish_stale_ = false;  // committed state changed since publish
+  // The committed state differs from the published epoch (staged writes
+  // or merged shelf columns); false means published_ is a share of it.
+  bool publish_stale_ = false;
   mutable std::mutex shelf_mu_;
   std::vector<IndependentSet> shelf_;  // reader-priced columns awaiting merge
   std::atomic<std::size_t> read_queries_{0};

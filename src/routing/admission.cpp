@@ -6,9 +6,7 @@
 
 namespace mrwsn::routing {
 
-namespace {
-constexpr double kDemandSlack = 1e-6;  // absorb LP round-off at the boundary
-}
+using core::kDemandSlack;
 
 std::string admission_policy_name(AdmissionPolicy policy) {
   switch (policy) {
@@ -70,7 +68,7 @@ void AdmissionController::preload_background(std::vector<core::LinkFlow> flows) 
 
 void AdmissionController::clear() {
   admitted_.clear();
-  engine_.clear();
+  engine_.evict();
 }
 
 double AdmissionController::estimate_for_policy(const net::Path& path) const {

@@ -104,9 +104,6 @@ class AdmissionController {
   /// Reset the admitted-flow state (the engine keeps its column pool).
   void clear();
 
-  /// Telemetry of the batched LP-truth engine (dual re-solves, pool size).
-  core::AdmissionEngineStats engine_stats() const { return engine_.stats(); }
-
  private:
   double estimate_for_policy(const net::Path& path) const;
   void commit(core::LinkFlow flow);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +100,113 @@ TEST(SnapshotIsolation, EvictPublishesAnEmptyEpoch) {
   EXPECT_TRUE(engine.published()->background.empty());
 }
 
+// One admission path: after every kind of write, evaluate(), query() and
+// query_batch() all answer against the latest published epoch, and all
+// three see the write — they agree with each other and with a cold solve
+// of the background the writes left behind.
+TEST(SnapshotIsolation, EveryWriteIsVisibleToEveryRead) {
+  net::Network net = chain_network(8, 70.0);
+  PhysicalInterferenceModel model(net);
+  TopologyDelta delta(&net, &model);
+  AdmissionEngine engine(model);
+  const std::vector<net::LinkId> path = chain_path(net, 2, 3);
+  constexpr double kDemand = 0.5;
+  std::vector<LinkFlow> background;
+
+  const auto expect_reads_agree = [&](const std::string& write) {
+    SCOPED_TRACE("after " + write);
+    const PhysicalInterferenceModel fresh(net);
+    const AvailableBandwidthResult cold =
+        max_path_bandwidth(fresh, background, path);
+    ASSERT_TRUE(cold.background_feasible);
+
+    const AdmissionQuery batch_query{path, kDemand};
+    std::vector<AdmissionAnswer> reads;
+    reads.push_back(engine.evaluate(path, kDemand));
+    EXPECT_EQ(reads.back().epoch, engine.published()->epoch) << "evaluate";
+    reads.push_back(engine.query(path, kDemand));
+    EXPECT_EQ(reads.back().epoch, engine.published()->epoch) << "query";
+    reads.push_back(engine.query_batch({&batch_query, 1}).front());
+    EXPECT_EQ(reads.back().epoch, engine.published()->epoch) << "query_batch";
+    for (const AdmissionAnswer& read : reads) {
+      EXPECT_TRUE(read.background_feasible);
+      EXPECT_EQ(read.admitted, reads.front().admitted);
+      EXPECT_NEAR(read.available_mbps, reads.front().available_mbps,
+                  kParityTol);
+      EXPECT_NEAR(read.available_mbps, cold.available_mbps, kParityTol);
+    }
+  };
+
+  const LinkFlow staged{chain_path(net, 0, 2), 0.5};
+  engine.add_background(staged);
+  background.push_back(staged);
+  engine.query(path, kDemand);
+  expect_reads_agree("add_background + query");
+
+  const std::vector<net::LinkId> committed = chain_path(net, 4, 2);
+  ASSERT_TRUE(engine.commit(committed, 0.25).admitted);
+  background.push_back(LinkFlow{committed, 0.25});
+  expect_reads_agree("commit");
+
+  engine.apply_topology_delta(
+      [&] { return delta.move_node(3, geom::Point{3 * 70.0 + 9.0, 14.0}); });
+  expect_reads_agree("apply_topology_delta");
+
+  engine.evict();
+  background.clear();
+  expect_reads_agree("evict");
+
+  ASSERT_TRUE(engine.commit(committed, 0.25).admitted);
+  engine.clear();
+  expect_reads_agree("clear");
+}
+
+// query_batch() pins one snapshot per batch while writers publish: every
+// item of a batch carries the same epoch, and one reader's epochs never go
+// back. Under TSan this races the batch's parallel_for against commits and
+// churn repairs.
+TEST(SnapshotIsolation, QueryBatchPinsOneEpochWhileWritersPublish) {
+  net::Network net = chain_network(8, 70.0);
+  PhysicalInterferenceModel model(net);
+  TopologyDelta delta(&net, &model);
+  AdmissionEngine engine(model);
+  engine.snapshot();
+  std::vector<AdmissionQuery> batch;
+  for (std::size_t first = 0; first + 2 < 8; ++first)
+    batch.push_back({chain_path(net, first, 2), 0.25});
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> batches{0};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::vector<AdmissionAnswer> answers = engine.query_batch(batch);
+      for (const AdmissionAnswer& answer : answers)
+        EXPECT_EQ(answer.epoch, answers.front().epoch);
+      EXPECT_GE(answers.front().epoch, last);
+      last = answers.front().epoch;
+      batches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (std::size_t i = 0; i < 6; ++i) {
+    if (i % 2 == 0) {
+      engine.commit(chain_path(net, i, 2), 0.05);
+    } else {
+      engine.apply_topology_delta([&] {
+        return delta.move_node(
+            3, geom::Point{3 * 70.0 + static_cast<double>(i % 3) * 9.0,
+                           (i % 4 == 1) ? 14.0 : -14.0});
+      });
+    }
+    // Pace the writer so batches genuinely interleave with publishes.
+    while (batches.load(std::memory_order_relaxed) < i + 1)
+      std::this_thread::yield();
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_GE(batches.load(), 6u);
+}
+
 // The satellite's core promise: readers racing a writer observe answers
 // explainable by a single epoch. Every evaluate records (epoch, value);
 // afterwards a sequential shadow engine replays the same commit sequence
@@ -171,9 +279,9 @@ TEST(SnapshotIsolation, ConcurrentEvaluatesAreEpochConsistentDuringCommits) {
       if (epoch <= writer_ops.size()) {
         const WriterOp& op = writer_ops[epoch - 1];
         if (op.evict)
-          shadow.clear();
+          shadow.evict();
         else
-          shadow.admit(chain_path(net, op.first, op.hops), op.demand);
+          shadow.commit(chain_path(net, op.first, op.hops), op.demand);
       }
     }
   }

@@ -80,7 +80,7 @@ TEST(AdmissionEngine, ChainReplayMatchesColdSolvesThroughCommits) {
   std::vector<LinkFlow> background;
   for (const auto& step : sequence) {
     const auto path = chain_path(net, step.first, step.hops);
-    const AdmissionAnswer answer = engine.admit(path, step.demand);
+    const AdmissionAnswer answer = engine.commit(path, step.demand);
     ASSERT_TRUE(answer.background_feasible);
     EXPECT_TRUE(answer.converged);
     EXPECT_NEAR(answer.available_mbps, cold_available(model, background, path),
@@ -108,7 +108,7 @@ TEST(AdmissionEngine, RandomTopologyParityWithColdSolves) {
     if (src == dst) dst = (dst + 1) % 10;
     const auto path = bfs_path(net, src, dst);
     const double demand = rng.uniform(0.5, 4.0);
-    const AdmissionAnswer answer = engine.admit(path, demand);
+    const AdmissionAnswer answer = engine.commit(path, demand);
     const double cold = cold_available(model, background, path);
     if (!answer.background_feasible) {
       EXPECT_LT(cold, 0.0);
@@ -139,7 +139,7 @@ TEST(AdmissionEngine, RejectedDemandIsNotCommitted) {
   AdmissionEngine engine(model);
   const auto path = chain_path(net, 0, 3);
   // A 3-hop chain tops out at 12 Mbps; 1000 cannot fit.
-  const AdmissionAnswer answer = engine.admit(path, 1000.0);
+  const AdmissionAnswer answer = engine.commit(path, 1000.0);
   EXPECT_TRUE(answer.background_feasible);
   EXPECT_FALSE(answer.admitted);
   EXPECT_TRUE(engine.background().empty());
@@ -182,7 +182,7 @@ TEST(AdmissionEngine, BatchMatchesSequentialAndColdSolves) {
                 cold_available(model, background, queries[i].path), kParityTol)
         << "query " << i;
   }
-  EXPECT_EQ(engine.stats().queries, queries.size());
+  EXPECT_EQ(engine.snapshot_read_stats().queries, queries.size());
 }
 
 class ThreadEnvGuard {
@@ -225,8 +225,8 @@ TEST(AdmissionEngine, ClearKeepsThePoolWarm) {
   const net::Network net = chain_network(6, 70.0);
   PhysicalInterferenceModel model(net);
   AdmissionEngine engine(model);
-  engine.admit(chain_path(net, 0, 3), 2.0);
-  engine.admit(chain_path(net, 2, 3), 2.0);
+  engine.commit(chain_path(net, 0, 3), 2.0);
+  engine.commit(chain_path(net, 2, 3), 2.0);
   const std::size_t warm_pool = engine.stats().pool_columns;
   ASSERT_GT(warm_pool, 0u);
 
@@ -258,8 +258,8 @@ TEST(AdmissionEngine, TieredTelemetryAndExactOnlyParity) {
   } sequence[] = {{0, 1, 6.0}, {2, 2, 3.0}, {4, 2, 3.0}, {1, 3, 2.0}};
   for (const auto& step : sequence) {
     const auto path = chain_path(net, step.first, step.hops);
-    const AdmissionAnswer a = tiered.admit(path, step.demand);
-    const AdmissionAnswer b = exact.admit(path, step.demand);
+    const AdmissionAnswer a = tiered.commit(path, step.demand);
+    const AdmissionAnswer b = exact.commit(path, step.demand);
     ASSERT_TRUE(a.background_feasible);
     EXPECT_NEAR(a.available_mbps, b.available_mbps, kParityTol);
     EXPECT_EQ(a.admitted, b.admitted);

@@ -13,9 +13,15 @@ namespace {
 /// A scenario file on disk, deleted at scope exit.
 class TempScenario {
  public:
+  // The file name carries the test's name: ctest runs each test in its
+  // own process, so a bare counter would collide across concurrent tests.
   explicit TempScenario(const std::string& contents) {
-    path_ = std::string(::testing::TempDir()) + "cli_test_scenario_" +
-            std::to_string(counter_++) + ".txt";
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = std::string(::testing::TempDir()) + "cli_test_" +
+            (test ? std::string(test->test_suite_name()) + "." + test->name()
+                  : std::string("scenario")) +
+            "_" + std::to_string(counter_++) + ".txt";
     std::ofstream(path_) << contents;
   }
   ~TempScenario() { std::remove(path_.c_str()); }
@@ -154,6 +160,28 @@ TEST(Cli, AvailableAcceptsEngineAndStabilizeFlags) {
   ASSERT_EQ(dense.code, 0) << dense.err;
   // Both engines solve the same LP: the report lines must agree.
   EXPECT_EQ(revised.out, dense.out);
+  // Without --starts the CLI runs the library's pricing default.
+  const CliResult default_starts =
+      run({"available", file.path(), "2", "3", "--method", "colgen",
+           "--engine", "revised", "--starts", "12"});
+  ASSERT_EQ(default_starts.code, 0) << default_starts.err;
+  EXPECT_EQ(revised.out, default_starts.out);
+  // The chain is too small for the start count to show; on this path of
+  // a generated 40-node scenario 8 starts cost one pricing round more
+  // than 12, so a default other than 12 changes the report.
+  const CliResult generated =
+      run({"generate", "--nodes", "40", "--seed", "1", "--flows", "6"});
+  ASSERT_EQ(generated.code, 0) << generated.err;
+  TempScenario larger(generated.out);
+  const CliResult by_default = run(
+      {"available", larger.path(), "2", "20", "--method", "colgen"});
+  const CliResult twelve = run({"available", larger.path(), "2", "20",
+                                "--method", "colgen", "--starts", "12"});
+  const CliResult eight = run({"available", larger.path(), "2", "20",
+                               "--method", "colgen", "--starts", "8"});
+  ASSERT_EQ(by_default.code, 0) << by_default.err;
+  EXPECT_EQ(by_default.out, twelve.out);
+  EXPECT_NE(by_default.out, eight.out);
 
   const CliResult bad_engine =
       run({"available", file.path(), "2", "3", "--engine", "sparse"});

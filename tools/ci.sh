@@ -19,9 +19,12 @@
 #      30% BM_AdmissionReplayWrite* ones — with 1e-6 parity verification
 #      built in, and bench_compare.py checks the report still covers the
 #      p50/p99/QPS/scenario-load metrics against the committed baseline.
-#   5. churn + commit bench: BM_ChurnReadmit{Incremental,Rebuild} on the
-#      100-node churn script plus BM_CommitLatency/{128,1024,8192}, with
-#      --require coverage guards for every family.
+#   5. churn + commit + batch bench: BM_ChurnReadmit{Incremental,Rebuild}
+#      on the 100-node churn script, BM_CommitLatency/{128,1024,8192}, and
+#      BM_BatchAdmission{Warm,Cold,Sequential} (the 50-query replay on one
+#      engine through commit(), through a cold solve per query, and
+#      through query() + add_background() as the admission controller
+#      drives it), with --require coverage guards for every family.
 #   6. perfbench: the end-to-end benchmark's self-tests
 #      (perfbench/selftest.py: gate trips, metric names, short runs of
 #      every workload), then the scaled Fig. 4 study on seed 3 under a
@@ -99,18 +102,22 @@ else
   "$REPO/tools/bench_archive.py" "$REPLAY_JSON" \
     --history "$REPO/BENCH_history" --label replay
 
-  echo "== ci stage 5: churn + commit-latency bench + coverage guard =="
+  echo "== ci stage 5: churn + commit-latency + batch bench + coverage guard =="
   # Incremental topology repair vs cold rebuild on the 100-node churn
-  # script, plus the structure-sharing commit-latency family at 128/1k/8k
-  # background columns; the --require guards fail the gate if any side of
-  # either comparison silently drops out of the suite.
+  # script, the structure-sharing commit-latency family at 128/1k/8k
+  # background columns, and the batched admission replay warm (one engine
+  # committing every decision), cold, and sequential (query() then
+  # add_background(), publishing on every read); the --require guards fail the gate
+  # if any side of a comparison silently drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency' "$BUILD/bench/perf_micro"
+    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission' \
+    "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
-    --require BM_CommitLatency
+    --require BM_CommitLatency --require BM_BatchAdmissionWarm \
+    --require BM_BatchAdmissionCold --require BM_BatchAdmissionSequential
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi

@@ -218,7 +218,8 @@ int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
     err << "unknown --pricing '" << pricing_name << "' (tiered|exact)\n";
     return 1;
   }
-  const std::string starts_name = options.get("--starts", "8");
+  const std::string starts_name = options.get(
+      "--starts", std::to_string(core::ColumnGenOptions{}.heuristic_starts));
   {
     char* end = nullptr;
     const unsigned long starts = std::strtoul(starts_name.c_str(), &end, 10);
@@ -426,7 +427,7 @@ int cmd_batch(const io::ScenarioFile& scenario, const Options& options,
     if (queries[next].commit) {
       const BatchQuery& query = queries[next];
       core::AdmissionAnswer answer;
-      if (query.path) answer = service.engine().admit(query.path->links(), query.demand_mbps);
+      if (query.path) answer = service.engine().commit(query.path->links(), query.demand_mbps);
       print_batch_row(out, next, query, answer);
       ++next;
       continue;
@@ -457,7 +458,9 @@ int cmd_batch(const io::ScenarioFile& scenario, const Options& options,
   }
 
   const core::AdmissionEngineStats& stats = service.engine().stats();
-  err << "batch: " << stats.queries << " queries, " << stats.commits
+  err << "batch: "
+      << stats.queries + service.engine().snapshot_read_stats().queries
+      << " queries, " << stats.commits
       << " commits, " << stats.dual_resolves << " dual re-solves, "
       << stats.dual_fallbacks << " cold fallbacks, pool "
       << stats.pool_columns << " columns\n";
@@ -950,7 +953,8 @@ void usage(std::ostream& os) {
          "  mrwsn available scenario.txt <src> <dst> [--metric hop|td|avg]\n"
          "                 [--method auto|enum|colgen] [--engine revised|dense]\n"
          "                 [--stabilize on|off] [--pricing tiered|exact]\n"
-         "                 [--starts N]\n"
+         "                 [--starts N (default "
+     << core::ColumnGenOptions{}.heuristic_starts << ")]\n"
          "  mrwsn admit scenario.txt [--metric avg] [--policy lp|eq13|...]\n"
          "  mrwsn admit scenario.txt --batch queries.csv [--metric hop]\n"
          "  mrwsn admit scenario.txt --serve [--metric hop] [--readers N]\n"
