@@ -310,6 +310,36 @@ void BM_ColumnGenRevised(benchmark::State& state) {
 BENCHMARK(BM_ColumnGenDense)->Arg(40);
 BENCHMARK(BM_ColumnGenRevised)->Arg(40);
 
+// The scaled Fig. 4 study's standard instance (`mrwsn fig4` defaults:
+// 500 nodes, topology seed 4, 8 flows routed by hop count), shared by the
+// pricing and parallel CSMA benchmarks below.
+struct ScaledFig4Bench {
+  benchx::Section52Setup setup;
+  std::vector<std::vector<net::LinkId>> paths;
+};
+
+const ScaledFig4Bench& scaled_fig4_bench() {
+  // Topology draw and routing are one-time setup, not part of the timed
+  // region (leaked deliberately: benchmarks never tear down).
+  static const ScaledFig4Bench* cached = [] {
+    auto* s = new ScaledFig4Bench{
+        benchx::make_scaled_setup(/*seed=*/4, /*num_nodes=*/500,
+                                  /*num_flows=*/8, /*demand_mbps=*/2.0,
+                                  /*target_degree=*/12.0),
+        {}};
+    core::PhysicalInterferenceModel model(s->setup.network);
+    routing::QosRouter router(s->setup.network, model);
+    const std::vector<double> all_idle(s->setup.network.num_nodes(), 1.0);
+    for (const auto& request : s->setup.requests) {
+      const auto path = router.find_path(request.src, request.dst,
+                                         routing::Metric::kHopCount, all_idle);
+      if (path) s->paths.push_back(path->links());
+    }
+    return s;
+  }();
+  return *cached;
+}
+
 // ---------------------------------------------------------------------------
 // Pricing oracles head to head (the tiered-pricing tentpole): one pricing
 // call over a chain universe with colgen-shaped duals — the exact
@@ -359,6 +389,32 @@ void BM_PricingHeuristic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PricingHeuristic)->Arg(24)->Arg(40);
+
+// The same Tier 1 call on the scaled Fig. 4 study's own universe:
+// `mrwsn fig4`'s standard instance, flow 8 priced over the seven flows
+// routed before it — 66 links of crossing multihop paths, where the chain
+// above is one-dimensional. The study's truth prices 120 of its 127
+// rounds through this oracle. Same dual-shaped weights as the chain.
+struct ScaledFig4Universe {};
+
+void BM_PricingHeuristic(benchmark::State& state, ScaledFig4Universe) {
+  const ScaledFig4Bench& bench = scaled_fig4_bench();
+  const core::PhysicalInterferenceModel model(bench.setup.network);
+  std::vector<net::LinkId> universe;
+  for (const auto& path : bench.paths)
+    universe.insert(universe.end(), path.begin(), path.end());
+  std::sort(universe.begin(), universe.end());
+  universe.erase(std::unique(universe.begin(), universe.end()), universe.end());
+  std::vector<double> weights(universe.size());
+  for (std::size_t k = 0; k < weights.size(); ++k)
+    weights[k] = 0.2 + 0.05 * double(k % 7);
+  model.heuristic_max_weight_independent_set(universe, weights);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        model.heuristic_max_weight_independent_set(universe, weights));
+  }
+}
+BENCHMARK_CAPTURE(BM_PricingHeuristic, fig4_seed4, ScaledFig4Universe{});
 
 // ---------------------------------------------------------------------------
 // Batched admission engine (the shared-cache scenario service tentpole):
@@ -939,35 +995,8 @@ BENCHMARK(BM_EventQueueChurn);
 // the thread count; the topology, flows and seed are identical (and so,
 // by the determinism guarantee, are the reports). Real time matters
 // here, not CPU time: 8 workers burn more CPU to finish sooner.
-struct ParallelBenchSetup {
-  benchx::Section52Setup setup;
-  std::vector<std::vector<net::LinkId>> paths;
-};
-
-const ParallelBenchSetup& parallel_bench_setup() {
-  // Topology draw and routing are one-time setup, not part of the timed
-  // region (leaked deliberately: benchmarks never tear down).
-  static const ParallelBenchSetup* cached = [] {
-    auto* s = new ParallelBenchSetup{
-        benchx::make_scaled_setup(/*seed=*/4, /*num_nodes=*/500,
-                                  /*num_flows=*/8, /*demand_mbps=*/2.0,
-                                  /*target_degree=*/12.0),
-        {}};
-    core::PhysicalInterferenceModel model(s->setup.network);
-    routing::QosRouter router(s->setup.network, model);
-    const std::vector<double> all_idle(s->setup.network.num_nodes(), 1.0);
-    for (const auto& request : s->setup.requests) {
-      const auto path = router.find_path(request.src, request.dst,
-                                         routing::Metric::kHopCount, all_idle);
-      if (path) s->paths.push_back(path->links());
-    }
-    return s;
-  }();
-  return *cached;
-}
-
 void BM_CsmaParallel(benchmark::State& state) {
-  const ParallelBenchSetup& bench = parallel_bench_setup();
+  const ScaledFig4Bench& bench = scaled_fig4_bench();
   for (auto _ : state) {
     mac::ShardParams shard;
     shard.threads = static_cast<std::size_t>(state.range(0));

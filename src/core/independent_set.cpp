@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -349,10 +350,11 @@ struct PhysicalPricerData {
   std::vector<std::size_t> order;       ///< candidates, descending w_alone
 };
 
-/// The exact physical search's inputs: PhysicalPricerData's candidates
-/// re-indexed densely by their rank in `order` (a "slot"), so a search
-/// node reads contiguous rows, plus a clique cover of the candidates for
-/// the node bound.
+/// PhysicalPricerData's candidates re-indexed densely by their rank in
+/// `order` (a "slot"), so a search reads contiguous rows and its state
+/// scales with the candidates, not the universe. Both physical searches
+/// run on it; the exact one adds a clique cover of the candidates for its
+/// node bound (add_clique_cover).
 struct PhysicalSearchData {
   const PhysicalPricerData* pricer = nullptr;
   std::size_t size = 0;                  ///< number of candidates (slots)
@@ -362,7 +364,7 @@ struct PhysicalSearchData {
   std::vector<double> cross;  ///< [a * size + b]: a's power at b's receiver
   std::vector<char> shares;   ///< [a * size + b]: a and b share a node
   std::vector<std::size_t> clique;  ///< by slot: its clique of the cover
-  std::size_t num_cliques = 0;
+  std::size_t num_cliques = 0;      ///< 0 until add_clique_cover
 };
 
 /// A physical search's set: universe positions and their concurrent rates,
@@ -646,12 +648,16 @@ PhysicalSearchData build_physical_search_data(
       data.shares[a * m + b] = ctx.shares[u * n + pricer.order[b]];
     }
   }
+  return data;
+}
 
+void add_clique_cover(PhysicalSearchData& data) {
+  const std::size_t m = data.size;
   // Greedy clique cover of the pairwise conflict relation, in slot order:
   // two links conflict when they share a node or either one cannot decode
   // with only the other transmitting. Interference only grows with more
   // transmitters, so no feasible set holds two links of one clique.
-  const phy::PhyModel& phy = *ctx.phy;
+  const phy::PhyModel& phy = *data.pricer->ctx->phy;
   const auto conflict = [&](std::size_t a, std::size_t b) {
     return data.shares[a * m + b] != 0 ||
            !phy.max_rate(data.signal[b], data.cross[a * m + b]) ||
@@ -674,7 +680,6 @@ PhysicalSearchData build_physical_search_data(
     }
     ++data.num_cliques;
   }
-  return data;
 }
 
 /// Couple-index list (ascending) -> sorted IndependentSet.
@@ -872,167 +877,296 @@ ProtocolStartOutcome protocol_heuristic_start(const ProtocolPricerData& data,
   return {weight, std::move(members)};
 }
 
-/// Greedy + drop-one/refill counterpart of PhysicalRootSearch. Tracks
-/// interference incrementally (only data.order entries are maintained) but
-/// accepts a candidate only when insertion strictly raises the total
-/// member weight — under cumulative SINR a newcomer can degrade existing
-/// members' rates by more than it contributes.
-class PhysicalHeuristicSearch {
- public:
-  static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
-
-  explicit PhysicalHeuristicSearch(const PhysicalPricerData& data)
-      : data_(data) {
-    const std::size_t n = data_.ctx->size();
-    interference_.assign(n, 0.0);
-    blocked_.assign(n, 0);
-    in_set_.assign(n, 0);
-  }
-
-  /// One greedy pass over `order`; `skip` (a universe position or kNoSkip)
-  /// is never taken — the local search uses it to force diversification
-  /// away from a just-dropped member.
-  void greedy_fill(const std::vector<std::size_t>& order, std::size_t skip) {
-    for (std::size_t v : order) {
-      if (v == skip || in_set_[v] != 0 || blocked_[v] != 0) continue;
-      if (!extension_feasible(v)) continue;
-      push(v);
-      const double w = member_weight();
-      if (w > weight_)
-        weight_ = w;
-      else
-        remove(v);
-    }
-  }
-
-  /// Drop-one + greedy-refill local search: remove each member in turn,
-  /// refill without it, keep the move only on strict improvement.
-  void improve(const std::vector<std::size_t>& order) {
-    for (int pass = 0; pass < 3; ++pass) {
-      bool improved = false;
-      const std::vector<std::size_t> snapshot = members_;
-      for (std::size_t m : snapshot) {
-        if (in_set_[m] == 0) continue;  // already swapped out this pass
-        const std::vector<std::size_t> before = members_;
-        const double before_weight = weight_;
-        remove(m);
-        weight_ = member_weight();
-        greedy_fill(order, m);
-        if (weight_ > before_weight) {
-          improved = true;
-          continue;
-        }
-        rebuild(before);
-      }
-      if (!improved) break;
-    }
-  }
-
-  double weight() const { return weight_; }
-  const std::vector<std::size_t>& members() const { return members_; }
-  /// Rates parallel to members(); call once the search has settled.
-  std::vector<phy::RateIndex> rates() {
-    member_weight();
-    return rates_scratch_;
-  }
-
- private:
-  double cross(std::size_t k, std::size_t u) const {
-    return data_.ctx->cross_power[k * data_.ctx->size() + u];
-  }
-  bool shares(std::size_t k, std::size_t u) const {
-    return data_.ctx->shares[k * data_.ctx->size() + u] != 0;
-  }
-  /// Same rate-cap clamp as PhysicalRootSearch::rate_of.
-  std::optional<phy::RateIndex> rate_of(std::size_t u, double extra) const {
-    const auto rate = data_.ctx->phy->max_rate(
-        data_.ctx->signal[u], std::max(interference_[u], 0.0) + extra);
-    if (!rate) return rate;
-    return std::max(*rate, data_.ctx->rate_cap[u]);
-  }
-  bool extension_feasible(std::size_t v) const {
-    if (!rate_of(v, 0.0)) return false;
-    for (std::size_t j : members_)
-      if (!rate_of(j, cross(v, j))) return false;
-    return true;
-  }
-
-  void push(std::size_t v) {
-    members_.push_back(v);
-    in_set_[v] = 1;
-    for (const std::size_t u : data_.order) {
-      if (u == v) continue;
-      interference_[u] += cross(v, u);
-      blocked_[u] += shares(v, u);
-    }
-  }
-
-  /// Removes by value: the interference updates are symmetric, so removal
-  /// order does not matter.
-  void remove(std::size_t v) {
-    members_.erase(std::find(members_.begin(), members_.end(), v));
-    in_set_[v] = 0;
-    for (const std::size_t u : data_.order) {
-      if (u == v) continue;
-      interference_[u] -= cross(v, u);
-      blocked_[u] -= shares(v, u);
-    }
-  }
-
-  void rebuild(const std::vector<std::size_t>& members) {
-    while (!members_.empty()) remove(members_.back());
-    for (std::size_t v : members) push(v);
-    weight_ = member_weight();
-  }
-
-  /// Total weight of the members at their current concurrent max rates;
-  /// fills rates_scratch_ in members_ order as a side effect.
-  double member_weight() {
-    const phy::RateTable& rates = data_.ctx->phy->rates();
-    rates_scratch_.clear();
-    double total = 0.0;
-    for (std::size_t j : members_) {
-      const auto rate = rate_of(j, 0.0);
-      MRWSN_ASSERT(rate.has_value(), "member of a feasible set lost its rate");
-      rates_scratch_.push_back(*rate);
-      total += data_.link_weight[j] * rates[*rate].mbps;
-    }
-    return total;
-  }
-
-  const PhysicalPricerData& data_;
-  double weight_ = 0.0;
-  std::vector<double> interference_;  ///< by universe position
-  std::vector<int> blocked_;          ///< node-sharing member count
-  std::vector<char> in_set_;
-  std::vector<std::size_t> members_;  ///< universe positions, insertion order
-  std::vector<phy::RateIndex> rates_scratch_;
-};
-
 struct PhysicalStartOutcome {
   double weight = 0.0;
   std::vector<std::size_t> members;   ///< universe positions
   std::vector<phy::RateIndex> rates;  ///< parallel to members
 };
 
-PhysicalStartOutcome physical_heuristic_start(const PhysicalPricerData& data,
-                                              std::size_t start) {
-  std::vector<std::size_t> order = data.order;
-  std::vector<double> key(data.ctx->size(), 0.0);
-  for (std::size_t v : order) key[v] = data.w_alone[v] * start_jitter(start, v);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return key[a] > key[b]; });
+/// Greedy + drop-one/refill counterpart of PhysicalRootSearch. Accepts a
+/// candidate only when insertion strictly raises the total member weight —
+/// under cumulative SINR a newcomer can degrade existing members' rates by
+/// more than it contributes.
+///
+/// A candidate is scored against the members without touching the search
+/// state, so a rejected one costs O(k); only an accepted one pays the
+/// O(|order|) interference update. A failed drop-one move is undone from a
+/// snapshot. Rate lookups go through a per-slot band cache (cached_rate,
+/// peek_rate), so most of them make no PhyModel::max_rate call. All state
+/// is by slot, so its cost follows the candidates, not the universe. One
+/// object runs many starts, reusing its arrays.
+class PhysicalHeuristicSearch {
+ public:
+  explicit PhysicalHeuristicSearch(const PhysicalSearchData& data)
+      : data_(data), phy_(*data.pricer->ctx->phy) {
+    const std::size_t m = data_.size;
+    interference_.assign(m, 0.0);
+    blocked_.assign(m, 0);
+    in_set_.assign(m, 0);
+    bands_.assign(m, RateBand{});
+    saved_interference_.resize(m);
+    saved_blocked_.resize(m);
+    key_.resize(m);
+    order_.resize(m);
+  }
 
-  PhysicalHeuristicSearch search(data);
-  search.greedy_fill(order, PhysicalHeuristicSearch::kNoSkip);
-  search.improve(order);
+  /// One full start: greedy construction in the start's jittered order,
+  /// then the drop-one local search.
+  PhysicalStartOutcome run(std::size_t start) {
+    reset();
+    sort_order(start);
+    greedy_fill(kNoSkip);
+    improve();
+    PhysicalStartOutcome out{weight_, members_, rates_};
+    for (std::size_t& member : out.members)
+      member = data_.pricer->order[member];
+    return out;
+  }
 
-  PhysicalStartOutcome out;
-  out.weight = search.weight();
-  out.members = search.members();
-  out.rates = search.rates();
-  return out;
-}
+ private:
+  static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
+
+  /// An interference range [lo, hi] at one link's receiver over which
+  /// rate_of answers `rate` (nullopt: the link cannot decode). The empty
+  /// default range holds nothing.
+  struct RateBand {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    std::optional<phy::RateIndex> rate;
+
+    bool holds(double interference) const {
+      return interference >= lo && interference <= hi;
+    }
+  };
+
+  /// Slots by descending jittered alone weight, ties by slot — the order a
+  /// stable sort of data.pricer->order would give. The jitter hashes the
+  /// universe position, as the protocol search hashes the couple.
+  void sort_order(std::size_t start) {
+    const PhysicalPricerData& pricer = *data_.pricer;
+    for (std::size_t a = 0; a < data_.size; ++a) {
+      const std::size_t u = pricer.order[a];
+      key_[a] = pricer.w_alone[u] * start_jitter(start, u);
+      order_[a] = a;
+    }
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      return key_[a] > key_[b] || (key_[a] == key_[b] && a < b);
+    });
+  }
+
+  void reset() {
+    std::fill(interference_.begin(), interference_.end(), 0.0);
+    std::fill(blocked_.begin(), blocked_.end(), 0);
+    for (std::size_t j : members_) in_set_[j] = 0;
+    members_.clear();
+    rates_.clear();
+    weight_ = 0.0;
+  }
+
+  /// One greedy pass over order_; `skip` (a slot or kNoSkip) is never
+  /// taken — the local search uses it to force diversification away from
+  /// a just-dropped member.
+  void greedy_fill(std::size_t skip) {
+    for (std::size_t v : order_) {
+      if (v == skip || in_set_[v] != 0 || blocked_[v] != 0) continue;
+      const auto total = score(v);
+      if (total && *total > weight_) push(v, *total);
+    }
+  }
+
+  /// Drop-one + greedy-refill local search: remove each member in turn,
+  /// refill without it, keep the move only on strict improvement.
+  void improve() {
+    for (int pass = 0; pass < 3; ++pass) {
+      bool improved = false;
+      pass_members_ = members_;
+      for (std::size_t m : pass_members_) {
+        if (in_set_[m] == 0) continue;  // already swapped out this pass
+        save();
+        remove(m);
+        greedy_fill(m);
+        if (weight_ > saved_weight_) {
+          improved = true;
+          continue;
+        }
+        restore();
+      }
+      if (!improved) break;
+    }
+  }
+
+  const double* cross_row(std::size_t a) const {
+    return &data_.cross[a * data_.size];
+  }
+  const char* shares_row(std::size_t a) const {
+    return &data_.shares[a * data_.size];
+  }
+  double mbps(phy::RateIndex rate) const { return phy_.rates()[rate].mbps; }
+
+  /// The rate slot a decodes at under total interference `interference`,
+  /// with the same rate-cap clamp as PhysicalRootSearch::rate_of.
+  std::optional<phy::RateIndex> rate_of(std::size_t a,
+                                        double interference) const {
+    const auto rate = phy_.max_rate(data_.signal[a], interference);
+    if (!rate) return rate;
+    return std::max(*rate, data_.rate_cap[a]);
+  }
+
+  /// rate_of's answer, from a's cached band when `interference` falls
+  /// inside it; a miss asks rate_of and caches the band around its answer.
+  std::optional<phy::RateIndex> cached_rate(std::size_t a,
+                                            double interference) {
+    RateBand& band = bands_[a];
+    if (!band.holds(interference)) band = rate_band(a, interference);
+    return band.rate;
+  }
+
+  /// rate_of's answer, from a's band when it holds, without re-caching:
+  /// score()'s what-if lookups must not evict the band of a member's
+  /// actual rate.
+  std::optional<phy::RateIndex> peek_rate(std::size_t a,
+                                          double interference) const {
+    const RateBand& band = bands_[a];
+    return band.holds(interference) ? band.rate : rate_of(a, interference);
+  }
+
+  /// The band around rate_of(a, interference). max_rate(S, I) picks the
+  /// fastest rate whose sensitivity S meets and whose SINR threshold
+  /// S / (N + I) meets, and thresholds and sensitivities only fall with
+  /// the rate. So the clamped answer `rate` holds while the SINR still
+  /// clears rate's threshold (hi) and misses the next faster one's (lo;
+  /// no lower end when the cap or the sensitivity rules the faster rates
+  /// out). An unusable link stays so while the SINR misses the slowest
+  /// threshold. Each end sits a relative kMargin inside the exact SINR
+  /// boundary — far more than the few ulps of rounding in it and in
+  /// PhyModel::sinr — so inside the band the answer is provably rate_of's.
+  RateBand rate_band(std::size_t a, double interference) const {
+    constexpr double kMargin = 1e-9;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const phy::RateTable& rates = phy_.rates();
+    const double signal = data_.signal[a];
+    // Interference at which the SINR meets rate r's threshold, moved by
+    // a relative kMargin towards `side`.
+    const auto edge = [&](phy::RateIndex r, double side) {
+      return signal / rates[r].sinr_min_linear * (1.0 + side * kMargin) -
+             phy_.noise_watt();
+    };
+    RateBand band;
+    band.rate = rate_of(a, interference);
+    if (!band.rate) {
+      const phy::RateIndex slowest = rates.size() - 1;
+      band.lo = signal < rates[slowest].rx_sensitivity_watt
+                    ? -kInf
+                    : edge(slowest, +1.0);
+      band.hi = kInf;
+      return band;
+    }
+    const phy::RateIndex rate = *band.rate;
+    band.hi = edge(rate, -1.0);
+    band.lo = rate == data_.rate_cap[a] ||
+                      signal < rates[rate - 1].rx_sensitivity_watt
+                  ? -kInf
+                  : edge(rate - 1, +1.0);
+    return band;
+  }
+
+  /// Total member weight if `v` joined, or nullopt when v or a member
+  /// could no longer decode. Fills scored_rates_ (members' rates, then
+  /// v's) and changes no member state.
+  std::optional<double> score(std::size_t v) {
+    const auto own = cached_rate(v, interference_[v]);
+    if (!own) return std::nullopt;
+    const double* cross = cross_row(v);
+    scored_rates_.resize(members_.size() + 1);
+    double total = 0.0;
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      const std::size_t j = members_[i];
+      const auto rate = peek_rate(j, interference_[j] + cross[j]);
+      if (!rate) return std::nullopt;
+      scored_rates_[i] = *rate;
+      total += data_.weight[j] * mbps(*rate);
+    }
+    scored_rates_.back() = *own;
+    return total + data_.weight[v] * mbps(*own);
+  }
+
+  /// Add `v`, whose score() just returned `total`. v's own cross and
+  /// shares entries are zero, so the sweep leaves v's sums unchanged.
+  void push(std::size_t v, double total) {
+    const double* cross = cross_row(v);
+    const char* shares = shares_row(v);
+    for (std::size_t b = 0; b < data_.size; ++b) {
+      interference_[b] += cross[b];
+      blocked_[b] += shares[b];
+    }
+    members_.push_back(v);
+    in_set_[v] = 1;
+    rates_.assign(scored_rates_.begin(), scored_rates_.end());
+    weight_ = total;
+  }
+
+  /// Removal clamps rounding residue at zero, keeping every interference
+  /// sum non-negative; the remaining members may speed up.
+  void remove(std::size_t v) {
+    const auto at = std::find(members_.begin(), members_.end(), v);
+    rates_.erase(rates_.begin() + (at - members_.begin()));
+    members_.erase(at);
+    in_set_[v] = 0;
+    const double* cross = cross_row(v);
+    const char* shares = shares_row(v);
+    for (std::size_t b = 0; b < data_.size; ++b) {
+      interference_[b] = std::max(interference_[b] - cross[b], 0.0);
+      blocked_[b] -= shares[b];
+    }
+    weight_ = 0.0;
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      const auto rate = cached_rate(members_[i], interference_[members_[i]]);
+      MRWSN_ASSERT(rate.has_value(), "member of a feasible set lost its rate");
+      rates_[i] = *rate;
+      weight_ += data_.weight[members_[i]] * mbps(*rate);
+    }
+  }
+
+  void save() {
+    saved_interference_ = interference_;
+    saved_blocked_ = blocked_;
+    saved_members_ = members_;
+    saved_rates_ = rates_;
+    saved_weight_ = weight_;
+  }
+
+  void restore() {
+    for (std::size_t j : members_) in_set_[j] = 0;
+    interference_.swap(saved_interference_);
+    blocked_.swap(saved_blocked_);
+    members_.swap(saved_members_);
+    rates_.swap(saved_rates_);
+    weight_ = saved_weight_;
+    for (std::size_t j : members_) in_set_[j] = 1;
+  }
+
+  const PhysicalSearchData& data_;
+  const phy::PhyModel& phy_;
+  double weight_ = 0.0;
+  std::vector<double> interference_;  ///< by slot, >= 0
+  std::vector<int> blocked_;          ///< node-sharing member count
+  std::vector<char> in_set_;
+  std::vector<std::size_t> members_;  ///< slots, insertion order
+  std::vector<phy::RateIndex> rates_;  ///< parallel to members_
+  std::vector<phy::RateIndex> scored_rates_;  ///< the last score()'s rates
+  std::vector<RateBand> bands_;  ///< by slot; any start's
+
+  // Snapshot taken before each drop-one move.
+  std::vector<double> saved_interference_;
+  std::vector<int> saved_blocked_;
+  std::vector<std::size_t> saved_members_;
+  std::vector<phy::RateIndex> saved_rates_;
+  double saved_weight_ = 0.0;
+
+  std::vector<std::size_t> pass_members_;  ///< members at a pass's start
+  std::vector<double> key_;                ///< jittered key, by slot
+  std::vector<std::size_t> order_;         ///< slots in start order
+};
 
 /// Serial best-of reduction over per-start outcomes: maximum weight, ties
 /// to the lowest start index — identical at every MRWSN_THREADS.
@@ -1093,7 +1227,8 @@ MaxWeightSetResult max_weight_independent_set_physical(
     const PricingContext& context, std::span<const double> link_weight,
     double floor) {
   const PhysicalPricerData pricer = build_physical_data(context, link_weight);
-  const PhysicalSearchData data = build_physical_search_data(pricer);
+  PhysicalSearchData data = build_physical_search_data(pricer);
+  add_clique_cover(data);
   MaxWeightSetResult result;
   const auto best =
       run_roots<PhysicalRootSearch>(data, data.size, floor, &result.max_weight);
@@ -1140,13 +1275,20 @@ MaxWeightSetResult heuristic_weight_independent_set_protocol(
 MaxWeightSetResult heuristic_weight_independent_set_physical(
     const PricingContext& context, std::span<const double> link_weight,
     double floor, const HeuristicPricingParams& params) {
-  const PhysicalPricerData data = build_physical_data(context, link_weight);
+  const PhysicalPricerData pricer = build_physical_data(context, link_weight);
   MaxWeightSetResult result;
-  if (params.starts == 0 || data.order.empty()) return result;
+  if (params.starts == 0 || pricer.order.empty()) return result;
+  const PhysicalSearchData data = build_physical_search_data(pricer);
 
+  // Each worker reuses one search for a fixed stride of starts; a start's
+  // outcome depends only on its index, so the split cannot leak into it.
   std::vector<PhysicalStartOutcome> outcomes(params.starts);
-  util::parallel_for(params.starts, [&](std::size_t s) {
-    outcomes[s] = physical_heuristic_start(data, s);
+  const std::size_t workers =
+      std::min(util::configured_threads(), params.starts);
+  util::parallel_for(workers, [&](std::size_t w) {
+    PhysicalHeuristicSearch search(data);
+    for (std::size_t s = w; s < params.starts; s += workers)
+      outcomes[s] = search.run(s);
   });
 
   const std::size_t winner = pick_winner(outcomes);

@@ -19,12 +19,14 @@
 #      30% BM_AdmissionReplayWrite* ones — with 1e-6 parity verification
 #      built in, and bench_compare.py checks the report still covers the
 #      p50/p99/QPS/scenario-load metrics against the committed baseline.
-#   5. churn + commit + batch bench: BM_ChurnReadmit{Incremental,Rebuild}
-#      on the 100-node churn script, BM_CommitLatency/{128,1024,8192}, and
-#      BM_BatchAdmission{Warm,Cold,Sequential} (the 50-query replay on one
-#      engine through commit(), through a cold solve per query, and
+#   5. churn + commit + batch + pricing bench: BM_ChurnReadmit{Incremental,
+#      Rebuild} on the 100-node churn script, BM_CommitLatency/{128,1024,
+#      8192}, BM_BatchAdmission{Warm,Cold,Sequential} (the 50-query replay
+#      on one engine through commit(), through a cold solve per query, and
 #      through query() + add_background() as the admission controller
-#      drives it), with --require coverage guards for every family.
+#      drives it), and the pricing oracles BM_Pricing{Heuristic,Exact}
+#      (the 70 m chain args, plus Tier 1 on the scaled Fig. 4 universe),
+#      with --require coverage guards for every family.
 #   6. perfbench: the end-to-end benchmark's self-tests
 #      (perfbench/selftest.py: gate trips, metric names, short runs of
 #      every workload), then the scaled Fig. 4 study on seed 3 under a
@@ -35,7 +37,9 @@
 #      tree (build-nofast, sibling of build/) running the pinned
 #      column-generation suites — the stabilization and exact-only round
 #      counts, tiered-pricing thread-count identity, the phase A
-#      certificate sweeps and the effort caps. Those pins count rounds of
+#      certificate sweeps and the effort caps — and the physical Tier 1
+#      differential test against its mutate-and-revert oracle, whose
+#      rate shortcuts sit on SINR thresholds. Those pins count rounds of
 #      degenerate masters, so they must hold without -march=native
 #      floating-point contraction too, not just in the stage 1 tree.
 #
@@ -102,22 +106,24 @@ else
   "$REPO/tools/bench_archive.py" "$REPLAY_JSON" \
     --history "$REPO/BENCH_history" --label replay
 
-  echo "== ci stage 5: churn + commit-latency + batch bench + coverage guard =="
+  echo "== ci stage 5: churn + commit-latency + batch + pricing bench + coverage guard =="
   # Incremental topology repair vs cold rebuild on the 100-node churn
   # script, the structure-sharing commit-latency family at 128/1k/8k
   # background columns, and the batched admission replay warm (one engine
   # committing every decision), cold, and sequential (query() then
-  # add_background(), publishing on every read); the --require guards fail the gate
-  # if any side of a comparison silently drops out of the suite.
+  # add_background(), publishing on every read), and the Tier 1 / Tier 2
+  # pricing oracles; the --require guards fail the gate if any side of a
+  # comparison silently drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
     --require BM_CommitLatency --require BM_BatchAdmissionWarm \
-    --require BM_BatchAdmissionCold --require BM_BatchAdmissionSequential
+    --require BM_BatchAdmissionCold --require BM_BatchAdmissionSequential \
+    --require BM_PricingHeuristic --require BM_PricingExact
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi
@@ -130,6 +136,6 @@ echo "== ci stage 7: pinned column-generation tests, MRWSN_FAST_KERNELS=OFF =="
 NOFAST_BUILD="$REPO/build-nofast"
 cmake -B "$NOFAST_BUILD" -S "$REPO" -DMRWSN_FAST_KERNELS=OFF
 cmake --build "$NOFAST_BUILD" -j "$JOBS" --target test_core
-"$NOFAST_BUILD/tests/test_core" --gtest_filter='ColumnGenerationStabilization.*:TieredPricing.*:BackgroundCertificate.*:ColumnGenerationOptions.*'
+"$NOFAST_BUILD/tests/test_core" --gtest_filter='ColumnGenerationStabilization.*:TieredPricing.*:BackgroundCertificate.*:ColumnGenerationOptions.*:PhysicalHeuristic.*'
 
 echo "ci gate passed"
