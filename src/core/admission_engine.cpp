@@ -46,9 +46,11 @@ std::vector<std::size_t> scan_pool(const AdmissionEngine::PoolSeg& pool,
 }
 
 /// One query's Eq. 6 master (maximize f against the background rows and
-/// the query path), grown in place: f is VarId 0 and λ columns follow in
-/// arrival order, so every row stays sorted as columns append. Pricing
-/// runs over every link id, so the duals land at link-id positions.
+/// the query path), grown in place over its fixed part, eq6_master's
+/// single-path kSum layout: f is VarId 0, Σλ <= 1 is row 0, and λ columns
+/// follow in arrival order, so every row stays sorted as columns append.
+/// Pricing runs over every link id, so the duals land at link-id
+/// positions.
 /// Columns come from the snapshot's pool (Tier 0 and the warm-basis seed)
 /// or are generated here; `generated()` hands the latter back for the
 /// persistent pool.
@@ -56,23 +58,14 @@ class QueryMaster final : public ColGenMaster {
  public:
   QueryMaster(const AdmissionEngine::PoolSeg& pool,
               std::span<const net::LinkId> universe,
-              std::span<const int> position,
-              std::span<const net::LinkId> path,
-              const AdmissionEngine::DemandSeg& demand, lp::Engine engine)
+              std::span<const int> position, lp::Problem fixed,
+              lp::Engine engine)
       : pool_(pool),
         universe_(universe),
         position_(position),
         slot_of_pool_(pool.size(), -1),
-        engine_(engine) {
-    const lp::VarId f = master_.add_variable(1.0, "f");
-    master_.add_constraint({}, lp::Sense::kLessEqual, 1.0);
-    for (const net::LinkId link : universe) {
-      std::vector<std::pair<lp::VarId, double>> row;
-      if (std::find(path.begin(), path.end(), link) != path.end())
-        row.emplace_back(f, -1.0);
-      master_.add_constraint(row, lp::Sense::kGreaterEqual, demand[link]);
-    }
-  }
+        master_(std::move(fixed)),
+        engine_(engine) {}
 
   /// Take pool column `idx` into the master; returns its column slot
   /// (its VarId is 1 + slot).
@@ -146,7 +139,7 @@ class QueryMaster final : public ColGenMaster {
   std::vector<int> slot_of_pool_;  ///< by pool index; -1 = not taken
   std::set<std::vector<std::uint64_t>> seen_;  ///< every column's signature
   std::vector<IndependentSet> generated_;
-  lp::Problem master_{lp::Objective::kMaximize};
+  lp::Problem master_;
   lp::Engine engine_;
   lp::Basis basis_;
   lp::RevisedContext context_;
@@ -417,6 +410,7 @@ AdmissionAnswer AdmissionEngine::solve_query(
     std::span<const net::LinkId> path, double demand_mbps,
     const Snapshot& snap, std::vector<IndependentSet>* fresh_columns) const {
   MRWSN_REQUIRE(!path.empty(), "admission query needs a non-empty path");
+  require_distinct_links(path);
   AdmissionAnswer answer;
   answer.converged = snap.converged;
   if (!snap.feasible) return answer;  // Eq. 6 infeasible: nothing available
@@ -435,12 +429,16 @@ AdmissionAnswer AdmissionEngine::solve_query(
   universe.erase(std::unique(universe.begin(), universe.end()),
                  universe.end());
   std::vector<int> position(bg_demand.size(), -1);
+  std::vector<double> rhs(universe.size());
   for (std::size_t p = 0; p < universe.size(); ++p) {
     MRWSN_REQUIRE(universe[p] < bg_demand.size(),
                   "admission query references an unknown link");
     position[universe[p]] = static_cast<int>(p);
+    rhs[p] = bg_demand[universe[p]];
   }
-  QueryMaster master(pool, universe, position, path, bg_demand,
+  const std::span<const net::LinkId> paths[] = {path};
+  QueryMaster master(pool, universe, position,
+                     eq6_master(universe, paths, rhs, Eq6Pass::kSum).problem,
                      options_.engine);
 
   // The query's columns, seeded LEAN: exactly the basis-referenced

@@ -259,7 +259,8 @@ class AdmissionEngine {
 
   /// Thread-safe evaluate-only query against the latest published epoch.
   /// Never takes the commit lock; safe to call from any number of threads
-  /// concurrently with one another and with commit()/evict().
+  /// concurrently with one another and with commit()/evict(). Like every
+  /// answer, throws PreconditionError for a path that lists a link twice.
   AdmissionAnswer evaluate(std::span<const net::LinkId> path,
                            double demand_mbps);
 
@@ -344,7 +345,8 @@ class AdmissionEngine {
   /// the dual-simplex row re-solve into the pricing loop.
   void refresh_background();
   /// Answer one query against `snap`; columns it generated land in
-  /// `fresh_columns` for the caller to merge or shelve.
+  /// `fresh_columns` for the caller to merge or shelve. Rejects a path
+  /// that lists a link twice before looking at the snapshot.
   AdmissionAnswer solve_query(std::span<const net::LinkId> path,
                               double demand_mbps, const Snapshot& snap,
                               std::vector<IndependentSet>* fresh_columns) const;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "core/colgen_driver.hpp"
@@ -29,9 +31,13 @@ constexpr double kPhaseATol = 1e-7;
 /// near-duplicates.
 constexpr std::size_t kStashTier0Cap = 4;
 
-std::vector<net::LinkId> union_of_links(std::span<const LinkFlow> background,
-                                        std::span<const net::LinkId> new_path) {
-  std::vector<net::LinkId> universe(new_path.begin(), new_path.end());
+/// Sorted, deduplicated links of the new paths and the background flows.
+std::vector<net::LinkId> union_of_links(
+    std::span<const LinkFlow> background,
+    std::span<const std::span<const net::LinkId>> paths) {
+  std::vector<net::LinkId> universe;
+  for (const std::span<const net::LinkId> path : paths)
+    universe.insert(universe.end(), path.begin(), path.end());
   for (const LinkFlow& flow : background)
     universe.insert(universe.end(), flow.links.begin(), flow.links.end());
   std::sort(universe.begin(), universe.end());
@@ -52,15 +58,12 @@ std::vector<ScheduledSet> extract_schedule(const std::vector<IndependentSet>& se
   return schedule;
 }
 
-// ---------------------------------------------------------------------------
-// Column generation
-// ---------------------------------------------------------------------------
-
-/// The λ columns one solve's masters share (phase A, phase B, the joint
-/// passes), with a signature guard so numerically stalled pricing
-/// (regenerating an existing column off dual round-off) is detected
-/// instead of looping, plus the Tier 0 stash of priced-but-unpromoted
-/// candidates (the exact oracle's runner-up extras).
+/// The λ columns one solve's masters share (phase A and the passes), with
+/// a signature guard so numerically stalled pricing (regenerating an
+/// existing column off dual round-off) is detected instead of looping,
+/// plus the Tier 0 stash of priced-but-unpromoted candidates (the exact
+/// oracle's runner-up extras). Under full enumeration the pool is every
+/// maximal set, distinct by construction, and neither guard runs.
 struct ColumnPool {
   std::vector<IndependentSet> sets;
   std::set<std::vector<std::uint64_t>> signatures;
@@ -84,14 +87,14 @@ struct ColumnPool {
   }
 };
 
-/// One restricted master of a one-shot solve, grown in place over a
-/// ColumnPool. The caller builds its fixed part — the leading variables
-/// (f, t or the artificial slacks) and every row, the Σλ <= 1 row at
-/// `row0` followed by one row per universe link — and the master appends
-/// one λ column per pool column, now and as pricing grows the pool. λ ids
-/// therefore follow pool order after the fixed variables, so the saved
-/// basis stays valid across re-solves, and the rows hold the same sorted
-/// terms a from-scratch build would.
+/// One master of a one-shot solve, grown in place over a ColumnPool. The
+/// caller builds its fixed part — the leading variables (f, t or the
+/// artificial slacks) and every row, the Σλ <= 1 row at `row0` followed
+/// by one row per universe link — and the master appends one λ column per
+/// pool column, now and as pricing grows the pool. λ ids therefore follow
+/// pool order after the fixed variables, so the saved basis stays valid
+/// across re-solves, and the rows hold the same sorted terms a
+/// from-scratch build would.
 class PoolMaster final : public ColGenMaster {
  public:
   PoolMaster(lp::Problem fixed, std::size_t row0,
@@ -192,55 +195,81 @@ class PoolMaster final : public ColGenMaster {
   lp::RevisedContext context_;
 };
 
-/// One column-generation solve: the pool its masters share — seeded with
-/// one singleton column per universe link that can carry traffic at all, a
-/// cheap cover that makes every later master feasible — the driver, and
-/// the stats every run accumulates into (so the effort caps span the
-/// solve).
+/// Resolve kAuto: enumeration for small universes, column generation once
+/// materializing every maximal set would dominate the solve.
+bool use_column_generation(SolveMethod method, std::size_t universe_size) {
+  switch (method) {
+    case SolveMethod::kFullEnumeration:
+      return false;
+    case SolveMethod::kColumnGeneration:
+      return true;
+    case SolveMethod::kAuto:
+      return universe_size > kAutoColumnGenThreshold;
+  }
+  return false;
+}
+
+/// One Eq. 6 solve's column pool and how its masters are solved. Column
+/// generation seeds the pool with one singleton column per universe link
+/// that can carry traffic at all, a cheap cover that makes every later
+/// master feasible, and runs each master through the driver, whose stats
+/// accumulate over the solve (so the effort caps span it). Full
+/// enumeration seeds the pool with every maximal independent set of the
+/// universe and solves each master once, with no pricing.
 class OneShot {
  public:
   OneShot(const InterferenceModel& model, std::span<const net::LinkId> universe,
-          const ColumnGenOptions& options, ColumnGenStats* stats)
-      : universe_(universe),
-        options_(options),
-        stats_(stats),
-        driver_(model, universe, options) {
+          bool column_generation, const ColumnGenOptions& options,
+          ColumnGenStats* stats)
+      : universe_(universe), options_(options), stats_(stats) {
+    if (!column_generation) {
+      pool_.sets = model.maximal_independent_sets(universe);
+      return;
+    }
     stats->used = true;
+    driver_.emplace(model, universe, options);
     for (net::LinkId link : universe)
       if (auto set = singleton_column(model, link)) pool_.add(std::move(*set));
   }
 
   const std::vector<IndependentSet>& columns() const { return pool_.sets; }
 
-  /// Run the master whose fixed part is `fixed` (see PoolMaster).
+  /// Solve the master whose fixed part is `fixed` (see PoolMaster).
   ColGenOutcome run(lp::Problem fixed, std::size_t row0,
                     const ColGenStop& stop = nullptr) {
     PoolMaster master(std::move(fixed), row0, universe_, &pool_, options_,
                       stats_);
-    return driver_.run(master, stats_, stop);
+    if (driver_) return driver_->run(master, stats_, stop);
+    ColGenOutcome out;
+    out.solution = master.solve();
+    out.solved = out.converged = out.solution.optimal();
+    return out;
   }
 
   /// Phase A of a two-phase column generation: can the background demands
-  /// alone be delivered? Minimizes the sum of per-demanded-link artificial
-  /// slacks. A zero optimum means the pool now delivers the background; a
-  /// positive lower bound on the optimum — an exact round's Lagrangian
-  /// bound (DESIGN.md §9, "Phase A certificate") or convergence — proves
-  /// it undeliverable. False (proven or capped) means no phase B;
-  /// the stats' `converged` then says which.
-  bool phase_a(std::span<const double> bg_demand) {
+  /// (`rhs`, by universe position) alone be delivered? Minimizes the sum
+  /// of per-demanded-link artificial slacks. A zero optimum means the pool
+  /// now delivers the background; a positive lower bound on the optimum —
+  /// an exact round's Lagrangian bound (DESIGN.md §9, "Phase A
+  /// certificate") or convergence — proves it undeliverable. False (proven
+  /// or capped) means no passes; the stats' `converged` then says which.
+  /// Enumeration has no phase A: its masters are infeasible exactly when
+  /// the background is undeliverable.
+  bool phase_a(std::span<const double> rhs) {
+    if (!driver_) return true;
     // One artificial slack per demanded link, ahead of the λ columns.
     lp::Problem problem(lp::Objective::kMinimize);
-    for (net::LinkId link : universe_)
-      if (bg_demand[link] > 0.0)
+    for (const double demand : rhs)
+      if (demand > 0.0)
         problem.add_variable(1.0, "s" + std::to_string(problem.num_variables()));
     stats_->converged = true;
     if (problem.num_variables() == 0) return true;
     problem.add_constraint({}, lp::Sense::kLessEqual, 1.0);
     lp::VarId next_slack = 0;
-    for (net::LinkId link : universe_) {
+    for (const double demand : rhs) {
       std::vector<std::pair<lp::VarId, double>> row;
-      if (bg_demand[link] > 0.0) row.emplace_back(next_slack++, 1.0);
-      problem.add_constraint(row, lp::Sense::kGreaterEqual, bg_demand[link]);
+      if (demand > 0.0) row.emplace_back(next_slack++, 1.0);
+      problem.add_constraint(row, lp::Sense::kGreaterEqual, demand);
     }
     const ColGenOutcome result =
         run(std::move(problem), /*row0=*/0, [](double objective, double bound) {
@@ -256,143 +285,90 @@ class OneShot {
   const ColumnGenOptions& options_;
   ColumnGenStats* stats_;
   ColumnPool pool_;
-  ColGenDriver driver_;
+  std::optional<ColGenDriver> driver_;
 };
 
-/// Column-generation solve of Eq. 6 for one new path. Same contract and
-/// result layout as the enumeration path of max_path_bandwidth.
-AvailableBandwidthResult max_path_bandwidth_colgen(
-    const InterferenceModel& model, std::span<const net::LinkId> new_path,
-    const std::vector<net::LinkId>& universe,
-    const std::vector<double>& bg_demand, const ColumnGenOptions& options) {
-  AvailableBandwidthResult result;
-  OneShot solve(model, universe, options, &result.colgen);
-  const bool feasible = solve.phase_a(bg_demand);
-  result.num_independent_sets = solve.columns().size();
-  if (!feasible) return result;
-
-  // Phase B: maximize f over the same rows. The master is always feasible
-  // (phase A left the pool delivering the background with f = 0) and
-  // bounded (Σλ <= 1 caps f through the new path's rows), so the run
-  // either converges or hits the effort caps.
-  lp::Problem problem(lp::Objective::kMaximize);
-  const lp::VarId f = problem.add_variable(1.0, "f");
-  problem.add_constraint({}, lp::Sense::kLessEqual, 1.0);
-  for (net::LinkId link : universe) {
-    std::vector<std::pair<lp::VarId, double>> row;
-    if (std::find(new_path.begin(), new_path.end(), link) != new_path.end())
-      row.emplace_back(f, -1.0);
-    problem.add_constraint(row, lp::Sense::kGreaterEqual, bg_demand[link]);
-  }
-  const bool phase_a_converged = result.colgen.converged;
-  const ColGenOutcome phase_b = solve.run(std::move(problem), /*row0=*/0);
-  MRWSN_ASSERT(phase_b.solved, "phase B master cannot be infeasible");
-  result.colgen.converged = phase_a_converged && phase_b.converged;
-  result.num_independent_sets = solve.columns().size();
-
-  result.background_feasible = true;
-  result.available_mbps = phase_b.solution.objective;
-  result.schedule = extract_schedule(solve.columns(), phase_b.solution, 1);
-  result.airtime_shadow_price = phase_b.solution.dual(0);
-  for (std::size_t k = 0; k < universe.size(); ++k) {
-    const double price = -phase_b.solution.dual(1 + k);
-    result.link_shadow_prices.emplace_back(
-        universe[k], price > kTimeShareFloor ? price : 0.0);
-  }
-  return result;
-}
-
-/// Column-generation solve of the joint (multi-new-flow) variant. Mirrors
-/// the enumeration path's pass structure — kMaxMin runs the lexicographic
-/// floor pass then the sum pass with the floor pinned — with one shared
-/// column pool across passes and a warm chain per pass (the passes' row
-/// structures differ, so a basis never crosses passes).
-JointBandwidthResult max_joint_bandwidth_colgen(
-    const InterferenceModel& model,
-    std::span<const std::vector<net::LinkId>> new_paths,
-    JointObjective objective, const std::vector<net::LinkId>& universe,
-    const std::vector<double>& bg_demand, const ColumnGenOptions& options) {
+struct Eq6Solve {
   JointBandwidthResult result;
-  OneShot solve(model, universe, options, &result.colgen);
-  const bool feasible = solve.phase_a(bg_demand);
+  std::vector<net::LinkId> universe;
+  lp::Solution last;  ///< the final pass's master solution, when feasible
+};
+
+/// The one Eq. 6 solve: the joint LP of §2.5 over the new `paths` against
+/// the background, of which single-path Eq. 6 is the J = 1 max-sum case.
+/// kMaxSum is one pass; kMaxMin is the lexicographic floor pass, then the
+/// sum pass with the floor pinned. Every pass builds its fixed part with
+/// eq6_master and solves it over the one pool, with a warm chain per pass
+/// under column generation (the passes' row structures differ, so a basis
+/// never crosses passes).
+Eq6Solve solve_eq6(const InterferenceModel& model,
+                   std::span<const LinkFlow> background,
+                   std::span<const std::span<const net::LinkId>> paths,
+                   JointObjective objective, SolveMethod method,
+                   const ColumnGenOptions& options) {
+  for (const std::span<const net::LinkId> path : paths) {
+    MRWSN_REQUIRE(!path.empty(), "every new path needs at least one link");
+    require_distinct_links(path);
+  }
+  Eq6Solve out;
+  out.universe = union_of_links(background, paths);
+  const std::vector<net::LinkId>& universe = out.universe;
+  const std::vector<double> bg_demand = accumulate_link_demands(model, background);
+  std::vector<double> rhs;
+  rhs.reserve(universe.size());
+  for (const net::LinkId link : universe) rhs.push_back(bg_demand[link]);
+
+  JointBandwidthResult& result = out.result;
+  OneShot solve(model, universe, use_column_generation(method, universe.size()),
+                options, &result.colgen);
+  const bool feasible = solve.phase_a(rhs);
   result.num_independent_sets = solve.columns().size();
-  if (!feasible) return result;
+  if (!feasible) return out;
 
-  const std::size_t num_paths = new_paths.size();
-  bool all_converged = result.colgen.converged;
+  // After phase A every column-generation master is feasible (the pool
+  // delivers the background with every f_j = 0) and bounded (Σλ <= 1 caps
+  // each f_j through its path's rows), so a run either converges or hits
+  // the effort caps. An enumeration master is infeasible exactly when the
+  // background demands alone are unschedulable.
+  std::vector<Eq6Pass> passes{Eq6Pass::kSum};
+  if (objective == JointObjective::kMaxMin)
+    passes = {Eq6Pass::kFloor, Eq6Pass::kSumAtFloor};
+  bool converged = result.colgen.converged;
   double floor = 0.0;
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool floor_pass = objective == JointObjective::kMaxMin && pass == 0;
-    if (pass == 1 && objective == JointObjective::kMaxSum) break;
-
-    // Fixed variables: f_0..f_{J-1}, then t on the floor pass; λ columns
-    // follow. kMaxMin passes carry J extra leading rows (f_j - t >= 0 on
-    // the floor pass, the pinned floor afterwards), shifting the Σλ row
-    // and the link rows by J.
-    lp::Problem problem(lp::Objective::kMaximize);
-    for (std::size_t j = 0; j < num_paths; ++j)
-      problem.add_variable(floor_pass ? 0.0 : 1.0, "f" + std::to_string(j));
-    if (floor_pass) {
-      const lp::VarId t = problem.add_variable(1.0, "t");
-      for (lp::VarId fj = 0; fj < t; ++fj)
-        problem.add_constraint({{fj, 1.0}, {t, -1.0}},
-                               lp::Sense::kGreaterEqual, 0.0);
-    } else if (objective == JointObjective::kMaxMin) {
-      for (std::size_t j = 0; j < num_paths; ++j)
-        problem.add_constraint({{static_cast<lp::VarId>(j), 1.0}},
-                               lp::Sense::kGreaterEqual, floor - 1e-9);
+  for (const Eq6Pass pass : passes) {
+    Eq6Master fixed = eq6_master(universe, paths, rhs, pass, floor);
+    const std::size_t first_lambda = fixed.problem.num_variables();
+    ColGenOutcome run = solve.run(std::move(fixed.problem), fixed.row0);
+    if (!run.solved) {
+      MRWSN_ASSERT(!result.colgen.used,
+                   "a column-generation Eq. 6 master cannot be infeasible");
+      MRWSN_REQUIRE(run.solution.status != lp::Status::kIterationLimit,
+                    "enumeration LP exceeded the pivot budget; solve "
+                    "universes this large with SolveMethod::kColumnGeneration");
+      MRWSN_ASSERT(run.solution.status == lp::Status::kInfeasible,
+                   "Eq. 6 LP cannot be unbounded");
+      return out;
     }
-    const std::size_t row0 = problem.num_constraints();
-    const std::size_t first_lambda = problem.num_variables();
-    problem.add_constraint({}, lp::Sense::kLessEqual, 1.0);
-    for (net::LinkId link : universe) {
-      std::vector<std::pair<lp::VarId, double>> row;
-      for (std::size_t j = 0; j < num_paths; ++j) {
-        const auto count =
-            std::count(new_paths[j].begin(), new_paths[j].end(), link);
-        if (count > 0)
-          row.emplace_back(static_cast<lp::VarId>(j),
-                           -static_cast<double>(count));
-      }
-      problem.add_constraint(row, lp::Sense::kGreaterEqual, bg_demand[link]);
-    }
-    const ColGenOutcome pass_result = solve.run(std::move(problem), row0);
-    MRWSN_ASSERT(pass_result.solved, "joint master solve cannot fail");
-    all_converged = all_converged && pass_result.converged;
-    if (floor_pass) {
+    converged = converged && run.converged;
+    if (pass == Eq6Pass::kFloor) {
       // t is the variable right after the f_j block.
-      floor = pass_result.solution.value(static_cast<lp::VarId>(num_paths));
+      floor = run.solution.value(static_cast<lp::VarId>(paths.size()));
       continue;
     }
     result.background_feasible = true;
-    result.per_path_mbps.clear();
-    result.total_mbps = 0.0;
-    for (std::size_t j = 0; j < num_paths; ++j) {
-      const double mbps =
-          pass_result.solution.value(static_cast<lp::VarId>(j));
+    for (std::size_t j = 0; j < paths.size(); ++j) {
+      const double mbps = run.solution.value(static_cast<lp::VarId>(j));
       result.per_path_mbps.push_back(mbps);
       result.total_mbps += mbps;
     }
     result.schedule =
-        extract_schedule(solve.columns(), pass_result.solution, first_lambda);
+        extract_schedule(solve.columns(), run.solution, first_lambda);
+    out.last = std::move(run.solution);
   }
-  result.colgen.converged = all_converged;
+  // Under enumeration `converged` starts false and stays false.
+  result.colgen.converged = converged;
   result.num_independent_sets = solve.columns().size();
-  return result;
-}
-
-/// Resolve kAuto: enumeration for small universes, column generation once
-/// materializing every maximal set would dominate the solve.
-bool use_column_generation(SolveMethod method, std::size_t universe_size) {
-  switch (method) {
-    case SolveMethod::kFullEnumeration:
-      return false;
-    case SolveMethod::kColumnGeneration:
-      return true;
-    case SolveMethod::kAuto:
-      return universe_size > kAutoColumnGenThreshold;
-  }
-  return false;
+  return out;
 }
 
 }  // namespace
@@ -415,71 +391,26 @@ AvailableBandwidthResult max_path_bandwidth(const InterferenceModel& model,
                                             std::span<const net::LinkId> new_path,
                                             SolveMethod method,
                                             const ColumnGenOptions& options) {
-  MRWSN_REQUIRE(!new_path.empty(), "the new path needs at least one link");
-  const std::vector<net::LinkId> universe = union_of_links(background, new_path);
-  const std::vector<double> bg_demand = accumulate_link_demands(model, background);
-  if (use_column_generation(method, universe.size()))
-    return max_path_bandwidth_colgen(model, new_path, universe, bg_demand,
-                                     options);
-  const std::vector<IndependentSet> sets = model.maximal_independent_sets(universe);
-
+  const std::span<const net::LinkId> paths[] = {new_path};
+  Eq6Solve solve = solve_eq6(model, background, paths, JointObjective::kMaxSum,
+                             method, options);
   AvailableBandwidthResult result;
-  result.num_independent_sets = sets.size();
+  result.background_feasible = solve.result.background_feasible;
+  result.schedule = std::move(solve.result.schedule);
+  result.num_independent_sets = solve.result.num_independent_sets;
+  result.colgen = solve.result.colgen;
+  if (!result.background_feasible) return result;
 
-  // Eq. 6:  maximize f
-  //   s.t.  Σ_α λ_α <= 1
-  //         Σ_α λ_α R*_α[e] - Σ_k x_k I_e(P_k) - f I_e(P_new) >= 0  ∀ e ∈ P
-  //         λ >= 0, f >= 0
-  lp::Problem problem(lp::Objective::kMaximize);
-  std::vector<lp::VarId> lambda;
-  lambda.reserve(sets.size());
-  for (std::size_t i = 0; i < sets.size(); ++i)
-    lambda.push_back(problem.add_variable(0.0, "lambda" + std::to_string(i)));
-  const lp::VarId f = problem.add_variable(1.0, "f");
-
-  {
-    std::vector<std::pair<lp::VarId, double>> total_time;
-    for (lp::VarId id : lambda) total_time.emplace_back(id, 1.0);
-    problem.add_constraint(total_time, lp::Sense::kLessEqual, 1.0);
-  }
-
-  for (net::LinkId link : universe) {
-    std::vector<std::pair<lp::VarId, double>> row;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      const double mbps = sets[i].mbps_on(link);
-      if (mbps > 0.0) row.emplace_back(lambda[i], mbps);
-    }
-    const bool on_new_path =
-        std::find(new_path.begin(), new_path.end(), link) != new_path.end();
-    if (on_new_path) row.emplace_back(f, -1.0);
-    problem.add_constraint(row, lp::Sense::kGreaterEqual, bg_demand[link]);
-  }
-
-  const lp::Solution solution = lp::solve(problem);
-  if (solution.status != lp::Status::kOptimal) {
-    MRWSN_REQUIRE(solution.status != lp::Status::kIterationLimit,
-                  "enumeration LP exceeded the pivot budget; solve universes "
-                  "this large with SolveMethod::kColumnGeneration");
-    // With f free to be 0 the LP is infeasible only when the background
-    // demands alone are unschedulable; it can never be unbounded
-    // (Σλ <= 1 caps f through the new path's constraints).
-    MRWSN_ASSERT(solution.status == lp::Status::kInfeasible,
-                 "Eq. 6 LP cannot be unbounded");
-    return result;
-  }
-
-  result.background_feasible = true;
-  result.available_mbps = solution.objective;
-  result.schedule = extract_schedule(sets, solution, 0);
-  // Constraint 0 is Σλ <= 1; constraints 1.. are the per-link rows in
-  // universe order. The link rows are >=-sense, so their duals are <= 0
-  // for this maximization; negate to report "bandwidth lost per extra
-  // Mbps of background demand".
-  result.airtime_shadow_price = solution.dual(0);
-  for (std::size_t k = 0; k < universe.size(); ++k) {
-    const double price = -solution.dual(1 + k);
-    result.link_shadow_prices.emplace_back(universe[k],
-                                           price > kTimeShareFloor ? price : 0.0);
+  result.available_mbps = solve.result.total_mbps;
+  // Row 0 is Σλ <= 1; rows 1.. are the per-link rows in universe order.
+  // The link rows are >=-sense, so their duals are <= 0 for this
+  // maximization; negate to report "bandwidth lost per extra Mbps of
+  // background demand".
+  result.airtime_shadow_price = solve.last.dual(0);
+  for (std::size_t k = 0; k < solve.universe.size(); ++k) {
+    const double price = -solve.last.dual(1 + k);
+    result.link_shadow_prices.emplace_back(
+        solve.universe[k], price > kTimeShareFloor ? price : 0.0);
   }
   return result;
 }
@@ -490,95 +421,10 @@ JointBandwidthResult max_joint_bandwidth(
     JointObjective objective, SolveMethod method,
     const ColumnGenOptions& options) {
   MRWSN_REQUIRE(!new_paths.empty(), "need at least one new path");
-  for (const auto& path : new_paths)
-    MRWSN_REQUIRE(!path.empty(), "every new path needs at least one link");
-
-  std::vector<net::LinkId> universe;
-  for (const auto& path : new_paths)
-    universe.insert(universe.end(), path.begin(), path.end());
-  for (const LinkFlow& flow : background)
-    universe.insert(universe.end(), flow.links.begin(), flow.links.end());
-  std::sort(universe.begin(), universe.end());
-  universe.erase(std::unique(universe.begin(), universe.end()), universe.end());
-  const std::vector<double> bg_demand = accumulate_link_demands(model, background);
-  if (use_column_generation(method, universe.size()))
-    return max_joint_bandwidth_colgen(model, new_paths, objective, universe,
-                                      bg_demand, options);
-
-  const std::vector<IndependentSet> sets = model.maximal_independent_sets(universe);
-
-  JointBandwidthResult result;
-  result.num_independent_sets = sets.size();
-
-  // Two passes for kMaxMin (floor first, then sum at the pinned floor);
-  // one pass for kMaxSum (floor constraint disabled with floor = 0 and
-  // sum objective directly).
-  double floor = 0.0;
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool floor_pass = objective == JointObjective::kMaxMin && pass == 0;
-    if (pass == 1 && objective == JointObjective::kMaxSum) break;
-
-    lp::Problem problem(lp::Objective::kMaximize);
-    std::vector<lp::VarId> lambda;
-    for (std::size_t i = 0; i < sets.size(); ++i)
-      lambda.push_back(problem.add_variable(0.0));
-    std::vector<lp::VarId> f;
-    for (std::size_t j = 0; j < new_paths.size(); ++j)
-      f.push_back(problem.add_variable(floor_pass ? 0.0 : 1.0,
-                                       "f" + std::to_string(j)));
-    lp::VarId t = -1;
-    if (floor_pass) {
-      t = problem.add_variable(1.0, "t");
-      for (lp::VarId fj : f)
-        problem.add_constraint({{fj, 1.0}, {t, -1.0}}, lp::Sense::kGreaterEqual,
-                               0.0);
-    } else if (objective == JointObjective::kMaxMin) {
-      for (lp::VarId fj : f)
-        problem.add_constraint({{fj, 1.0}}, lp::Sense::kGreaterEqual,
-                               floor - 1e-9);
-    }
-
-    {
-      std::vector<std::pair<lp::VarId, double>> row;
-      for (lp::VarId id : lambda) row.emplace_back(id, 1.0);
-      problem.add_constraint(row, lp::Sense::kLessEqual, 1.0);
-    }
-    for (net::LinkId link : universe) {
-      std::vector<std::pair<lp::VarId, double>> row;
-      for (std::size_t i = 0; i < sets.size(); ++i) {
-        const double mbps = sets[i].mbps_on(link);
-        if (mbps > 0.0) row.emplace_back(lambda[i], mbps);
-      }
-      for (std::size_t j = 0; j < new_paths.size(); ++j) {
-        const auto count = std::count(new_paths[j].begin(), new_paths[j].end(), link);
-        if (count > 0) row.emplace_back(f[j], -static_cast<double>(count));
-      }
-      problem.add_constraint(row, lp::Sense::kGreaterEqual, bg_demand[link]);
-    }
-
-    const lp::Solution solution = lp::solve(problem);
-    if (solution.status != lp::Status::kOptimal) {
-      MRWSN_REQUIRE(solution.status != lp::Status::kIterationLimit,
-                    "enumeration LP exceeded the pivot budget; solve "
-                    "universes this large with SolveMethod::kColumnGeneration");
-      MRWSN_ASSERT(solution.status == lp::Status::kInfeasible,
-                   "joint LP cannot be unbounded");
-      return result;
-    }
-    if (floor_pass) {
-      floor = solution.value(t);
-      continue;
-    }
-    result.background_feasible = true;
-    result.per_path_mbps.clear();
-    result.total_mbps = 0.0;
-    for (std::size_t j = 0; j < new_paths.size(); ++j) {
-      result.per_path_mbps.push_back(solution.value(f[j]));
-      result.total_mbps += solution.value(f[j]);
-    }
-    result.schedule = extract_schedule(sets, solution, 0);
-  }
-  return result;
+  const std::vector<std::span<const net::LinkId>> paths(new_paths.begin(),
+                                                        new_paths.end());
+  return solve_eq6(model, background, paths, objective, method, options)
+      .result;
 }
 
 double path_capacity(const InterferenceModel& model,

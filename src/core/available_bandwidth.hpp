@@ -68,7 +68,6 @@ struct ColumnGenOptions {
   /// was an exact B&B call.
   std::size_t max_rounds = 2048;
   std::size_t max_columns = 4096;  ///< column-pool size cap
-  double reduced_cost_tol = 1e-7;  ///< entering-column reduced-cost cutoff
 
   /// Pricing pipeline (see PricingMode). Tiered by default; exact-only is
   /// the reference path and the right choice for tiny universes where the
@@ -155,7 +154,9 @@ struct AvailableBandwidthResult {
 /// `method` picks the solver: kAuto uses column generation once the link
 /// universe outgrows a small threshold (full MIS enumeration is exponential
 /// in it) and enumeration below, where materializing the few sets is
-/// cheaper than iterating. Both solvers reach the same optimum.
+/// cheaper than iterating. Both solvers reach the same optimum. The answer
+/// is max_joint_bandwidth's for {new_path} under kMaxSum, bit for bit,
+/// plus the shadow prices. A path that lists a link twice is rejected.
 AvailableBandwidthResult max_path_bandwidth(
     const InterferenceModel& model, std::span<const LinkFlow> background,
     std::span<const net::LinkId> new_path,
@@ -192,7 +193,7 @@ struct JointBandwidthResult {
 /// objective over (f_1 ... f_J) subject to the same schedulability and
 /// background-delivery constraints. kMaxMin solves two LPs (the standard
 /// lexicographic max-min: first the floor, then the sum with the floor
-/// pinned).
+/// pinned). A path that lists a link twice is rejected.
 JointBandwidthResult max_joint_bandwidth(
     const InterferenceModel& model, std::span<const LinkFlow> background,
     std::span<const std::vector<net::LinkId>> new_paths,

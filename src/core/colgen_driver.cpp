@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
+
+#include "util/error.hpp"
 
 namespace mrwsn::core {
 
@@ -24,7 +27,58 @@ constexpr double kDualNoiseTol = 1e-12;
 constexpr double kSmoothingAlpha = 0.3;
 constexpr std::size_t kSmoothingWarmup = 8;
 
+/// Entering-column reduced-cost cutoff.
+constexpr double kReducedCostTol = 1e-7;
+
 }  // namespace
+
+void require_distinct_links(std::span<const net::LinkId> path) {
+  std::vector<net::LinkId> sorted(path.begin(), path.end());
+  std::sort(sorted.begin(), sorted.end());
+  MRWSN_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                    sorted.end(),
+                "a new path cannot list a link twice");
+}
+
+Eq6Master eq6_master(std::span<const net::LinkId> universe,
+                     std::span<const std::span<const net::LinkId>> paths,
+                     std::span<const double> rhs, Eq6Pass pass,
+                     double floor) {
+  MRWSN_ASSERT(rhs.size() == universe.size(), "one rhs per universe link");
+  const bool floor_pass = pass == Eq6Pass::kFloor;
+  Eq6Master out{lp::Problem(lp::Objective::kMaximize)};
+  lp::Problem& problem = out.problem;
+  for (std::size_t j = 0; j < paths.size(); ++j)
+    problem.add_variable(floor_pass ? 0.0 : 1.0, "f" + std::to_string(j));
+  if (floor_pass) {
+    const lp::VarId t = problem.add_variable(1.0, "t");
+    for (lp::VarId fj = 0; fj < t; ++fj)
+      problem.add_constraint({{fj, 1.0}, {t, -1.0}}, lp::Sense::kGreaterEqual,
+                             0.0);
+  } else if (pass == Eq6Pass::kSumAtFloor) {
+    for (std::size_t j = 0; j < paths.size(); ++j)
+      problem.add_constraint({{static_cast<lp::VarId>(j), 1.0}},
+                             lp::Sense::kGreaterEqual, floor - 1e-9);
+  }
+  out.row0 = problem.num_constraints();
+  problem.add_constraint({}, lp::Sense::kLessEqual, 1.0);
+
+  // The f_j terms of each link row, by universe position.
+  std::vector<std::vector<std::pair<lp::VarId, double>>> terms(universe.size());
+  for (std::size_t j = 0; j < paths.size(); ++j) {
+    require_distinct_links(paths[j]);
+    for (const net::LinkId link : paths[j]) {
+      const auto it = std::lower_bound(universe.begin(), universe.end(), link);
+      MRWSN_ASSERT(it != universe.end() && *it == link,
+                   "the universe holds every path link");
+      terms[static_cast<std::size_t>(it - universe.begin())].emplace_back(
+          static_cast<lp::VarId>(j), -1.0);
+    }
+  }
+  for (std::size_t k = 0; k < universe.size(); ++k)
+    problem.add_constraint(terms[k], lp::Sense::kGreaterEqual, rhs[k]);
+  return out;
+}
 
 ColGenDriver::ColGenDriver(const InterferenceModel& model,
                            std::span<const net::LinkId> universe,
@@ -81,8 +135,7 @@ bool ColGenDriver::price(ColGenMaster& master,
       w = 0.0;
     }
   }
-  const double floor =
-      std::max(0.0, -sign * duals[0]) + options_.reduced_cost_tol;
+  const double floor = std::max(0.0, -sign * duals[0]) + kReducedCostTol;
 
   // Tier 0: the master's store of already-priced columns — no search.
   for (std::size_t k = 0; k < universe_.size(); ++k)

@@ -61,6 +61,33 @@ class Tier0Ranking {
   std::vector<std::pair<double, std::size_t>> scored_;
 };
 
+/// The passes of an Eq. 6 solve: max-sum is one kSum pass; max-min is a
+/// kFloor pass, then a kSumAtFloor pass with the floor pinned.
+enum class Eq6Pass { kSum, kFloor, kSumAtFloor };
+
+/// The fixed part of one Eq. 6 master; λ columns are appended after it.
+struct Eq6Master {
+  lp::Problem problem;
+  std::size_t row0 = 0;  ///< the Σλ <= 1 row; link rows follow it
+};
+
+/// The one builder of the Eq. 6 row layout, for the one-shot solves and
+/// AdmissionEngine's query master alike. Variables: f_0 .. f_{J-1}, one
+/// per new path, then t on a kFloor pass. Rows: on the max-min passes J
+/// leading rows (f_j − t >= 0 on kFloor, f_j >= floor − 1e-9 on
+/// kSumAtFloor); then Σλ <= 1 at row0; then, for universe position k,
+/// Σ_α λ_α R_α[e_k] − Σ_j f_j I_e_k(P_j) >= rhs[k]. `universe` is
+/// strictly ascending and holds every path link; a path that lists a link
+/// twice is rejected (see require_distinct_links).
+Eq6Master eq6_master(std::span<const net::LinkId> universe,
+                     std::span<const std::span<const net::LinkId>> paths,
+                     std::span<const double> rhs, Eq6Pass pass,
+                     double floor = 0.0);
+
+/// Throws PreconditionError when `path` lists a link more than once: every
+/// Eq. 6 entry point counts a new path's use of a link once.
+void require_distinct_links(std::span<const net::LinkId> path);
+
 /// Optional early stop, given the objective and a Lagrangian bound on the
 /// full master's optimum (below it when minimizing, above it when
 /// maximizing; infinite when the round proved none). True ends the run
@@ -73,8 +100,8 @@ struct ColGenOutcome {
   bool converged = false;  ///< optimal over all columns, or stopped early
 };
 
-/// The one restricted-master / pricing loop: the one-shot solver's phase A,
-/// phase B and joint masters and both AdmissionEngine masters run here.
+/// The one restricted-master / pricing loop: the one-shot solver's phase A
+/// and pass masters and both AdmissionEngine masters run here.
 /// It owns
 ///  - the effort caps, checked after each solve: `stats->rounds` reaching
 ///    max_rounds (callers may carry rounds over between runs) or the

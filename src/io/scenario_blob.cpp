@@ -192,14 +192,6 @@ void save_scenario_blob(const ScenarioFile& scenario, const std::string& path) {
   MRWSN_REQUIRE(file.good(), "short write to scenario blob file: " + path);
 }
 
-ScenarioFile load_scenario_blob(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  MRWSN_REQUIRE(file.good(), "cannot open scenario blob file: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(file)),
-                                  std::istreambuf_iterator<char>());
-  return read_scenario_blob(bytes);
-}
-
 std::uint64_t scenario_hash(const ScenarioFile& scenario) {
   // FNV-1a 64 over the canonical blob serialization.
   std::uint64_t hash = 0xcbf29ce484222325ull;

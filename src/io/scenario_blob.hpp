@@ -49,9 +49,6 @@ bool is_scenario_blob(std::span<const std::uint8_t> bytes);
 /// created.
 void save_scenario_blob(const ScenarioFile& scenario, const std::string& path);
 
-/// Read + decode a blob file.
-ScenarioFile load_scenario_blob(const std::string& path);
-
 /// Stable 64-bit scenario identity: FNV-1a over the canonical blob bytes.
 /// Two scenarios hash equal iff their ScenarioFile contents are
 /// bit-identical, which is what keys core::EnginePool.

@@ -35,7 +35,6 @@ enum class MsgType : std::uint8_t {
   kSignalOff,   ///< it stops being audible (may carry a NAV reservation)
   kFrameStart,  ///< a tracked frame (DATA/RTS/CTS) addressed to `target`
   kAckArrive,   ///< the receiver's ACK reached the transmitter
-  kHandoff,     ///< TDMA: a packet reaches the next hop's link queue
 };
 
 enum class FrameKind : std::uint8_t { kData, kRts, kCts };
@@ -47,7 +46,6 @@ enum class FrameKind : std::uint8_t { kData, kRts, kCts };
 ///   kSignalOff:  a = NAV reservation end (0 = none), b = received power
 ///   kFrameStart: a = created_at (DATA) / planned DATA airtime (RTS),
 ///                b = received signal power; link/flow/hop/rate as named
-///   kHandoff:    a = created_at; target is a link id, not a node id
 struct Message {
   double effect_s = 0.0;
   double a = 0.0;
@@ -73,7 +71,6 @@ std::uint32_t class_of(MsgType type) {
     case MsgType::kFrameStart:
       return kStartClass;
     case MsgType::kAckArrive:
-    case MsgType::kHandoff:
       return kEvalClass;
   }
   return kTimerClass;
@@ -88,8 +85,8 @@ struct FlowTally {
   std::vector<double> latencies_s;
 };
 
-/// The conservative-synchronization runtime shared by both sharded
-/// simulators: one EventQueue per region, a persistent worker pool, and
+/// The conservative-synchronization runtime of the sharded simulator: one
+/// EventQueue per region, a persistent worker pool, and
 /// double-buffered per-(src,dst) outboxes exchanged at window barriers.
 ///
 /// The lookahead invariant: every message's effect time is at least its
@@ -824,9 +821,6 @@ struct ParallelCsmaSimulator::Impl {
       case MsgType::kAckArrive:
         on_ack_arrive(msg);
         return;
-      case MsgType::kHandoff:
-        MRWSN_ASSERT(false, "handoff message in a CSMA simulation");
-        return;
     }
   }
 
@@ -1054,295 +1048,6 @@ void ParallelCsmaSimulator::add_flow(std::vector<net::LinkId> path_links,
 }
 
 SimReport ParallelCsmaSimulator::run(double duration_s, double warmup_s) {
-  return impl_->run(duration_s, warmup_s);
-}
-
-// ===================================================================
-// ParallelTdmaSimulator
-// ===================================================================
-
-struct ParallelTdmaSimulator::Impl {
-  struct Packet {
-    std::uint32_t flow = 0;
-    std::uint32_t hop = 0;
-    double created_at = 0.0;
-  };
-
-  struct Window {
-    double offset_s = 0.0;
-    double length_s = 0.0;
-    double rate_mbps = 0.0;
-  };
-
-  struct LinkState {
-    std::deque<Packet> queue;
-    std::vector<Window> windows;
-    bool transmitting = false;
-    std::uint64_t seq = 0;
-  };
-
-  const net::Network& network;
-  std::vector<core::ScheduledSet> schedule;
-  TdmaParams params;
-  ShardParams shard;
-  GridPartition part;
-  ShardCore<Impl> core;
-
-  std::vector<FlowSpec> flows;
-  std::vector<LinkState> links;  // owned by the region of link.tx
-  std::vector<double> node_busy_fraction;
-  std::vector<std::vector<FlowTally>> tallies;       // [region][flow]
-  std::vector<std::uint64_t> data_transmissions;     // [region]
-  std::uint64_t seed;
-  double measure_start = 0.0;
-  bool ran = false;
-
-  Impl(const net::Network& net, const core::InterferenceModel& model,
-       std::vector<core::ScheduledSet> sched, TdmaParams p, ShardParams s,
-       std::uint64_t sd)
-      : network(net),
-        schedule(std::move(sched)),
-        params(p),
-        shard(s),
-        part(resolve_partition(net, s)),
-        core(*this, part.num_regions(), s.threads, s.latency_s),
-        seed(sd) {
-    MRWSN_REQUIRE(params.frame_s > 0.0, "frame length must be positive");
-    const core::ScheduleCheck check = core::verify_schedule(model, schedule);
-    MRWSN_REQUIRE(check.valid,
-                  "refusing to execute an invalid schedule: " + check.issue);
-
-    // Frame stretch + slot layout + static busy fractions: identical to
-    // the sequential TdmaSimulator (same code, run serially at init).
-    for (const core::ScheduledSet& entry : schedule) {
-      for (std::size_t i = 0; i < entry.set.size(); ++i) {
-        const double needed =
-            1.05 * packet_airtime(entry.set.mbps[i]) / entry.time_share;
-        params.frame_s = std::max(params.frame_s, needed);
-      }
-    }
-    links.resize(network.num_links());
-    double offset = 0.0;
-    for (const core::ScheduledSet& entry : schedule) {
-      const double length = entry.time_share * params.frame_s;
-      for (std::size_t i = 0; i < entry.set.size(); ++i) {
-        links[entry.set.links[i]].windows.push_back(
-            Window{offset, length, entry.set.mbps[i]});
-      }
-      offset += length;
-    }
-    node_busy_fraction.assign(network.num_nodes(), 0.0);
-    for (const core::ScheduledSet& entry : schedule) {
-      for (net::NodeId n = 0; n < network.num_nodes(); ++n) {
-        bool busy = false;
-        double sensed = 0.0;
-        for (net::LinkId id : entry.set.links) {
-          const net::Link& link = network.link(id);
-          if (link.tx == n || link.rx == n) {
-            busy = true;
-            break;
-          }
-          sensed += network.received_power(link.tx, n);
-        }
-        if (busy || sensed >= network.phy().cs_threshold_watt())
-          node_busy_fraction[n] += entry.time_share;
-      }
-    }
-  }
-
-  std::uint32_t region_of_link(net::LinkId id) const {
-    return part.region_of_node[network.link(id).tx];
-  }
-
-  std::uint32_t target_region(const Message& msg) const {
-    return region_of_link(msg.target);
-  }
-
-  EventQueue& queue_of_link(net::LinkId id) {
-    return core.queue_of(region_of_link(id));
-  }
-
-  double now_of_link(net::LinkId id) const {
-    return core.now_of(region_of_link(id));
-  }
-
-  FlowTally& tally_of_link(net::LinkId id, std::uint32_t flow) {
-    return tallies[region_of_link(id)][flow];
-  }
-
-  double packet_airtime(double rate_mbps) const {
-    return params.phy_overhead_s +
-           static_cast<double>(params.payload_bits) / (rate_mbps * 1e6);
-  }
-
-  const Window* usable_window(const LinkState& state, double now) const {
-    const double frame_start =
-        std::floor(now / params.frame_s) * params.frame_s;
-    for (const Window& w : state.windows) {
-      const double start = frame_start + w.offset_s;
-      const double end = start + w.length_s;
-      if (now >= start - 1e-12 &&
-          now + packet_airtime(w.rate_mbps) <= end + 1e-12)
-        return &w;
-    }
-    return nullptr;
-  }
-
-  double next_window_start(const LinkState& state, double now) const {
-    const double frame_start =
-        std::floor(now / params.frame_s) * params.frame_s;
-    double best = std::numeric_limits<double>::infinity();
-    for (const Window& w : state.windows) {
-      double start = frame_start + w.offset_s;
-      if (start <= now + 1e-12) start += params.frame_s;
-      best = std::min(best, start);
-    }
-    return best;
-  }
-
-  void pump_link(net::LinkId id) {
-    LinkState& state = links[id];
-    if (state.transmitting || state.queue.empty() || state.windows.empty())
-      return;
-    const double now = now_of_link(id);
-    if (const Window* window = usable_window(state, now)) {
-      state.transmitting = true;
-      ++data_transmissions[region_of_link(id)];
-      queue_of_link(id).schedule_at(
-          now + packet_airtime(window->rate_mbps),
-          EventKey{kTimerClass, static_cast<std::uint32_t>(id), state.seq++},
-          [this, id] { finish_packet(id); });
-    } else {
-      const double wake = std::max(next_window_start(state, now), now + 1e-9);
-      queue_of_link(id).schedule_at(
-          wake,
-          EventKey{kTimerClass, static_cast<std::uint32_t>(id), state.seq++},
-          [this, id] { pump_link(id); });
-    }
-  }
-
-  void finish_packet(net::LinkId id) {
-    LinkState& state = links[id];
-    MRWSN_ASSERT(state.transmitting && !state.queue.empty(),
-                 "TDMA finished a packet that never started");
-    state.transmitting = false;
-    const Packet packet = state.queue.front();
-    state.queue.pop_front();
-    const double now = now_of_link(id);
-
-    const FlowSpec& flow = flows[packet.flow];
-    if (packet.hop + 1 == flow.links.size()) {
-      if (now >= measure_start) {
-        FlowTally& tally = tally_of_link(id, packet.flow);
-        ++tally.delivered;
-        tally.latencies_s.push_back(now - packet.created_at);
-      }
-    } else {
-      // Hand off to the next hop's link queue after the uniform latency —
-      // the only cross-region interaction TDMA has.
-      Message msg;
-      msg.type = MsgType::kHandoff;
-      msg.effect_s = now + shard.latency_s;
-      msg.origin = static_cast<std::uint32_t>(id);
-      msg.seq = state.seq++;
-      msg.target =
-          static_cast<std::uint32_t>(flow.links[packet.hop + 1]);
-      msg.flow = packet.flow;
-      msg.hop = packet.hop + 1;
-      msg.a = packet.created_at;
-      core.post(region_of_link(id), msg);
-    }
-    pump_link(id);
-  }
-
-  void handle(const Message& msg) {
-    MRWSN_ASSERT(msg.type == MsgType::kHandoff,
-                 "unexpected message in a TDMA simulation");
-    deliver_to_link(msg.target, Packet{msg.flow, msg.hop, msg.a});
-  }
-
-  void deliver_to_link(net::LinkId id, Packet packet) {
-    LinkState& state = links[id];
-    if (state.queue.size() >= params.queue_limit) {
-      if (now_of_link(id) >= measure_start)
-        ++tally_of_link(id, packet.flow).dropped;
-      return;
-    }
-    state.queue.push_back(packet);
-    pump_link(id);
-  }
-
-  void on_arrival(std::uint32_t f) {
-    const FlowSpec& flow = flows[f];
-    const net::LinkId first = flow.links.front();
-    const double now = now_of_link(first);
-    if (now >= measure_start) ++tally_of_link(first, f).generated;
-    deliver_to_link(first, Packet{f, 0, now});
-    queue_of_link(first).schedule_at(
-        now + flow.arrival_interval_s,
-        EventKey{kArrivalClass, static_cast<std::uint32_t>(first),
-                 links[first].seq++},
-        [this, f] { on_arrival(f); });
-  }
-
-  SimReport run(double duration_s, double warmup_s) {
-    MRWSN_REQUIRE(!ran, "a ParallelTdmaSimulator can only run once");
-    MRWSN_REQUIRE(duration_s > 0.0 && warmup_s >= 0.0, "invalid durations");
-    ran = true;
-    measure_start = warmup_s;
-    tallies.assign(part.num_regions(),
-                   std::vector<FlowTally>(flows.size()));
-    data_transmissions.assign(part.num_regions(), 0);
-
-    for (std::uint32_t f = 0; f < flows.size(); ++f) {
-      const net::LinkId first = flows[f].links.front();
-      Rng stream = node_stream(seed ^ 0xf10af10af10af10aULL, f);
-      const double phase = stream.uniform(0.0, flows[f].arrival_interval_s);
-      queue_of_link(first).schedule_at(
-          phase,
-          EventKey{kArrivalClass, static_cast<std::uint32_t>(first),
-                   links[first].seq++},
-          [this, f] { on_arrival(f); });
-    }
-
-    const double end = warmup_s + duration_s;
-    core.run_to(end);
-
-    SimReport report;
-    report.measured_s = duration_s;
-    for (std::uint64_t tx : data_transmissions)
-      report.data_transmissions += tx;
-    report.failed_receptions = 0;  // certified slots never fail
-    for (net::NodeId n = 0; n < network.num_nodes(); ++n)
-      report.node_idle.push_back(
-          std::clamp(1.0 - node_busy_fraction[n], 0.0, 1.0));
-    report.flows =
-        merge_flow_tallies(flows, tallies, duration_s, params.payload_bits);
-    return report;
-  }
-};
-
-ParallelTdmaSimulator::ParallelTdmaSimulator(
-    const net::Network& network, const core::InterferenceModel& model,
-    std::vector<core::ScheduledSet> schedule, TdmaParams params,
-    ShardParams shard, std::uint64_t seed)
-    : impl_(std::make_unique<Impl>(network, model, std::move(schedule),
-                                   params, shard, seed)) {}
-
-ParallelTdmaSimulator::~ParallelTdmaSimulator() = default;
-
-void ParallelTdmaSimulator::add_flow(std::vector<net::LinkId> path_links,
-                                     double demand_mbps) {
-  check_flow_path(impl_->network, path_links, demand_mbps);
-  FlowSpec flow;
-  flow.links = std::move(path_links);
-  flow.demand_mbps = demand_mbps;
-  flow.arrival_interval_s =
-      static_cast<double>(impl_->params.payload_bits) / (demand_mbps * 1e6);
-  impl_->flows.push_back(std::move(flow));
-}
-
-SimReport ParallelTdmaSimulator::run(double duration_s, double warmup_s) {
   return impl_->run(duration_s, warmup_s);
 }
 

@@ -4,18 +4,16 @@
 #include <memory>
 #include <vector>
 
-#include "core/schedule.hpp"
 #include "mac/csma.hpp"
 #include "mac/partition.hpp"
-#include "mac/tdma.hpp"
 #include "net/network.hpp"
 
 namespace mrwsn::mac {
 
-/// Sharding knobs for the region-parallel simulators.
+/// Sharding knobs for the region-parallel simulator.
 ///
 /// None of these change results except latency_s and interaction_floor,
-/// which are part of the *model*: the parallel simulators charge a uniform
+/// which are part of the *model*: the parallel simulator charges a uniform
 /// sense latency on every cross-node effect (signal sensed, NAV heard,
 /// frame handed to the next hop), which is what gives every region a
 /// guaranteed lookahead. grid/thread choices are pure performance knobs —
@@ -65,33 +63,6 @@ class ParallelCsmaSimulator {
   /// the final `duration_s`. May be called once per simulator. Events are
   /// processed on the half-open interval [0, warmup_s + duration_s).
   SimReport run(double duration_s, double warmup_s = 0.5);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Region-parallel counterpart of TdmaSimulator: executes an Eq. 6 LP
-/// schedule as a periodic TDMA frame, with links owned by the region of
-/// their transmitter and hop-to-hop packet handoffs charged the uniform
-/// latency_s. Certified slots never fail, so handoffs are the only
-/// cross-region interaction. Same determinism guarantee as the CSMA
-/// engine.
-class ParallelTdmaSimulator {
- public:
-  ParallelTdmaSimulator(const net::Network& network,
-                        const core::InterferenceModel& model,
-                        std::vector<core::ScheduledSet> schedule,
-                        TdmaParams params, ShardParams shard,
-                        std::uint64_t seed);
-  ~ParallelTdmaSimulator();
-
-  ParallelTdmaSimulator(const ParallelTdmaSimulator&) = delete;
-  ParallelTdmaSimulator& operator=(const ParallelTdmaSimulator&) = delete;
-
-  void add_flow(std::vector<net::LinkId> path_links, double demand_mbps);
-
-  SimReport run(double duration_s, double warmup_s = 0.1);
 
  private:
   struct Impl;

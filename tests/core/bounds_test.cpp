@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/scaled_fig4.hpp"
+#include "core/admission_engine.hpp"
 #include "core/scenarios.hpp"
 #include "geom/topology.hpp"
+#include "grid_scenario.hpp"
+#include "routing/qos_router.hpp"
 #include "util/error.hpp"
 
 namespace mrwsn::core {
@@ -166,6 +174,48 @@ TEST(LowerBound, TooFewSetsForBackgroundReportsInfeasible) {
   EXPECT_FALSE(bound.feasible);
 }
 
+/// Single-path Eq. 6 is the joint LP with one path under max-sum, solved
+/// by the same routine: the two entry points must agree bit for bit.
+void expect_single_path_is_joint(const InterferenceModel& model,
+                                 const std::vector<LinkFlow>& background,
+                                 const std::vector<net::LinkId>& path,
+                                 SolveMethod method, const std::string& what) {
+  SCOPED_TRACE(what + (method == SolveMethod::kFullEnumeration
+                           ? ", enumeration"
+                           : ", column generation"));
+  const auto single = max_path_bandwidth(model, background, path, method);
+  const std::vector<std::vector<net::LinkId>> paths{path};
+  const auto joint = max_joint_bandwidth(model, background, paths,
+                                         JointObjective::kMaxSum, method);
+  ASSERT_TRUE(single.background_feasible);
+  ASSERT_TRUE(joint.background_feasible);
+  ASSERT_EQ(joint.per_path_mbps.size(), 1u);
+  EXPECT_GT(single.available_mbps, 0.0);
+  EXPECT_EQ(single.available_mbps, joint.per_path_mbps[0]);
+  EXPECT_EQ(single.available_mbps, joint.total_mbps);
+  ASSERT_EQ(single.schedule.size(), joint.schedule.size());
+  for (std::size_t i = 0; i < single.schedule.size(); ++i) {
+    EXPECT_EQ(single.schedule[i].set.links, joint.schedule[i].set.links);
+    EXPECT_EQ(single.schedule[i].set.rates, joint.schedule[i].set.rates);
+    EXPECT_EQ(single.schedule[i].set.mbps, joint.schedule[i].set.mbps);
+    EXPECT_EQ(single.schedule[i].time_share, joint.schedule[i].time_share);
+  }
+  EXPECT_EQ(single.num_independent_sets, joint.num_independent_sets);
+  const ColumnGenStats& a = single.colgen;
+  const ColumnGenStats& b = joint.colgen;
+  EXPECT_EQ(a.used, method == SolveMethod::kColumnGeneration);
+  EXPECT_EQ(a.used, b.used);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.columns, b.columns);
+  EXPECT_EQ(a.warm_starts, b.warm_starts);
+  EXPECT_EQ(a.mispricings, b.mispricings);
+  EXPECT_EQ(a.pool_hit_columns, b.pool_hit_columns);
+  EXPECT_EQ(a.heuristic_columns, b.heuristic_columns);
+  EXPECT_EQ(a.exact_rounds, b.exact_rounds);
+  EXPECT_EQ(a.certified, b.certified);
+}
+
 TEST(JointBandwidth, SinglePathMatchesEqSix) {
   const ScenarioTwo scenario = make_scenario_two();
   const std::vector<std::vector<net::LinkId>> paths{scenario.chain};
@@ -173,6 +223,32 @@ TEST(JointBandwidth, SinglePathMatchesEqSix) {
   ASSERT_TRUE(joint.background_feasible);
   ASSERT_EQ(joint.per_path_mbps.size(), 1u);
   EXPECT_NEAR(joint.per_path_mbps[0], ScenarioTwo::kOptimalMbps, kTol);
+
+  const GridScenario grid = make_grid_scenario();
+  const PhysicalInterferenceModel grid_model(grid.net);
+  constexpr SolveMethod kMethods[] = {SolveMethod::kFullEnumeration,
+                                      SolveMethod::kColumnGeneration};
+  for (const SolveMethod method : kMethods) {
+    expect_single_path_is_joint(scenario.model, {}, scenario.chain, method,
+                                "Scenario II");
+    expect_single_path_is_joint(grid_model, grid.background, grid.snake,
+                                method, "grid");
+  }
+  // The first flow of the scaled Fig. 4 study: no flow is routed before
+  // it, so its background is empty.
+  for (const std::uint64_t seed : {3u, 4u}) {
+    const auto setup = benchx::make_scaled_setup(seed, 500, 8, 2.0, 12.0);
+    const PhysicalInterferenceModel model(setup.network);
+    routing::QosRouter router(setup.network, model);
+    const std::vector<double> all_idle(setup.network.num_nodes(), 1.0);
+    const auto& request = setup.requests.front();
+    const auto path = router.find_path(request.src, request.dst,
+                                       routing::Metric::kHopCount, all_idle);
+    ASSERT_TRUE(path.has_value());
+    for (const SolveMethod method : kMethods)
+      expect_single_path_is_joint(model, {}, path->links(), method,
+                                  "scaled Fig. 4, seed " + std::to_string(seed));
+  }
 }
 
 TEST(JointBandwidth, MaxMinSplitsSymmetricDemandsEvenly) {
@@ -233,6 +309,20 @@ TEST(JointBandwidth, RejectsEmptyInputs) {
   EXPECT_THROW(max_joint_bandwidth(scenario.model, {}, {}), PreconditionError);
   const std::vector<std::vector<net::LinkId>> bad{{}};
   EXPECT_THROW(max_joint_bandwidth(scenario.model, {}, bad), PreconditionError);
+}
+
+TEST(JointBandwidth, EveryEntryPointRejectsARepeatedLink) {
+  // {0, 1, 0} uses link 0 twice. Counting that use once (27 Mbps) or
+  // twice (18 Mbps) would each be a guess; every Eq. 6 entry point
+  // refuses the path instead.
+  const ScenarioTwo scenario = make_scenario_two();
+  const std::vector<net::LinkId> path{0, 1, 0};
+  const std::vector<std::vector<net::LinkId>> paths{path};
+  EXPECT_THROW(max_path_bandwidth(scenario.model, {}, path), PreconditionError);
+  EXPECT_THROW(max_joint_bandwidth(scenario.model, {}, paths),
+               PreconditionError);
+  AdmissionEngine engine(scenario.model);
+  EXPECT_THROW(engine.query(path, 1.0), PreconditionError);
 }
 
 TEST(UpperBound, InfeasibleBackgroundReported) {

@@ -6,8 +6,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/available_bandwidth.hpp"
-#include "core/interference.hpp"
 #include "geom/topology.hpp"
 #include "mac/partition.hpp"
 
@@ -235,51 +233,6 @@ TEST(ParallelCsma, LightLoadDeliversDemand) {
   const SimReport report = sim.run(3.0, 0.5);
   EXPECT_NEAR(report.flows[0].delivered_mbps, 2.0, 0.2);
   EXPECT_EQ(report.flows[0].dropped_packets, 0u);
-}
-
-// --- TDMA determinism ------------------------------------------------------
-
-TEST(ParallelTdma, LpScheduleIsShardingInvariant) {
-  const net::Network net(geom::chain(5, 70.0), phy::PhyModel::paper_default());
-  core::PhysicalInterferenceModel model(net);
-  std::vector<net::LinkId> path;
-  for (std::size_t i = 0; i < 4; ++i) path.push_back(*net.find_link(i, i + 1));
-  const auto lp = core::max_path_bandwidth(model, {}, path);
-  ASSERT_TRUE(lp.background_feasible);
-  const double demand = 0.9 * lp.available_mbps;
-
-  const SimReport report = check_all_shardings([&](ShardParams shard) {
-    ParallelTdmaSimulator sim(net, model, lp.schedule, TdmaParams{}, shard, 31);
-    sim.add_flow(path, demand);
-    return sim.run(4.0);
-  });
-  // The parallel TDMA engine still executes the LP's certified schedule,
-  // so it must deliver the promised throughput like the sequential one.
-  EXPECT_NEAR(report.flows[0].delivered_mbps, demand, 0.08 * demand);
-  EXPECT_EQ(report.flows[0].dropped_packets, 0u);
-  EXPECT_EQ(report.failed_receptions, 0u);
-}
-
-TEST(ParallelTdma, TwoFlowsAreShardingInvariant) {
-  const net::Network net = grid_network(3, 3, 70.0);
-  core::PhysicalInterferenceModel model(net);
-  const auto pa = path_of(net, {0, 1, 2});
-  const auto pb = path_of(net, {6, 7, 8});
-  const std::vector<core::LinkFlow> background{core::LinkFlow{pa, 6.0}};
-  const auto lp = core::max_path_bandwidth(model, background, pb);
-  ASSERT_TRUE(lp.background_feasible);
-  const double demand_b = 0.8 * lp.available_mbps;
-
-  const SimReport report = check_all_shardings([&](ShardParams shard) {
-    ParallelTdmaSimulator sim(net, model, lp.schedule, TdmaParams{}, shard, 37);
-    sim.add_flow(pa, 6.0);
-    sim.add_flow(pb, demand_b);
-    return sim.run(4.0);
-  });
-  // The δ handoff latency can slip a packet past its in-frame slot, so the
-  // parallel model delivers slightly under the sequential engine here.
-  EXPECT_NEAR(report.flows[0].delivered_mbps, 6.0, 1.0);
-  EXPECT_NEAR(report.flows[1].delivered_mbps, demand_b, 0.1 * demand_b);
 }
 
 // --- Partition plumbing ----------------------------------------------------

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+
+#include "util/error.hpp"
 
 namespace mrwsn::cli {
 namespace {
@@ -191,6 +195,47 @@ TEST(Cli, AvailableAcceptsEngineAndStabilizeFlags) {
       run({"available", file.path(), "2", "3", "--stabilize", "maybe"});
   EXPECT_EQ(bad_stabilize.code, 1);
   EXPECT_NE(bad_stabilize.err.find("unknown --stabilize"), std::string::npos);
+}
+
+TEST(Cli, ParseUnsignedIsStrictAndBounded) {
+  EXPECT_EQ(parse_unsigned("--n", "0", 256), 0u);
+  EXPECT_EQ(parse_unsigned("--n", "256", 256), 256u);
+  EXPECT_EQ(parse_unsigned("--n", "007", 256), 7u);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(parse_unsigned("--n", "18446744073709551615", kMax), kMax);
+  for (const char* bad : {"-1", "12abc", "", "+1", " 1", "1 ", "0x10", "1.5"})
+    EXPECT_THROW(parse_unsigned("--n", bad, 256), PreconditionError) << bad;
+  EXPECT_THROW(parse_unsigned("--n", "257", 256), PreconditionError);
+  EXPECT_THROW(parse_unsigned("--n", "18446744073709551616", kMax),
+               PreconditionError);
+  try {
+    parse_unsigned("--readers", "-1", 256);
+    ADD_FAILURE() << "-1 parsed";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("--readers"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'-1'"), std::string::npos);
+  }
+}
+
+TEST(Cli, RejectsMalformedAndOverBoundCounts) {
+  TempScenario file(kChain);
+  const auto expect_rejected = [](const CliResult& r, const std::string& flag) {
+    EXPECT_EQ(r.code, 1);
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_NE(r.err.find("error: " + flag), std::string::npos) << r.err;
+  };
+  expect_rejected(
+      run_with_input({"admit", file.path(), "--serve", "--readers", "257"},
+                     "quit\n"),
+      "--readers");
+  expect_rejected(run({"available", file.path(), "2", "3", "--starts",
+                       std::to_string(kMaxStarts + 1)}),
+                  "--starts");
+  expect_rejected(
+      run({"available", file.path(), "2", "3", "--starts", "12abc"}),
+      "--starts");
+  expect_rejected(run({"generate", "--nodes", "12abc"}), "--nodes");
+  expect_rejected(run({"available", file.path(), "2abc", "3"}), "node id");
 }
 
 TEST(Cli, AdmitProcessesRequestsWithPreloadedBackground) {

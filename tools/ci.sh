@@ -26,7 +26,9 @@
 #      through query() + add_background() as the admission controller
 #      drives it), and the pricing oracles BM_Pricing{Heuristic,Exact}
 #      (the 70 m chain args, plus Tier 1 on the scaled Fig. 4 universe),
-#      with --require coverage guards for every family.
+#      and the full-enumeration Eq. 6 solves BM_FullEnumeration,
+#      BM_JointBandwidthLp and BM_ScenarioTwoPipeline, with --require
+#      coverage guards for every family.
 #   6. perfbench: the end-to-end benchmark's self-tests
 #      (perfbench/selftest.py: gate trips, metric names, short runs of
 #      every workload), then the scaled Fig. 4 study on seed 3 under a
@@ -39,7 +41,9 @@
 #      counts, tiered-pricing thread-count identity, the phase A
 #      certificate sweeps and the effort caps — and the physical Tier 1
 #      differential test against its mutate-and-revert oracle, whose
-#      rate shortcuts sit on SINR thresholds. Those pins count rounds of
+#      rate shortcuts sit on SINR thresholds, and the joint-bandwidth
+#      suite, which pins single-path Eq. 6 to the joint LP bit for bit
+#      under both solve methods. Those pins count rounds of
 #      degenerate masters, so they must hold without -march=native
 #      floating-point contraction too, not just in the stage 1 tree.
 #
@@ -111,19 +115,22 @@ else
   # script, the structure-sharing commit-latency family at 128/1k/8k
   # background columns, and the batched admission replay warm (one engine
   # committing every decision), cold, and sequential (query() then
-  # add_background(), publishing on every read), and the Tier 1 / Tier 2
-  # pricing oracles; the --require guards fail the gate if any side of a
-  # comparison silently drops out of the suite.
+  # add_background(), publishing on every read), the Tier 1 / Tier 2
+  # pricing oracles, and the full-enumeration Eq. 6 solves; the --require
+  # guards fail the gate if any side of a comparison silently drops out of
+  # the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
     --require BM_CommitLatency --require BM_BatchAdmissionWarm \
     --require BM_BatchAdmissionCold --require BM_BatchAdmissionSequential \
-    --require BM_PricingHeuristic --require BM_PricingExact
+    --require BM_PricingHeuristic --require BM_PricingExact \
+    --require BM_FullEnumeration --require BM_JointBandwidthLp \
+    --require BM_ScenarioTwoPipeline
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi
@@ -136,6 +143,6 @@ echo "== ci stage 7: pinned column-generation tests, MRWSN_FAST_KERNELS=OFF =="
 NOFAST_BUILD="$REPO/build-nofast"
 cmake -B "$NOFAST_BUILD" -S "$REPO" -DMRWSN_FAST_KERNELS=OFF
 cmake --build "$NOFAST_BUILD" -j "$JOBS" --target test_core
-"$NOFAST_BUILD/tests/test_core" --gtest_filter='ColumnGenerationStabilization.*:TieredPricing.*:BackgroundCertificate.*:ColumnGenerationOptions.*:PhysicalHeuristic.*'
+"$NOFAST_BUILD/tests/test_core" --gtest_filter='ColumnGenerationStabilization.*:TieredPricing.*:BackgroundCertificate.*:ColumnGenerationOptions.*:PhysicalHeuristic.*:JointBandwidth.*'
 
 echo "ci gate passed"

@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,12 +31,36 @@
 #include "routing/admission.hpp"
 #include "routing/qos_router.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace mrwsn::cli {
 
+std::uint64_t parse_unsigned(const std::string& what, const std::string& text,
+                             std::uint64_t max) {
+  const auto fail = [&] {
+    throw PreconditionError(what + " needs an unsigned integer no larger " +
+                            "than " + std::to_string(max) + ", got '" + text +
+                            "'");
+  };
+  if (text.empty()) fail();
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') fail();
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) fail();
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 namespace {
+
+net::NodeId parse_node(const std::string& text) {
+  return static_cast<net::NodeId>(parse_unsigned(
+      "node id", text, std::numeric_limits<net::NodeId>::max()));
+}
 
 /// Tiny option parser: `--key value` pairs after the positional args.
 class Options {
@@ -64,9 +88,12 @@ class Options {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : std::stod(it->second);
   }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
+  std::uint64_t get_u64(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    return it == values_.end() ? fallback
+                               : parse_unsigned(key, it->second, max);
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
@@ -218,18 +245,8 @@ int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
     err << "unknown --pricing '" << pricing_name << "' (tiered|exact)\n";
     return 1;
   }
-  const std::string starts_name = options.get(
-      "--starts", std::to_string(core::ColumnGenOptions{}.heuristic_starts));
-  {
-    char* end = nullptr;
-    const unsigned long starts = std::strtoul(starts_name.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      err << "--starts needs a non-negative integer, got '" << starts_name
-          << "'\n";
-      return 1;
-    }
-    colgen_options.heuristic_starts = static_cast<std::size_t>(starts);
-  }
+  colgen_options.heuristic_starts = static_cast<std::size_t>(options.get_u64(
+      "--starts", colgen_options.heuristic_starts, kMaxStarts));
   const auto lp = core::max_path_bandwidth(model, background, path->links(),
                                            method, colgen_options);
   const auto input = core::make_path_estimate_input(network, model,
@@ -390,8 +407,8 @@ std::vector<BatchQuery> parse_batch_file(const std::string& file_name) {
     MRWSN_REQUIRE(parts.size() == 3 || parts.size() == 4,
                   "batch line needs src,dst,demand[,commit]: " + line);
     BatchQuery query;
-    query.src = static_cast<net::NodeId>(std::stoull(parts[0]));
-    query.dst = static_cast<net::NodeId>(std::stoull(parts[1]));
+    query.src = parse_node(parts[0]);
+    query.dst = parse_node(parts[1]);
     query.demand_mbps = std::stod(parts[2]);
     if (parts.size() == 4) {
       MRWSN_REQUIRE(parts[3] == "commit" || parts[3] == "query",
@@ -562,8 +579,8 @@ class ServeReaders {
 int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
               std::istream& in, std::ostream& out, std::ostream& err) {
   AdmissionService service(scenario, options, /*pooled=*/true);
-  const auto readers =
-      static_cast<std::size_t>(options.get_u64("--readers", 0));
+  const auto readers = static_cast<std::size_t>(
+      options.get_u64("--readers", 0, util::kMaxThreads));
   std::mutex out_mu;
   std::unique_ptr<ServeReaders> async;
   if (readers > 0)
@@ -678,7 +695,8 @@ int cmd_bench_replay(const io::ScenarioFile& scenario, const Options& options,
     std::istringstream list(options.get("--threads", "1,4"));
     std::string item;
     while (std::getline(list, item, ','))
-      thread_counts.push_back(std::stoull(item));
+      thread_counts.push_back(
+          parse_unsigned("--threads", item, util::kMaxThreads));
     MRWSN_REQUIRE(!thread_counts.empty(), "--threads needs a list like 1,4");
   }
   const bool verify = options.get("--verify", "on") == "on";
@@ -929,7 +947,8 @@ int cmd_fig4(const Options& options, std::ostream& out) {
   scaled.num_nodes = static_cast<std::size_t>(options.get_u64("--nodes", 500));
   scaled.num_flows = static_cast<std::size_t>(options.get_u64("--flows", 8));
   scaled.seed = options.get_u64("--seed", 4);
-  scaled.threads = static_cast<std::size_t>(options.get_u64("--threads", 0));
+  scaled.threads = static_cast<std::size_t>(
+      options.get_u64("--threads", 0, util::kMaxThreads));
   scaled.measure_s = options.get_double("--seconds", 0.5);
   scaled.demand_mbps = options.get_double("--demand", 2.0);
   const std::string rts = options.get("--rts", "both");
@@ -1001,8 +1020,8 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
     if (command == "capacity" || command == "available") {
       const io::ScenarioFile scenario = load();
       MRWSN_REQUIRE(args.size() >= 4, command + " needs <src> <dst>");
-      const auto src = static_cast<net::NodeId>(std::stoull(args[2]));
-      const auto dst = static_cast<net::NodeId>(std::stoull(args[3]));
+      const net::NodeId src = parse_node(args[2]);
+      const net::NodeId dst = parse_node(args[3]);
       if (command == "capacity") return cmd_capacity(scenario, src, dst, out, err);
       return cmd_available(scenario, src, dst, Options(args, 4), out, err);
     }

@@ -1,10 +1,21 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace mrwsn::cli {
+
+/// Upper bound of `available --starts`: each pricing round keeps one
+/// outcome per start.
+inline constexpr std::uint64_t kMaxStarts = 1024;
+
+/// The CLI's one unsigned-number parser, for flag values and node ids:
+/// decimal digits only (no sign, no blanks, no trailing characters) and at
+/// most `max`. Throws PreconditionError naming `what` otherwise.
+std::uint64_t parse_unsigned(const std::string& what, const std::string& text,
+                             std::uint64_t max);
 
 /// Entry point of the `mrwsn` command-line tool, separated from main()
 /// so the test-suite can drive it in-process.
