@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -49,25 +48,6 @@ void BM_SimplexRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexRandom)->Arg(8)->Arg(24)->Arg(64);
 
-// "Before" counter: the vector-of-rows reference tableau on the same
-// problems, for direct comparison against BM_SimplexRandom.
-void BM_SimplexReference(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(7);
-  lp::Problem problem(lp::Objective::kMaximize);
-  std::vector<lp::VarId> vars;
-  for (int j = 0; j < n; ++j) vars.push_back(problem.add_variable(rng.uniform(0.0, 2.0)));
-  for (int i = 0; i < n; ++i) {
-    std::vector<std::pair<lp::VarId, double>> row;
-    for (int j = 0; j < n; ++j) row.emplace_back(vars[j], rng.uniform(0.1, 2.0));
-    problem.add_constraint(row, lp::Sense::kLessEqual, rng.uniform(2.0, 8.0));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lp::solve_reference(problem));
-  }
-}
-BENCHMARK(BM_SimplexReference)->Arg(8)->Arg(24)->Arg(64);
-
 void BM_BronKerbosch(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
@@ -80,20 +60,6 @@ void BM_BronKerbosch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BronKerbosch)->Arg(12)->Arg(20)->Arg(28);
-
-// "Before" counter: the vector-based Bron–Kerbosch on the same graphs.
-void BM_BronKerboschReference(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  graph::UndirectedGraph g(n);
-  for (graph::Vertex u = 0; u < n; ++u)
-    for (graph::Vertex v = u + 1; v < n; ++v)
-      if (rng.uniform() < 0.4) g.add_edge(u, v);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::maximal_cliques_reference(g));
-  }
-}
-BENCHMARK(BM_BronKerboschReference)->Arg(12)->Arg(20)->Arg(28);
 
 void BM_PhysicalMis(benchmark::State& state) {
   const std::size_t nodes = static_cast<std::size_t>(state.range(0));
@@ -171,19 +137,20 @@ void BM_ColumnGen(benchmark::State& state) {
 BENCHMARK(BM_ColumnGen)->Arg(12)->Arg(20)->Arg(24)->Arg(28);
 
 // ---------------------------------------------------------------------------
-// Revised vs dense simplex on the column-generation master (the sparse
-// revised simplex tentpole). Two views:
+// The revised simplex on the column-generation master. Two views:
 //
-//   BM_MasterResolve{Dense,Revised}: the master isolated from the pricing
-//   oracle — replay the colgen re-solve pattern (append columns, re-solve
-//   warm from the previous basis) over a 40+-link chain-shaped Eq. 6
-//   master with a synthetic column pool. The revised engine additionally
-//   chains its RevisedContext, so a warm re-solve reuses the previous
-//   factorization outright.
+//   BM_MasterResolveRevised: the master isolated from the pricing oracle
+//   — replay the colgen re-solve pattern (append columns, re-solve warm
+//   from the previous basis, chained through a RevisedContext so a warm
+//   re-solve reuses the previous factorization outright) over a
+//   40+-link chain-shaped Eq. 6 master with a synthetic column pool.
 //
-//   BM_ColumnGen{Dense,Revised}: the full end-to-end solve on a chain of
-//   that size, where the pricing oracle and interference model share the
-//   bill with the master.
+//   BM_ColumnGenRevised: the full end-to-end solve on a chain of that
+//   size, where the pricing oracle and interference model share the bill
+//   with the master.
+//
+// Both keep their "Revised" suffix so they line up with their
+// BENCH_history rows.
 // ---------------------------------------------------------------------------
 
 /// Deterministic Eq. 6-shaped column pool over a chain-like universe:
@@ -230,18 +197,16 @@ lp::Problem build_master(const std::vector<std::vector<double>>& sets,
   return problem;
 }
 
-void master_resolve_replay(benchmark::State& state, lp::Engine engine) {
+void BM_MasterResolveRevised(benchmark::State& state) {
   const std::size_t links = static_cast<std::size_t>(state.range(0));
   // Second arg: pool depth in columns-per-link. Long colgen runs grow the
-  // master pool well past 10 columns per link, which is where the revised
-  // engine pulls away — the dense tableau re-pivots O(rows x pool) per
-  // warm re-solve while the revised engine re-uses the factorization and
-  // prices a rotating window.
+  // master pool well past 10 columns per link; each warm re-solve re-uses
+  // the previous factorization and prices a rotating window.
   const std::size_t total = static_cast<std::size_t>(state.range(1)) * links;
   const auto sets = make_master_pool(links, total);
   // Pre-build the whole master sequence: the timed loop measures the LP
-  // engine alone, not the (engine-independent) Problem construction the
-  // pricing loop performs per round.
+  // solves alone, not the Problem construction the pricing loop performs
+  // per round.
   std::vector<lp::Problem> masters;
   for (std::size_t use = links; use <= total; use += 4)
     masters.push_back(build_master(sets, use, links));
@@ -251,7 +216,6 @@ void master_resolve_replay(benchmark::State& state, lp::Engine engine) {
     double objective = 0.0;
     for (const lp::Problem& problem : masters) {
       lp::SolveOptions options;
-      options.engine = engine;
       options.warm_start = basis.empty() ? nullptr : &basis;
       options.context = &context;
       const lp::Solution solution = lp::solve(problem, options);
@@ -261,22 +225,12 @@ void master_resolve_replay(benchmark::State& state, lp::Engine engine) {
     benchmark::DoNotOptimize(objective);
   }
 }
-void BM_MasterResolveDense(benchmark::State& state) {
-  master_resolve_replay(state, lp::Engine::kDense);
-}
-void BM_MasterResolveRevised(benchmark::State& state) {
-  master_resolve_replay(state, lp::Engine::kRevised);
-}
-BENCHMARK(BM_MasterResolveDense)
-    ->Args({40, 10})
-    ->Args({40, 30})
-    ->Args({60, 10});
 BENCHMARK(BM_MasterResolveRevised)
     ->Args({40, 10})
     ->Args({40, 30})
     ->Args({60, 10});
 
-void colgen_engine(benchmark::State& state, lp::Engine engine) {
+void BM_ColumnGenRevised(benchmark::State& state) {
   const std::size_t hops = static_cast<std::size_t>(state.range(0));
   const net::Network network(geom::chain(hops + 1, 70.0),
                              phy::PhyModel::paper_default());
@@ -284,8 +238,7 @@ void colgen_engine(benchmark::State& state, lp::Engine engine) {
   for (std::size_t i = 0; i < hops; ++i)
     path.push_back(*network.find_link(i, i + 1));
   const std::vector<core::LinkFlow> background = {{{path[0]}, 1.0}};
-  core::ColumnGenOptions options;
-  options.engine = engine;
+  const core::ColumnGenOptions options;
   core::ColumnGenStats last;
   for (auto _ : state) {
     core::PhysicalInterferenceModel model(network);
@@ -301,13 +254,6 @@ void colgen_engine(benchmark::State& state, lp::Engine engine) {
   state.counters["heur_cols"] = double(last.heuristic_columns);
   state.counters["exact_calls"] = double(last.exact_rounds);
 }
-void BM_ColumnGenDense(benchmark::State& state) {
-  colgen_engine(state, lp::Engine::kDense);
-}
-void BM_ColumnGenRevised(benchmark::State& state) {
-  colgen_engine(state, lp::Engine::kRevised);
-}
-BENCHMARK(BM_ColumnGenDense)->Arg(40);
 BENCHMARK(BM_ColumnGenRevised)->Arg(40);
 
 // The scaled Fig. 4 study's standard instance (`mrwsn fig4` defaults:
@@ -918,54 +864,14 @@ void BM_TdmaSimulatedQuarterSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_TdmaSimulatedQuarterSecond);
 
-// "Before" counter for the event-queue rewrite: the std::map-of-
-// std::function kernel the simulator used previously, under the cancel-
-// heavy schedule churn that backoff freezing produces. The indexed-heap
-// EventQueue (BM_EventQueueChurn) replaces the O(log n) erase per cancel
-// with an O(1) tombstone and the per-event std::function allocation with
-// inline small-buffer storage.
-/// The workload both churn benchmarks run, shaped like the simulators'
-/// event pattern: a rotating window of pending timers, two thirds of
-/// which are cancelled and rescheduled before they fire (backoff
-/// freezing), deadlines mostly near-term (MAC timers) with a quarter far
-/// out (periodic arrivals), closures a capture or two past
-/// std::function's small buffer. The map reference must cancel by key
-/// lookup — erasing a stored iterator is undefined once the event has
-/// fired, which the simulator cannot know without exactly the generation
-/// scheme the indexed heap provides.
+/// The event-queue churn workload, shaped like the simulators' event
+/// pattern: a rotating window of pending timers, two thirds of which are
+/// cancelled and rescheduled before they fire (backoff freezing),
+/// deadlines mostly near-term (MAC timers) with a quarter far out
+/// (periodic arrivals), closures a capture or two past std::function's
+/// small buffer.
 constexpr int kChurnTicks = 20000;
 constexpr int kChurnWindow = 64;
-
-void BM_EventQueueChurnMapRef(benchmark::State& state) {
-  using Key = std::pair<double, std::uint64_t>;
-  for (auto _ : state) {
-    std::map<Key, std::function<void()>> events;
-    std::uint64_t fired = 0, serial = 0;
-    std::vector<Key> window(kChurnWindow);
-    std::vector<char> live(kChurnWindow, 0);
-    double t = 0.0;
-    for (int i = 0; i < kChurnTicks; ++i) {
-      const int slot = i % kChurnWindow;
-      if (live[slot] && i % 3 != 0) events.erase(window[slot]);
-      const double when = (i % 4 == 0) ? t + 50.0 : t + 0.75;
-      const Key key{when, serial++};
-      events.emplace(key, [&fired, t, i] {
-        fired += static_cast<std::uint64_t>(t) + static_cast<std::uint64_t>(i);
-      });
-      window[slot] = key;
-      live[slot] = 1;
-      t += 0.25;
-      while (!events.empty() && events.begin()->first.first <= t) {
-        auto it = events.begin();
-        auto fn = std::move(it->second);
-        events.erase(it);
-        fn();
-      }
-    }
-    benchmark::DoNotOptimize(fired);
-  }
-}
-BENCHMARK(BM_EventQueueChurnMapRef);
 
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {

@@ -58,14 +58,12 @@ class QueryMaster final : public ColGenMaster {
  public:
   QueryMaster(const AdmissionEngine::PoolSeg& pool,
               std::span<const net::LinkId> universe,
-              std::span<const int> position, lp::Problem fixed,
-              lp::Engine engine)
+              std::span<const int> position, lp::Problem fixed)
       : pool_(pool),
         universe_(universe),
         position_(position),
         slot_of_pool_(pool.size(), -1),
-        master_(std::move(fixed)),
-        engine_(engine) {}
+        master_(std::move(fixed)) {}
 
   /// Take pool column `idx` into the master; returns its column slot
   /// (its VarId is 1 + slot).
@@ -85,7 +83,6 @@ class QueryMaster final : public ColGenMaster {
 
   lp::Solution solve() override {
     lp::SolveOptions solve_options;
-    solve_options.engine = engine_;
     solve_options.context = &context_;
     if (!basis_.empty()) solve_options.warm_start = &basis_;
     lp::SolveStats lp_stats;
@@ -140,7 +137,6 @@ class QueryMaster final : public ColGenMaster {
   std::set<std::vector<std::uint64_t>> seen_;  ///< every column's signature
   std::vector<IndependentSet> generated_;
   lp::Problem master_;
-  lp::Engine engine_;
   lp::Basis basis_;
   lp::RevisedContext context_;
   std::size_t pivots_ = 0;
@@ -161,7 +157,6 @@ class AdmissionEngine::BackgroundMaster final : public ColGenMaster {
 
   lp::Solution solve() override {
     lp::SolveOptions solve_options;
-    solve_options.engine = e_.options_.engine;
     solve_options.context = &e_.bg_context_;
     lp::SolveStats lp_stats;
     solve_options.stats = &lp_stats;
@@ -438,8 +433,7 @@ AdmissionAnswer AdmissionEngine::solve_query(
   }
   const std::span<const net::LinkId> paths[] = {path};
   QueryMaster master(pool, universe, position,
-                     eq6_master(universe, paths, rhs, Eq6Pass::kSum).problem,
-                     options_.engine);
+                     eq6_master(universe, paths, rhs, Eq6Pass::kSum).problem);
 
   // The query's columns, seeded LEAN: exactly the basis-referenced
   // background master columns (their links all sit on background rows ⊂

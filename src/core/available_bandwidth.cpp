@@ -113,7 +113,6 @@ class PoolMaster final : public ColGenMaster {
 
   lp::Solution solve() override {
     lp::SolveOptions solve_options;
-    solve_options.engine = options_.engine;
     solve_options.warm_start = basis_.empty() ? nullptr : &basis_;
     solve_options.context = &context_;
     if (solve_options.warm_start != nullptr) ++stats_->warm_starts;

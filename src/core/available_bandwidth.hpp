@@ -79,11 +79,6 @@ struct ColumnGenOptions {
   /// exact-certificate calls), but each round pays for every start.
   std::size_t heuristic_starts = 12;
 
-  /// LP engine for the restricted masters. The revised engine re-solves a
-  /// warm-chained master from the cached factorization of the previous
-  /// round's basis; kDense is the retained reference.
-  lp::Engine engine = lp::Engine::kRevised;
-
   /// Wentges (in-out) dual smoothing: price against a convex combination
   /// of the stability center and the incumbent master duals (center
   /// weight 0.3, after 8 pricing rounds; see ColGenDriver). Damps the

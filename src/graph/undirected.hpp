@@ -63,12 +63,6 @@ std::vector<std::vector<Vertex>> maximal_cliques(const UndirectedGraph& g,
 std::vector<std::vector<Vertex>> maximal_cliques(
     const util::BitMatrix& adjacency, std::size_t limit = 1u << 22);
 
-/// The pre-bitset vector-based Bron–Kerbosch, retained as the reference
-/// implementation for the parity test-suite and the before/after
-/// microbenchmarks. Same contract as maximal_cliques.
-std::vector<std::vector<Vertex>> maximal_cliques_reference(
-    const UndirectedGraph& g, std::size_t limit = 1u << 22);
-
 /// Enumerate all maximal independent sets (maximal cliques of the
 /// complement graph).
 std::vector<std::vector<Vertex>> maximal_independent_sets(

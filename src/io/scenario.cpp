@@ -1,5 +1,6 @@
 #include "io/scenario.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -90,7 +91,32 @@ ScenarioFile parse_scenario(const std::string& text) {
     }
   }
   MRWSN_REQUIRE(!scenario.positions.empty(), "scenario declares no nodes");
+  check_scenario_values(scenario);
   return scenario;
+}
+
+void check_scenario_values(const ScenarioFile& scenario) {
+  const auto fail = [](const std::string& item, std::size_t index,
+                       const char* field, double value, const char* rule) {
+    std::ostringstream message;
+    message << "scenario " << item << ' ' << index << ": " << field
+            << " must be " << rule << ", got " << value;
+    throw PreconditionError(message.str());
+  };
+  for (std::size_t id = 0; id < scenario.positions.size(); ++id) {
+    const geom::Point& p = scenario.positions[id];
+    if (!std::isfinite(p.x)) fail("node", id, "x", p.x, "finite");
+    if (!std::isfinite(p.y)) fail("node", id, "y", p.y, "finite");
+  }
+  const auto check_demand = [&](const std::string& item, std::size_t index,
+                                double demand) {
+    if (!std::isfinite(demand) || demand < 0.0)
+      fail(item, index, "demand", demand, "finite and >= 0");
+  };
+  for (std::size_t i = 0; i < scenario.flows.size(); ++i)
+    check_demand("flow", i, scenario.flows[i].demand_mbps);
+  for (std::size_t i = 0; i < scenario.requests.size(); ++i)
+    check_demand("request", i, scenario.requests[i].demand_mbps);
 }
 
 std::string serialize_scenario(const ScenarioFile& scenario) {

@@ -41,6 +41,11 @@ struct ScenarioFile {
 /// Parse a scenario document; throws PreconditionError on malformed input.
 ScenarioFile parse_scenario(const std::string& text);
 
+/// The numeric check every scenario encoding applies once decoded: node
+/// coordinates must be finite, flow and request demands finite and >= 0.
+/// Throws PreconditionError naming the first offending field.
+void check_scenario_values(const ScenarioFile& scenario);
+
 /// Serialize to the same format (round-trips through parse_scenario).
 std::string serialize_scenario(const ScenarioFile& scenario);
 

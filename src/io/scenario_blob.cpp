@@ -180,6 +180,7 @@ ScenarioFile read_scenario_blob(std::span<const std::uint8_t> bytes) {
   MRWSN_REQUIRE(cursor.remaining() == 0,
                 "scenario blob has trailing bytes past the declared payload");
   MRWSN_REQUIRE(!scenario.positions.empty(), "scenario blob declares no nodes");
+  check_scenario_values(scenario);
   return scenario;
 }
 

@@ -120,7 +120,9 @@ void Problem::set_objective_coeff(VarId var, double objective_coeff) {
 
 namespace {
 
-/// Dense two-phase tableau simplex. Column layout:
+/// Dense two-phase tableau simplex, cold only: solve()'s numerical
+/// fallback and the differential suites' reference (solve_dense). Column
+/// layout:
 ///   [0, n)            original variables
 ///   [n, n+s)          slack/surplus variables (one per inequality row)
 ///   [n+s, n+s+m)      artificial variables (one per row)
@@ -166,7 +168,6 @@ class Tableau {
     basis_.assign(rows_, 0);
     dual_col_.assign(rows_, 0);
     row_sign_.reserve(rows_);
-    row_slack_col_.reserve(rows_);
     slack_row_.assign(num_slack, 0);
 
     std::size_t slack = slack_begin_;
@@ -186,7 +187,6 @@ class Tableau {
         slack_col = slack++;
         arow[slack_col] = sign * -1.0;
       }
-      row_slack_col_.push_back(slack_col);
       if (slack_col != cols_) slack_row_[slack_col - slack_begin_] = i;
       if (needs_art[i]) {
         // Identity column for the row; doubles as the dual probe.
@@ -234,67 +234,6 @@ class Tableau {
       drive_out_artificials();
     }
     return phase2();
-  }
-
-  /// Pivot into `warm` and run phase 2 from it, skipping phase 1. Returns
-  /// false when the basis does not apply to this problem — wrong size,
-  /// unknown entries, singular basis matrix, or a primal-infeasible
-  /// starting point. The tableau is garbage afterwards; the caller must
-  /// rebuild and run cold.
-  bool run_warm(const Basis& warm, std::size_t max_pivots, Solution* out) {
-    budget_ = max_pivots;
-    if (warm.size() != rows_) return false;
-    std::vector<std::size_t> target(rows_, cols_);
-    std::vector<char> used(cols_, 0);
-    for (std::size_t k = 0; k < rows_; ++k) {
-      const BasisEntry& entry = warm[k];
-      std::size_t c = cols_;
-      if (entry.kind == BasisEntry::Kind::kStructural) {
-        if (entry.index < 0 || static_cast<std::size_t>(entry.index) >= n_)
-          return false;
-        c = static_cast<std::size_t>(entry.index);
-      } else {
-        if (entry.index < 0 || static_cast<std::size_t>(entry.index) >= rows_)
-          return false;
-        c = row_slack_col_[static_cast<std::size_t>(entry.index)];
-        if (c == cols_) return false;  // equality row: no slack to be basic
-      }
-      if (used[c]) return false;
-      used[c] = 1;
-      target[k] = c;
-    }
-
-    // Gaussian pivot-in: per target column, the largest-magnitude pivot
-    // among rows not yet claimed. A near-zero best pivot means the basis
-    // matrix is singular for this problem. These <= m deterministic pivots
-    // do not count against the budget.
-    std::vector<char> row_done(rows_, 0);
-    for (std::size_t k = 0; k < rows_; ++k) {
-      const std::size_t c = target[k];
-      std::size_t best_row = rows_;
-      double best_abs = 1e-7;
-      const double* col = a_.data() + c;
-      for (std::size_t i = 0; i < rows_; ++i, col += stride_) {
-        if (!row_done[i] && std::abs(*col) > best_abs) {
-          best_abs = std::abs(*col);
-          best_row = i;
-        }
-      }
-      if (best_row == rows_) return false;
-      pivot(best_row, c);
-      row_done[best_row] = 1;
-    }
-
-    // The warm basis must be primal feasible here (it always is when the
-    // problem only gained columns since the basis was optimal). Tiny
-    // negative rhs from re-pivoting round-off is clamped; anything larger
-    // means a genuinely different problem.
-    for (std::size_t i = 0; i < rows_; ++i)
-      if (row(i)[cols_] < -1e-7) return false;
-    for (std::size_t i = 0; i < rows_; ++i)
-      if (row(i)[cols_] < 0.0) row(i)[cols_] = 0.0;
-    *out = phase2();
-    return true;
   }
 
  private:
@@ -472,218 +411,9 @@ class Tableau {
   std::vector<char> in_basis_;  // membership flags mirroring basis_
   std::vector<double> row_sign_;  // +1/-1 rhs normalization per row
   std::vector<std::size_t> dual_col_;  // identity-like column per row
-  std::vector<std::size_t> row_slack_col_;  // per row: slack column or cols_
-  std::vector<std::size_t> slack_row_;      // per slack column: its row
+  std::vector<std::size_t> slack_row_;  // per slack column: its row
   std::vector<double> obj_;  // maximize orientation over original columns
   std::vector<double> red_;  // reduced-cost row maintained by pivot()
-};
-
-/// The pre-flattening vector<vector<double>> tableau, retained verbatim as
-/// the reference implementation for the parity suite and the before/after
-/// microbenchmarks (see solve_reference).
-class ReferenceTableau {
- public:
-  ReferenceTableau(const Problem& p, double eps) : eps_(eps) {
-    const std::size_t n = p.num_variables();
-    const std::size_t m = p.num_constraints();
-
-    std::size_t num_slack = 0;
-    std::size_t num_art = 0;
-    std::vector<double> signs(m, 1.0);
-    std::vector<char> needs_art(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& row = p.rows()[i];
-      signs[i] = row.rhs < 0.0 ? -1.0 : 1.0;
-      if (row.sense != Sense::kEqual) ++num_slack;
-      const bool slack_is_basic =
-          (row.sense == Sense::kLessEqual && signs[i] > 0.0) ||
-          (row.sense == Sense::kGreaterEqual && signs[i] < 0.0);
-      needs_art[i] = slack_is_basic ? 0 : 1;
-      if (needs_art[i]) ++num_art;
-    }
-
-    n_ = n;
-    art_begin_ = n + num_slack;
-    cols_ = n + num_slack + num_art;
-    rows_ = m;
-
-    a_.assign(rows_, std::vector<double>(cols_ + 1, 0.0));
-    basis_.assign(rows_, 0);
-    dual_col_.assign(rows_, 0);
-
-    std::size_t slack = n;
-    std::size_t art = art_begin_;
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& row = p.rows()[i];
-      const double sign = signs[i];
-      for (const auto& [var, coeff] : row.terms)
-        a_[i][static_cast<std::size_t>(var)] = sign * coeff;
-      a_[i][cols_] = sign * row.rhs;
-      std::size_t slack_col = cols_;
-      if (row.sense == Sense::kLessEqual) {
-        slack_col = slack++;
-        a_[i][slack_col] = sign * 1.0;
-      } else if (row.sense == Sense::kGreaterEqual) {
-        slack_col = slack++;
-        a_[i][slack_col] = sign * -1.0;
-      }
-      if (needs_art[i]) {
-        const std::size_t art_col = art++;
-        a_[i][art_col] = 1.0;
-        basis_[i] = art_col;
-        dual_col_[i] = art_col;
-      } else {
-        basis_[i] = slack_col;
-        dual_col_[i] = slack_col;
-      }
-      row_sign_.push_back(sign);
-    }
-    in_basis_.assign(cols_, 0);
-    for (std::size_t b : basis_) in_basis_[b] = 1;
-
-    obj_.assign(cols_, 0.0);
-    const double obj_sign = p.objective() == Objective::kMaximize ? 1.0 : -1.0;
-    for (std::size_t j = 0; j < n; ++j) obj_[j] = obj_sign * p.objective_coeffs()[j];
-    obj_sign_ = obj_sign;
-  }
-
-  Solution run() {
-    if (art_begin_ < cols_) {
-      std::vector<double> phase1(cols_, 0.0);
-      for (std::size_t j = art_begin_; j < cols_; ++j) phase1[j] = -1.0;
-      const double phase1_value = optimize(phase1, /*allow_artificials=*/true);
-      if (phase1_value < -eps_) return Solution{};
-      drive_out_artificials();
-    }
-
-    Solution solution;
-    if (!pivot_loop(obj_, /*allow_artificials=*/false)) {
-      solution.status = Status::kUnbounded;
-      return solution;
-    }
-
-    solution.status = Status::kOptimal;
-    solution.values.assign(n_, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < n_) solution.values[basis_[i]] = a_[i][cols_];
-    }
-    double obj_value = 0.0;
-    for (std::size_t j = 0; j < n_; ++j) obj_value += obj_[j] * solution.values[j];
-    solution.objective = obj_sign_ * obj_value;
-
-    solution.duals.assign(rows_, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i)
-      solution.duals[i] = obj_sign_ * row_sign_[i] * -red_[dual_col_[i]];
-    return solution;
-  }
-
- private:
-  double optimize(const std::vector<double>& c, bool allow_artificials) {
-    const bool unbounded = !pivot_loop(c, allow_artificials);
-    MRWSN_ASSERT(!unbounded, "phase-1 objective cannot be unbounded");
-    double value = 0.0;
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < c.size()) value += c[basis_[i]] * a_[i][cols_];
-    }
-    return value;
-  }
-
-  bool pivot_loop(const std::vector<double>& c, bool allow_artificials) {
-    red_.assign(cols_, 0.0);
-    for (std::size_t j = 0; j < cols_; ++j) {
-      double reduced = c[j];
-      for (std::size_t i = 0; i < rows_; ++i) {
-        const double cb = c[basis_[i]];
-        if (cb != 0.0) reduced -= cb * a_[i][j];
-      }
-      red_[j] = reduced;
-    }
-
-    for (std::size_t iter = 0; iter < kMaxIters; ++iter) {
-      const bool bland = iter >= kDantzigIters;
-      std::size_t entering = cols_;
-      double best_reduced = eps_;
-      const std::size_t limit = allow_artificials ? cols_ : art_begin_;
-      for (std::size_t j = 0; j < limit; ++j) {
-        if (red_[j] > best_reduced && !is_basic(j)) {
-          entering = j;
-          if (bland) break;
-          best_reduced = red_[j];
-        }
-      }
-      if (entering == cols_) return true;
-
-      std::size_t leaving = rows_;
-      double best_ratio = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < rows_; ++i) {
-        if (a_[i][entering] > eps_) {
-          const double ratio = a_[i][cols_] / a_[i][entering];
-          if (ratio < best_ratio - eps_ ||
-              (ratio < best_ratio + eps_ &&
-               (leaving == rows_ || basis_[i] < basis_[leaving]))) {
-            best_ratio = ratio;
-            leaving = i;
-          }
-        }
-      }
-      if (leaving == rows_) return false;
-
-      pivot(leaving, entering);
-    }
-    throw InvariantError("simplex exceeded the iteration limit (cycling?)");
-  }
-
-  bool is_basic(std::size_t col) const { return in_basis_[col] != 0; }
-
-  void pivot(std::size_t row, std::size_t col) {
-    const double p = a_[row][col];
-    for (double& v : a_[row]) v /= p;
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (i == row) continue;
-      const double factor = a_[i][col];
-      if (factor == 0.0) continue;
-      for (std::size_t j = 0; j <= cols_; ++j) a_[i][j] -= factor * a_[row][j];
-    }
-    if (!red_.empty()) {
-      const double factor = red_[col];
-      if (factor != 0.0)
-        for (std::size_t j = 0; j < cols_; ++j) red_[j] -= factor * a_[row][j];
-    }
-    in_basis_[basis_[row]] = 0;
-    in_basis_[col] = 1;
-    basis_[row] = col;
-  }
-
-  void drive_out_artificials() {
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < art_begin_) continue;
-      MRWSN_ASSERT(std::abs(a_[i][cols_]) <= 1e-6,
-                   "basic artificial with nonzero value after feasible phase 1");
-      for (std::size_t j = 0; j < art_begin_; ++j) {
-        if (std::abs(a_[i][j]) > eps_ && !is_basic(j)) {
-          pivot(i, j);
-          break;
-        }
-      }
-    }
-  }
-
-  static constexpr std::size_t kDantzigIters = 20000;
-  static constexpr std::size_t kMaxIters = 400000;
-
-  double eps_;
-  double obj_sign_ = 1.0;
-  std::size_t n_ = 0;
-  std::size_t art_begin_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t rows_ = 0;
-  std::vector<std::vector<double>> a_;
-  std::vector<std::size_t> basis_;
-  std::vector<char> in_basis_;
-  std::vector<double> row_sign_;
-  std::vector<std::size_t> dual_col_;
-  std::vector<double> obj_;
-  std::vector<double> red_;
 };
 
 Solution solve_trivial(const Problem& problem, double eps) {
@@ -754,13 +484,12 @@ std::size_t RevisedContext::rows() const {
 /// prices candidate columns through their sparse entries: per-pivot cost
 /// O(m^2 + nnz(A)) instead of O(m * cols), which is what lets the
 /// column-generation master scale to thousands of pooled columns. The
-/// basis is refactorized every `refactor_interval` eta updates (and on
-/// warm starts, unless a RevisedContext supplies the factorization of the
+/// basis is refactorized every kRefactorInterval eta updates (and on warm
+/// starts, unless a RevisedContext supplies the factorization of the
 /// previous optimum, in which case pivoting-in is skipped entirely).
 class RevisedSimplex {
  public:
-  RevisedSimplex(const Problem& p, double eps, std::size_t refactor_interval)
-      : eps_(eps), refactor_interval_(std::max<std::size_t>(1, refactor_interval)) {
+  RevisedSimplex(const Problem& p, double eps) : eps_(eps) {
     const std::size_t n = p.num_variables();
     const std::size_t m = p.num_constraints();
 
@@ -895,45 +624,12 @@ class RevisedSimplex {
   /// apply (wrong size, unknown entries, singular, primal infeasible); the
   /// caller must rerun cold.
   bool run_warm(const Basis& warm, std::size_t max_pivots, Solution* out,
-                RevisedContext* context) {
+                const RevisedContext* context) {
     budget_ = max_pivots;
-    if (warm.size() != rows_) return false;
-    head_.assign(rows_, cols_);
-    in_basis_.assign(cols_, 0);
-    for (std::size_t k = 0; k < rows_; ++k) {
-      const BasisEntry& entry = warm[k];
-      std::size_t c = cols_;
-      if (entry.kind == BasisEntry::Kind::kStructural) {
-        if (entry.index < 0 || static_cast<std::size_t>(entry.index) >= n_)
-          return false;
-        c = static_cast<std::size_t>(entry.index);
-      } else {
-        if (entry.index < 0 || static_cast<std::size_t>(entry.index) >= rows_)
-          return false;
-        c = row_slack_col_[static_cast<std::size_t>(entry.index)];
-        if (c == cols_) return false;  // equality row: no slack to be basic
-      }
-      if (in_basis_[c]) return false;
-      in_basis_[c] = 1;
-      head_[k] = c;
-    }
-
-    // Context fast path: the previous optimum's factorization applies
-    // verbatim when the basis entries match — appending columns changes
-    // neither the rows nor any pre-existing column, so B is unchanged.
-    bool reused = false;
-    if (context != nullptr && context->state_ != nullptr) {
-      const RevisedContext::State& state = *context->state_;
-      if (state.rows == rows_ && state.basis == warm &&
-          state.row_sign == row_sign_) {
-        lu_ = state.lu;
-        perm_ = state.perm;
-        etas_ = state.etas;
-        transpose_lu();
-        reused = true;
-      }
-    }
-    if (!reused && !refactorize()) return false;
+    if (warm.size() != rows_ || !install_basis(warm)) return false;
+    // Appending columns changes neither the rows nor any pre-existing
+    // column, so the previous optimum's factorization still holds.
+    if (!reuse_context(context, warm) && !refactorize()) return false;
 
     // The warm basis must be primal feasible here (it always is when the
     // problem only gained columns since the basis was optimal). Tiny
@@ -964,58 +660,18 @@ class RevisedSimplex {
   /// Like run()/run_warm(), a mid-loop numerical failure returns true with
   /// numerical_failure() set.
   bool run_dual(const Basis& warm, std::size_t max_pivots, Solution* out,
-                RevisedContext* context, SolveStats* stats,
+                const RevisedContext* context, SolveStats* stats,
                 std::size_t dual_pivot_cap = 0) {
     budget_ = max_pivots;
-    if (warm.empty() || warm.size() > rows_) {
+    if (warm.empty() || warm.size() > rows_ || !install_basis(warm)) {
       if (stats) stats->fallback_reason = Fallback::kDualRejected;
       return false;
     }
-    head_.assign(rows_, cols_);
-    in_basis_.assign(cols_, 0);
-    for (std::size_t k = 0; k < warm.size(); ++k) {
-      const BasisEntry& entry = warm[k];
-      std::size_t c = cols_;
-      if (entry.kind == BasisEntry::Kind::kStructural) {
-        if (entry.index >= 0 && static_cast<std::size_t>(entry.index) < n_)
-          c = static_cast<std::size_t>(entry.index);
-      } else if (entry.index >= 0 &&
-                 static_cast<std::size_t>(entry.index) < rows_) {
-        c = row_slack_col_[static_cast<std::size_t>(entry.index)];
-      }
-      if (c == cols_ || in_basis_[c]) {
-        if (stats) stats->fallback_reason = Fallback::kDualRejected;
-        return false;
-      }
-      in_basis_[c] = 1;
-      head_[k] = c;
-    }
-    for (std::size_t k = warm.size(); k < rows_; ++k) {
-      const std::size_t c = row_slack_col_[k];
-      if (c == cols_ || in_basis_[c]) {
-        if (stats) stats->fallback_reason = Fallback::kDualRejected;
-        return false;
-      }
-      in_basis_[c] = 1;
-      head_[k] = c;
-    }
-
-    // Context fast path: a rhs-only change leaves the basis matrix
-    // untouched, so the stored factorization applies verbatim. Appended
-    // rows change B (the trailing slack block) and force one
-    // refactorization — still far cheaper than a cold two-phase solve.
-    bool reused = false;
-    if (context != nullptr && context->state_ != nullptr) {
-      const RevisedContext::State& state = *context->state_;
-      if (state.rows == rows_ && warm.size() == rows_ &&
-          state.basis == warm && state.row_sign == row_sign_) {
-        lu_ = state.lu;
-        perm_ = state.perm;
-        etas_ = state.etas;
-        transpose_lu();
-        reused = true;
-      }
-    }
+    // A rhs-only change leaves the basis matrix untouched, so the stored
+    // factorization applies verbatim. Appended rows change B (the
+    // trailing slack block) and force one refactorization — still far
+    // cheaper than a cold two-phase solve.
+    const bool reused = reuse_context(context, warm);
     if (!reused && !refactorize()) {
       if (stats) stats->fallback_reason = Fallback::kDualRejected;
       return false;
@@ -1110,6 +766,48 @@ class RevisedSimplex {
     Solution solution;
     solution.status = Status::kIterationLimit;
     return solution;
+  }
+
+  /// Install `warm` (at most rows_ entries, in basis-position order) and
+  /// complete the remaining positions with their rows' slacks. False when
+  /// an entry names no column of this problem, a position to complete is
+  /// an equality row (no slack), or a column would be basic twice.
+  bool install_basis(const Basis& warm) {
+    head_.assign(rows_, cols_);
+    in_basis_.assign(cols_, 0);
+    for (std::size_t k = 0; k < rows_; ++k) {
+      std::size_t c = cols_;
+      if (k >= warm.size()) {
+        c = row_slack_col_[k];
+      } else if (warm[k].kind == BasisEntry::Kind::kStructural) {
+        if (warm[k].index >= 0 && static_cast<std::size_t>(warm[k].index) < n_)
+          c = static_cast<std::size_t>(warm[k].index);
+      } else if (warm[k].index >= 0 &&
+                 static_cast<std::size_t>(warm[k].index) < rows_) {
+        c = row_slack_col_[static_cast<std::size_t>(warm[k].index)];
+      }
+      if (c == cols_ || in_basis_[c]) return false;
+      in_basis_[c] = 1;
+      head_[k] = c;
+    }
+    return true;
+  }
+
+  /// Take the installed basis's factorization from `context` when the
+  /// context holds exactly that basis: same rows, same entries, and the
+  /// same rhs signs (B's entries depend on them). False when it does not
+  /// apply and the caller must refactorize.
+  bool reuse_context(const RevisedContext* context, const Basis& warm) {
+    if (context == nullptr || context->state_ == nullptr) return false;
+    const RevisedContext::State& state = *context->state_;
+    if (state.rows != rows_ || state.basis != warm ||
+        state.row_sign != row_sign_)
+      return false;
+    lu_ = state.lu;
+    perm_ = state.perm;
+    etas_ = state.etas;
+    transpose_lu();
+    return true;
   }
 
   /// Rebuild the LU factorization (partial pivoting) of the current basis
@@ -1329,7 +1027,7 @@ class RevisedSimplex {
       head_[leaving] = entering;
       in_basis_[entering] = 1;
       etas_.push_back({leaving, std::move(w)});
-      if (etas_.size() >= refactor_interval_) {
+      if (etas_.size() >= kRefactorInterval) {
         if (!refactorize()) {
           numerical_failure_ = true;
           return LoopResult::kNumericalFailure;
@@ -1438,7 +1136,7 @@ class RevisedSimplex {
       head_[leaving] = entering;
       in_basis_[entering] = 1;
       etas_.push_back({leaving, std::move(w)});
-      if (etas_.size() >= refactor_interval_) {
+      if (etas_.size() >= kRefactorInterval) {
         if (!refactorize()) {
           numerical_failure_ = true;
           return LoopResult::kNumericalFailure;
@@ -1525,7 +1223,7 @@ class RevisedSimplex {
         head_[k] = j;
         in_basis_[j] = 1;
         etas_.push_back({k, w});
-        if (etas_.size() >= refactor_interval_) {
+        if (etas_.size() >= kRefactorInterval) {
           if (!refactorize()) {
             numerical_failure_ = true;
             return;
@@ -1538,6 +1236,9 @@ class RevisedSimplex {
   }
 
   static constexpr std::size_t kDantzigIters = 20000;
+  // Eta updates between refactorizations: fewer trade pivot speed for
+  // numerical hygiene.
+  static constexpr std::size_t kRefactorInterval = 64;
   static constexpr std::size_t kPriceWindow = 64;
   static constexpr double kSingularTol = 1e-9;
   // Primal values above -kDualPrimalTol count as feasible in the dual
@@ -1556,7 +1257,6 @@ class RevisedSimplex {
   std::size_t art_begin_ = 0;
   std::size_t cols_ = 0;        // total structural columns
   std::size_t rows_ = 0;
-  std::size_t refactor_interval_;
   std::size_t budget_ = 0;       // remaining pivots before kIterationLimit
   std::size_t price_start_ = 0;  // rotating partial-pricing cursor
   std::size_t dual_pivots_ = 0;  // pivots spent in dual_loop
@@ -1616,31 +1316,12 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
     note(Fallback::kStaleContextRows);
   }
 
-  if (options.engine == Engine::kDense) {
-    if (options.warm_start != nullptr && !options.warm_start->empty() &&
-        !options.dual_resolve) {
-      // Warm path: pivot straight into the previous basis and run phase 2.
-      // Any failure to apply it falls through to a fresh cold tableau (the
-      // warm attempt mutates its tableau, so it cannot be reused).
-      Tableau tableau(problem, options.eps);
-      Solution solution;
-      if (tableau.run_warm(*options.warm_start, options.max_pivots, &solution))
-        return solution;
-      note(Fallback::kWarmRejected);
-    }
-    // The dense engine has no dual phase; a dual_resolve request lands
-    // here only as the cold fallback of last resort.
-    Tableau tableau(problem, options.eps);
-    if (stats != nullptr) stats->cold = true;
-    return tableau.run(options.max_pivots);
-  }
-
-  // Revised engine. A numerically singular refactorization mid-solve is
-  // the one failure mode the eta-update scheme adds over the dense
-  // tableau; it falls back to the dense engine rather than surfacing a
-  // numerical artifact to the caller.
+  // A numerically singular refactorization mid-solve is the one failure
+  // mode the eta-update scheme adds over the dense tableau: a warm or dual
+  // attempt that hits it restarts cold, and a cold run that hits it falls
+  // back to the dense tableau rather than surfacing a numerical artifact.
   if (options.warm_start != nullptr && !options.warm_start->empty()) {
-    RevisedSimplex simplex(problem, options.eps, options.refactor_interval);
+    RevisedSimplex simplex(problem, options.eps);
     Solution solution;
     const bool claimed =
         options.dual_resolve
@@ -1649,29 +1330,21 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
                                options.dual_pivot_cap)
             : simplex.run_warm(*options.warm_start, options.max_pivots,
                                &solution, options.context);
-    if (claimed) {
-      if (!simplex.numerical_failure()) {
-        if (stats != nullptr) {
-          stats->dual_pivots = simplex.dual_pivots();
-          stats->pivots = simplex.pivots_spent(options.max_pivots);
-        }
-        simplex.save_context(options.context, solution);
-        return solution;
+    if (claimed && !simplex.numerical_failure()) {
+      if (stats != nullptr) {
+        stats->dual_pivots = simplex.dual_pivots();
+        stats->pivots = simplex.pivots_spent(options.max_pivots);
       }
+      simplex.save_context(options.context, solution);
+      return solution;
+    }
+    if (claimed)
       note(Fallback::kNumerical);
-    } else if (simplex.numerical_failure()) {
-      note(Fallback::kNumerical);
-      SolveOptions dense = options;
-      dense.engine = Engine::kDense;
-      dense.stats = nullptr;  // keep the reason recorded above
-      if (stats != nullptr) stats->cold = true;
-      return solve(problem, dense);
-    } else {
+    else
       note(options.dual_resolve ? Fallback::kDualRejected
                                 : Fallback::kWarmRejected);
-    }
   }
-  RevisedSimplex simplex(problem, options.eps, options.refactor_interval);
+  RevisedSimplex simplex(problem, options.eps);
   Solution solution = simplex.run(options.max_pivots);
   if (stats != nullptr) {
     stats->cold = true;
@@ -1680,21 +1353,18 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
   if (simplex.numerical_failure()) {
     note(Fallback::kNumerical);
     if (options.context != nullptr) options.context->reset();
-    SolveOptions dense = options;
-    dense.engine = Engine::kDense;
-    dense.warm_start = nullptr;
-    dense.stats = nullptr;
-    return solve(problem, dense);
+    return solve_dense(problem, options.eps, options.max_pivots);
   }
   simplex.save_context(options.context, solution);
   return solution;
 }
 
-Solution solve_reference(const Problem& problem, double eps) {
+Solution solve_dense(const Problem& problem, double eps,
+                     std::size_t max_pivots) {
   MRWSN_REQUIRE(eps > 0.0, "tolerance must be positive");
   if (problem.num_variables() == 0) return solve_trivial(problem, eps);
-  ReferenceTableau tableau(problem, eps);
-  return tableau.run();
+  Tableau tableau(problem, eps);
+  return tableau.run(max_pivots);
 }
 
 }  // namespace mrwsn::lp

@@ -17,10 +17,12 @@
 /// is a sparse revised two-phase primal simplex — columns stored sparse, an
 /// LU factorization of the basis with product-form (eta-file) updates
 /// between pivots, periodic refactorization — whose per-iteration cost
-/// scales with the problem's nonzeros instead of the full tableau. The
-/// dense full-tableau simplex is retained as Engine::kDense, the
-/// differential reference the fuzz harness checks the revised method
-/// against. No external solver is used anywhere in the repository.
+/// scales with the problem's nonzeros instead of the full tableau; it is
+/// the only engine solve() runs. A dense full-tableau simplex is kept for
+/// two roles, both cold (solve_dense): the fallback when the revised
+/// engine fails numerically, and the reference the differential fuzz and
+/// parity suites check the revised engine against. No external solver is
+/// used anywhere in the repository.
 namespace mrwsn::lp {
 
 enum class Objective { kMaximize, kMinimize };
@@ -137,12 +139,6 @@ struct BasisEntry {
 /// basic).
 using Basis = std::vector<BasisEntry>;
 
-/// Which simplex implementation solve() runs.
-enum class Engine {
-  kRevised,  ///< sparse revised simplex (LU basis + eta-file updates)
-  kDense,    ///< dense full-tableau simplex (the differential reference)
-};
-
 /// Opaque cross-solve state of the revised engine: the LU factorization
 /// (plus eta file) of the last optimal basis and the basis it belongs to.
 /// Pass the same context to a chain of warm-started re-solves of a growing
@@ -198,8 +194,8 @@ enum class Fallback : std::uint8_t {
   /// the optimal basis of a rows-appended/rhs-changed variant of this
   /// problem (e.g. columns or the objective changed too).
   kNotDualFeasible,
-  /// The revised engine failed numerically and the dense engine re-solved
-  /// the instance cold.
+  /// The revised engine failed numerically: a warm or dual attempt
+  /// restarted cold, and a cold run was re-solved by solve_dense().
   kNumerical,
   /// The dual phase of a dual re-solve exceeded SolveOptions::
   /// dual_pivot_cap (a degenerate stall, not progress) and the solve went
@@ -233,19 +229,11 @@ struct SolveOptions {
   /// is skipped entirely; otherwise the solver silently falls back to the
   /// cold two-phase path.
   const Basis* warm_start = nullptr;
-  /// Simplex implementation. kRevised is the production engine; kDense is
-  /// the retained full-tableau reference (the revised engine also falls
-  /// back to it on the rare numerically singular refactorization).
-  Engine engine = Engine::kRevised;
-  /// Revised engine: refactorize the basis after this many eta updates.
-  /// Smaller values trade pivot speed for numerical hygiene.
-  std::size_t refactor_interval = 64;
-  /// Revised engine: optional cross-solve factorization cache (see
-  /// RevisedContext). Ignored by the dense engine.
+  /// Optional cross-solve factorization cache (see RevisedContext).
   RevisedContext* context = nullptr;
-  /// Dual-simplex row re-solve (revised engine only). Treat `warm_start`
-  /// as the optimal basis of this problem *before* it gained trailing rows
-  /// and/or changed right-hand sides: the basis is completed with the
+  /// Dual-simplex row re-solve. Treat `warm_start` as the optimal basis of
+  /// this problem *before* it gained trailing rows and/or changed
+  /// right-hand sides: the basis is completed with the
   /// slacks of the trailing rows (which keeps it dual feasible — the
   /// extended basis matrix is block triangular, so the old duals extend
   /// with zeros and no reduced cost moves; duals never depend on the rhs)
@@ -254,8 +242,8 @@ struct SolveOptions {
   /// audited for dual feasibility on entry and anything else is rejected
   /// to the cold path, so results never change. With only x >= 0 bounds in
   /// this library (no finite uppers), the bound-flipping dual ratio test
-  /// degenerates to the standard one. The dense engine has no dual phase;
-  /// on numerical failure the instance falls back to a cold dense solve.
+  /// degenerates to the standard one. On numerical failure the instance
+  /// falls back to a cold solve, like every other path.
   bool dual_resolve = false;
   /// Pivot cap for the dual phase of a dual re-solve (0 = bounded only by
   /// max_pivots). A genuine rows-appended/rhs-changed re-solve lands
@@ -292,7 +280,7 @@ struct Solution {
   double dual(std::size_t constraint) const { return duals.at(constraint); }
 };
 
-/// Solve with a two-phase primal simplex (the revised engine by default).
+/// Solve with the revised two-phase primal simplex.
 ///
 /// `eps` is the feasibility/optimality tolerance. The default is suited to
 /// the well-scaled problems this library produces (coefficients within a
@@ -302,10 +290,11 @@ Solution solve(const Problem& problem, double eps = 1e-9);
 /// Solve with explicit options (tolerance, pivot budget, warm-start basis).
 Solution solve(const Problem& problem, const SolveOptions& options);
 
-/// Solve with the pre-flattening vector-of-rows tableau, retained as the
-/// reference implementation for the parity test-suite and the before/after
-/// microbenchmarks. Same algorithm and pivot rules as solve(); only the
-/// tableau storage differs.
-Solution solve_reference(const Problem& problem, double eps = 1e-9);
+/// Cold two-phase solve on the dense full tableau: the same pivot rules as
+/// the revised engine on an explicit m x cols tableau. solve() runs it
+/// when the revised engine fails numerically; the differential suites use
+/// it as their reference. `max_pivots` as in SolveOptions.
+Solution solve_dense(const Problem& problem, double eps = 1e-9,
+                     std::size_t max_pivots = SolveOptions{}.max_pivots);
 
 }  // namespace mrwsn::lp

@@ -16,6 +16,8 @@
 #include "graph/undirected.hpp"
 #include "lp/simplex.hpp"
 #include "net/network.hpp"
+#include "oracles/reference_cliques.hpp"
+#include "oracles/reference_simplex.hpp"
 #include "util/rng.hpp"
 
 namespace mrwsn::core {
@@ -110,12 +112,10 @@ TEST(SimplexParity, ContiguousTableauMatchesReference) {
   for (std::uint64_t seed : {3u, 14u, 15u, 92u}) {
     for (const auto& [vars, rows] : shapes) {
       const lp::Problem problem = random_problem(vars, rows, seed);
-      // Pin the dense engine: this test is about tableau *storage* parity
+      // The dense tableau: this test is about tableau *storage* parity
       // (contiguous buffer vs vector-of-rows); revised-vs-dense parity is
       // the fuzz harness's job (tests/lp/revised_simplex_fuzz_test.cpp).
-      lp::SolveOptions dense;
-      dense.engine = lp::Engine::kDense;
-      const lp::Solution fast = lp::solve(problem, dense);
+      const lp::Solution fast = lp::solve_dense(problem);
       const lp::Solution ref = lp::solve_reference(problem);
       ASSERT_EQ(fast.status, ref.status) << "vars=" << vars << " seed=" << seed;
       if (fast.status != lp::Status::kOptimal) continue;
@@ -151,9 +151,7 @@ TEST(SimplexParity, Eq6ShapedProblemMatchesReference) {
     row.emplace_back(f, -1.0);
     problem.add_constraint(row, lp::Sense::kGreaterEqual, 0.0);
   }
-  lp::SolveOptions dense;
-  dense.engine = lp::Engine::kDense;
-  const lp::Solution fast = lp::solve(problem, dense);
+  const lp::Solution fast = lp::solve_dense(problem);
   const lp::Solution ref = lp::solve_reference(problem);
   const lp::Solution revised = lp::solve(problem);
   ASSERT_TRUE(fast.optimal());

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "geom/topology.hpp"
@@ -136,6 +137,44 @@ TEST(ScenarioBlob, RejectsOversizedDeclaredCounts) {
   std::vector<std::uint8_t> blob = write_scenario_blob(scenario);
   for (int i = 0; i < 8; ++i) blob[8 + i] = 0xFF;  // node_count = 2^64-1
   EXPECT_THROW(read_scenario_blob(blob), PreconditionError);
+}
+
+TEST(ScenarioBlob, RejectsNonFiniteCoordinatesAndBadDemands) {
+  // The writer stores any double; the reader applies the same value check
+  // as the text loader, so a blob cannot smuggle in what text rejects.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ScenarioFile base;
+  base.positions = geom::chain(2, 70.0);
+  base.flows.push_back({1.0, {0, 1}});
+  base.requests.push_back({0, 1, 1.0});
+  const auto expect_rejected = [](const ScenarioFile& scenario,
+                                  const std::string& field) {
+    try {
+      read_scenario_blob(write_scenario_blob(scenario));
+      ADD_FAILURE() << "loaded a blob with a bad " << field;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double bad : {nan, inf, -inf}) {
+    ScenarioFile scenario = base;
+    scenario.positions[1].x = bad;
+    expect_rejected(scenario, "node 1: x");
+    scenario = base;
+    scenario.positions[0].y = bad;
+    expect_rejected(scenario, "node 0: y");
+  }
+  for (const double bad : {nan, inf, -3.0}) {
+    ScenarioFile scenario = base;
+    scenario.flows[0].demand_mbps = bad;
+    expect_rejected(scenario, "flow 0: demand");
+    scenario = base;
+    scenario.requests[0].demand_mbps = bad;
+    expect_rejected(scenario, "request 0: demand");
+  }
+  expect_equal(base, read_scenario_blob(write_scenario_blob(base)));
 }
 
 TEST(ScenarioBlob, DecodesAHandcraftedLittleEndianImage) {

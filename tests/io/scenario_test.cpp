@@ -67,6 +67,33 @@ TEST(Scenario, RejectsMalformedInput) {
   EXPECT_THROW(parse_scenario("node 0 0 0\nflow 2.0\n"), PreconditionError);
 }
 
+TEST(Scenario, RejectsNonFiniteCoordinatesAndBadDemands) {
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& field) {
+    try {
+      parse_scenario(text);
+      ADD_FAILURE() << "loaded: " << text;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string two = "node 0 0 0\nnode 1 70 0\n";
+  expect_rejected("node 0 0 0\nnode 1 nan 0\n", "node 1: x");
+  expect_rejected("node 0 0 inf\n", "node 0: y");
+  expect_rejected("node 0 -inf 0\n", "node 0: x");
+  expect_rejected(two + "flow nan 0 1\n", "flow 0: demand");
+  expect_rejected(two + "flow -3 0 1\n", "flow 0: demand");
+  expect_rejected(two + "flow inf 0 1\n", "flow 0: demand");
+  expect_rejected(two + "request 0 1 -0.5\n", "request 0: demand");
+  expect_rejected(two + "request 0 1 nan\n", "request 0: demand");
+  // Zero demands and negative (finite) coordinates are valid.
+  const ScenarioFile ok =
+      parse_scenario("node 0 -5 0\nnode 1 65 0\nflow 0 0 1\nrequest 0 1 0\n");
+  EXPECT_EQ(ok.flows.size(), 1u);
+  EXPECT_EQ(ok.requests.size(), 1u);
+}
+
 TEST(Scenario, RejectsDisconnectedFlowAtBuildTime) {
   const ScenarioFile scenario = parse_scenario(
       "node 0 0 0\nnode 1 1000 0\nflow 1.0 0 1\n");

@@ -153,23 +153,23 @@ TEST(Cli, AvailableListsEveryEstimator) {
   }
 }
 
-TEST(Cli, AvailableAcceptsEngineAndStabilizeFlags) {
+TEST(Cli, AvailableAcceptsStabilizeAndStartsFlags) {
   TempScenario file(kChain);
-  const CliResult revised = run({"available", file.path(), "2", "3",
-                                 "--method", "colgen", "--engine", "revised"});
-  ASSERT_EQ(revised.code, 0) << revised.err;
-  const CliResult dense =
+  const CliResult stabilized =
+      run({"available", file.path(), "2", "3", "--method", "colgen"});
+  ASSERT_EQ(stabilized.code, 0) << stabilized.err;
+  const CliResult unstabilized =
       run({"available", file.path(), "2", "3", "--method", "colgen",
-           "--engine", "dense", "--stabilize", "off"});
-  ASSERT_EQ(dense.code, 0) << dense.err;
-  // Both engines solve the same LP: the report lines must agree.
-  EXPECT_EQ(revised.out, dense.out);
+           "--stabilize", "off"});
+  ASSERT_EQ(unstabilized.code, 0) << unstabilized.err;
+  // Too few pricing rounds here for smoothing to engage: same report.
+  EXPECT_EQ(stabilized.out, unstabilized.out);
   // Without --starts the CLI runs the library's pricing default.
   const CliResult default_starts =
       run({"available", file.path(), "2", "3", "--method", "colgen",
-           "--engine", "revised", "--starts", "12"});
+           "--starts", "12"});
   ASSERT_EQ(default_starts.code, 0) << default_starts.err;
-  EXPECT_EQ(revised.out, default_starts.out);
+  EXPECT_EQ(stabilized.out, default_starts.out);
   // The chain is too small for the start count to show; on this path of
   // a generated 40-node scenario 8 starts cost one pricing round more
   // than 12, so a default other than 12 changes the report.
@@ -187,10 +187,6 @@ TEST(Cli, AvailableAcceptsEngineAndStabilizeFlags) {
   EXPECT_EQ(by_default.out, twelve.out);
   EXPECT_NE(by_default.out, eight.out);
 
-  const CliResult bad_engine =
-      run({"available", file.path(), "2", "3", "--engine", "sparse"});
-  EXPECT_EQ(bad_engine.code, 1);
-  EXPECT_NE(bad_engine.err.find("unknown --engine"), std::string::npos);
   const CliResult bad_stabilize =
       run({"available", file.path(), "2", "3", "--stabilize", "maybe"});
   EXPECT_EQ(bad_stabilize.code, 1);
@@ -215,6 +211,85 @@ TEST(Cli, ParseUnsignedIsStrictAndBounded) {
     EXPECT_NE(std::string(e.what()).find("--readers"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("'-1'"), std::string::npos);
   }
+}
+
+TEST(Cli, ParseNonnegativeDoubleIsStrictAndBounded) {
+  constexpr double kHuge = std::numeric_limits<double>::max();
+  EXPECT_EQ(parse_nonnegative_double("--d", "2.5", kHuge), 2.5);
+  EXPECT_EQ(parse_nonnegative_double("--d", "0", kHuge), 0.0);
+  EXPECT_EQ(parse_nonnegative_double("--d", "007", kHuge), 7.0);
+  EXPECT_EQ(parse_nonnegative_double("--d", ".5", kHuge), 0.5);
+  EXPECT_EQ(parse_nonnegative_double("--d", "3.", kHuge), 3.0);
+  EXPECT_EQ(parse_nonnegative_double("--d", "1", 1.0), 1.0);
+  for (const char* bad : {"", ".", "2.5xyz", "nan", "inf", "-3", "+3", "1e3",
+                          " 2", "2 ", "1.2.3", "0x10", "1,5"})
+    EXPECT_THROW(parse_nonnegative_double("--d", bad, kHuge),
+                 PreconditionError)
+        << bad;
+  EXPECT_THROW(parse_nonnegative_double("--d", "1.01", 1.0), PreconditionError);
+  // More digits than a double can hold overflows instead of reading as inf.
+  EXPECT_THROW(parse_nonnegative_double("--d", std::string(400, '9'), kHuge),
+               PreconditionError);
+  try {
+    parse_nonnegative_double("--demand", "-3", kHuge);
+    ADD_FAILURE() << "-3 parsed";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("--demand"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'-3'"), std::string::npos);
+  }
+}
+
+TEST(Cli, RejectsMalformedDecimalFlags) {
+  const auto expect_rejected = [](const CliResult& r, const std::string& flag) {
+    EXPECT_EQ(r.code, 1);
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_NE(r.err.find("error: " + flag), std::string::npos) << r.err;
+  };
+  for (const char* bad : {"2.5xyz", "nan", "-3", "inf"})
+    expect_rejected(
+        run({"generate", "--nodes", "4", "--flows", "1", "--demand", bad}),
+        "--demand");
+  expect_rejected(run({"generate", "--nodes", "4", "--width", "-400"}),
+                  "--width");
+  const CliResult good =
+      run({"generate", "--nodes", "4", "--flows", "1", "--demand", "2.5"});
+  ASSERT_EQ(good.code, 0) << good.err;
+  EXPECT_NE(good.out.find(" 2.5\n"), std::string::npos) << good.out;
+
+  TempScenario file(kChain);
+  expect_rejected(run({"simulate", file.path(), "--seconds", "nan"}),
+                  "--seconds");
+  expect_rejected(run({"admit", file.path(), "--bench-replay",
+                       "--commit-ratio", "1.5"}),
+                  "--commit-ratio");
+  TempScenario queries("2,3,-3\n");
+  expect_rejected(run({"admit", file.path(), "--batch", queries.path()}),
+                  "batch demand");
+}
+
+TEST(Cli, RejectsOptionsACommandDoesNotTake) {
+  TempScenario file(kChain);
+  const auto expect_unknown = [](const CliResult& r, const std::string& text) {
+    EXPECT_EQ(r.code, 1);
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_NE(r.err.find("error: unknown option " + text), std::string::npos)
+        << r.err;
+  };
+  expect_unknown(
+      run({"generate", "--nodes", "4", "--flows", "1", "--bogus", "7"}),
+      "--bogus for generate");
+  expect_unknown(run({"available", file.path(), "2", "3", "--bogus", "7"}),
+                 "--bogus for available");
+  // The dense engine is no longer selectable, and saying so is an error.
+  expect_unknown(
+      run({"available", file.path(), "2", "3", "--engine", "dense"}),
+      "--engine for available");
+  expect_unknown(run({"info", file.path(), "--metric", "hop"}),
+                 "--metric for info");
+  expect_unknown(run({"admit", file.path(), "--readers", "2"}),
+                 "--readers for admit");
+  expect_unknown(run({"simulate", file.path(), "--policy", "lp"}),
+                 "--policy for simulate");
 }
 
 TEST(Cli, RejectsMalformedAndOverBoundCounts) {

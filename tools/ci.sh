@@ -35,7 +35,8 @@
 #      120 s timeout. Seed 3 is the study's heavy tail: its LP truth prices
 #      seven flows against an undeliverable background, which took minutes
 #      of CPU before phase A stopped at the first exact round proving it.
-#   7. portable kernels: test_core built in a -DMRWSN_FAST_KERNELS=OFF
+#   7. portable kernels: test_core (with the test-only tests/oracles
+#      library it links) built in a -DMRWSN_FAST_KERNELS=OFF
 #      tree (build-nofast, sibling of build/) running the pinned
 #      column-generation suites — the stabilization and exact-only round
 #      counts, tiered-pricing thread-count identity, the phase A

@@ -1,9 +1,12 @@
 #include "tools/cli.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <istream>
 #include <limits>
@@ -13,6 +16,8 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "common/admission_replay.hpp"
@@ -55,6 +60,30 @@ std::uint64_t parse_unsigned(const std::string& what, const std::string& text,
   return value;
 }
 
+double parse_nonnegative_double(const std::string& what,
+                                const std::string& text, double max) {
+  const auto fail = [&] {
+    std::ostringstream message;
+    message << what << " needs an unsigned decimal";
+    if (max < std::numeric_limits<double>::max())
+      message << " no larger than " << max;
+    message << ", got '" << text << "'";
+    throw PreconditionError(message.str());
+  };
+  const auto dots = std::count(text.begin(), text.end(), '.');
+  const auto digits = std::count_if(text.begin(), text.end(),
+                                    [](char c) { return c >= '0' && c <= '9'; });
+  if (digits == 0 || dots > 1 ||
+      static_cast<std::size_t>(digits + dots) != text.size())
+    fail();
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value > max)
+    fail();
+  return value;
+}
+
 namespace {
 
 net::NodeId parse_node(const std::string& text) {
@@ -63,6 +92,7 @@ net::NodeId parse_node(const std::string& text) {
 }
 
 /// Tiny option parser: `--key value` pairs after the positional args.
+/// Each command names the flags it takes with only().
 class Options {
  public:
   Options(const std::vector<std::string>& args, std::size_t first) {
@@ -84,9 +114,12 @@ class Options {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  double get_double(const std::string& key, double fallback) const {
+  double get_double(const std::string& key, double fallback,
+                    double max = std::numeric_limits<double>::max()) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return it == values_.end()
+               ? fallback
+               : parse_nonnegative_double(key, it->second, max);
   }
   std::uint64_t get_u64(
       const std::string& key, std::uint64_t fallback,
@@ -96,6 +129,15 @@ class Options {
                                : parse_unsigned(key, it->second, max);
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// Reject every flag `command` does not take.
+  void only(const std::string& command,
+            std::initializer_list<std::string_view> flags) const {
+    for (const auto& entry : values_)
+      if (std::find(flags.begin(), flags.end(), entry.first) == flags.end())
+        throw PreconditionError("unknown option " + entry.first + " for " +
+                                command);
+  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -137,6 +179,8 @@ std::string path_text(const net::Path& path) {
 }
 
 int cmd_generate(const Options& options, std::ostream& out) {
+  options.only("generate", {"--nodes", "--width", "--height", "--seed",
+                            "--flows", "--demand"});
   const std::size_t nodes = options.get_u64("--nodes", 30);
   const double width = options.get_double("--width", 400.0);
   const double height = options.get_double("--height", 600.0);
@@ -197,6 +241,8 @@ int cmd_capacity(const io::ScenarioFile& scenario, net::NodeId src,
 int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
                   net::NodeId dst, const Options& options, std::ostream& out,
                   std::ostream& err) {
+  options.only("available",
+               {"--metric", "--method", "--stabilize", "--pricing", "--starts"});
   const net::Network network = io::build_network(scenario);
   core::PhysicalInterferenceModel model(network);
   const auto background = background_of(scenario, network);
@@ -224,13 +270,6 @@ int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
     return 1;
   }
   core::ColumnGenOptions colgen_options;
-  const std::string engine_name = options.get("--engine", "revised");
-  if (engine_name == "dense") {
-    colgen_options.engine = lp::Engine::kDense;
-  } else if (engine_name != "revised") {
-    err << "unknown --engine '" << engine_name << "' (revised|dense)\n";
-    return 1;
-  }
   const std::string stabilize_name = options.get("--stabilize", "on");
   if (stabilize_name == "off") {
     colgen_options.stabilize = false;
@@ -283,6 +322,7 @@ int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
 
 int cmd_admit(const io::ScenarioFile& scenario, const Options& options,
               std::ostream& out, std::ostream& err) {
+  options.only("admit", {"--metric", "--policy"});
   if (scenario.requests.empty()) {
     err << "the scenario has no request lines\n";
     return 1;
@@ -409,7 +449,8 @@ std::vector<BatchQuery> parse_batch_file(const std::string& file_name) {
     BatchQuery query;
     query.src = parse_node(parts[0]);
     query.dst = parse_node(parts[1]);
-    query.demand_mbps = std::stod(parts[2]);
+    query.demand_mbps = parse_nonnegative_double(
+        "batch demand", parts[2], std::numeric_limits<double>::max());
     if (parts.size() == 4) {
       MRWSN_REQUIRE(parts[3] == "commit" || parts[3] == "query",
                     "batch line flag must be commit|query: " + line);
@@ -431,6 +472,7 @@ void print_batch_row(std::ostream& out, std::size_t id, const BatchQuery& query,
 
 int cmd_batch(const io::ScenarioFile& scenario, const Options& options,
               std::ostream& out, std::ostream& err) {
+  options.only("admit --batch", {"--batch", "--metric"});
   AdmissionService service(scenario, options);
   std::vector<BatchQuery> queries = parse_batch_file(options.get("--batch", ""));
   for (BatchQuery& query : queries) query.path = service.route(query.src, query.dst);
@@ -578,6 +620,7 @@ class ServeReaders {
 
 int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
               std::istream& in, std::ostream& out, std::ostream& err) {
+  options.only("admit --serve", {"--serve", "--metric", "--readers"});
   AdmissionService service(scenario, options, /*pooled=*/true);
   const auto readers = static_cast<std::size_t>(
       options.get_u64("--readers", 0, util::kMaxThreads));
@@ -674,6 +717,9 @@ int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
 /// thread counts and print p50/p99 evaluate latency and throughput.
 int cmd_bench_replay(const io::ScenarioFile& scenario, const Options& options,
                      std::ostream& out) {
+  options.only("admit --bench-replay",
+               {"--bench-replay", "--ops", "--queries", "--seed",
+                "--commit-ratio", "--threads", "--verify"});
   benchx::ReplayTraceOptions trace_options;
   trace_options.num_ops = options.get_u64("--ops", 1000);
   trace_options.distinct_queries = options.get_u64("--queries", 64);
@@ -682,10 +728,7 @@ int cmd_bench_replay(const io::ScenarioFile& scenario, const Options& options,
   // (minus the periodic evicts), the write-heavy mix of the commit-latency
   // benchmarks.
   trace_options.commit_fraction =
-      options.get_double("--commit-ratio", trace_options.commit_fraction);
-  MRWSN_REQUIRE(trace_options.commit_fraction >= 0.0 &&
-                    trace_options.commit_fraction <= 1.0,
-                "--commit-ratio must be within [0, 1]");
+      options.get_double("--commit-ratio", trace_options.commit_fraction, 1.0);
   auto network = std::make_shared<net::Network>(io::build_network(scenario));
   const benchx::ReplayTrace trace =
       benchx::make_replay_trace(std::move(network), trace_options);
@@ -820,6 +863,7 @@ std::string event_text(const io::MobilityTrace::Event& event) {
 /// the final topology.
 int cmd_mobility(const io::ScenarioFile& scenario, const Options& options,
                  std::ostream& out, std::ostream& err) {
+  options.only("mobility", {"--trace", "--verify"});
   if (scenario.shadowing_sigma_db > 0.0) {
     err << "mobility replay does not support shadowed scenarios "
            "(incremental repair needs deterministic gains)\n";
@@ -908,6 +952,7 @@ int cmd_mobility(const io::ScenarioFile& scenario, const Options& options,
 
 int cmd_simulate(const io::ScenarioFile& scenario, const Options& options,
                  std::ostream& out, std::ostream& err) {
+  options.only("simulate", {"--seconds", "--arf", "--seed"});
   if (scenario.flows.empty()) {
     err << "the scenario has no flow lines to simulate\n";
     return 1;
@@ -943,6 +988,8 @@ int cmd_simulate(const io::ScenarioFile& scenario, const Options& options,
 /// truth on a constant-density topology whose idle ratios are measured by
 /// the sharded parallel CSMA simulator.
 int cmd_fig4(const Options& options, std::ostream& out) {
+  options.only("fig4", {"--nodes", "--flows", "--seed", "--threads",
+                        "--seconds", "--demand", "--rts"});
   benchx::ScaledFig4Options scaled;
   scaled.num_nodes = static_cast<std::size_t>(options.get_u64("--nodes", 500));
   scaled.num_flows = static_cast<std::size_t>(options.get_u64("--flows", 8));
@@ -970,8 +1017,8 @@ void usage(std::ostream& os) {
          "  mrwsn scenario unpack scenario.mrwb scenario.txt\n"
          "  mrwsn capacity scenario.txt <src> <dst>\n"
          "  mrwsn available scenario.txt <src> <dst> [--metric hop|td|avg]\n"
-         "                 [--method auto|enum|colgen] [--engine revised|dense]\n"
-         "                 [--stabilize on|off] [--pricing tiered|exact]\n"
+         "                 [--method auto|enum|colgen] [--stabilize on|off]\n"
+         "                 [--pricing tiered|exact]\n"
          "                 [--starts N (default "
      << core::ColumnGenOptions{}.heuristic_starts << ")]\n"
          "  mrwsn admit scenario.txt [--metric avg] [--policy lp|eq13|...]\n"
@@ -984,7 +1031,9 @@ void usage(std::ostream& os) {
          "  mrwsn simulate scenario.txt [--seconds 2] [--arf] [--seed 1]\n"
          "  mrwsn fig4 [--nodes 500] [--threads 8] [--seed 4] [--flows 8]\n"
          "             [--rts on|off|both] [--seconds 0.5]\n"
-         "scenario files load from text or packed binary (sniffed by magic)\n";
+         "scenario files load from text or packed binary (sniffed by magic)\n"
+         "each command rejects flags it does not take; counts take unsigned\n"
+         "integers, and sizes, demands, seconds and ratios unsigned decimals\n";
 }
 
 }  // namespace
@@ -1016,13 +1065,20 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       MRWSN_REQUIRE(args.size() >= 2, command + " needs a scenario file");
       return io::load_scenario(args[1]);
     };
-    if (command == "info") return cmd_info(load(), out);
+    if (command == "info") {
+      const io::ScenarioFile scenario = load();
+      Options(args, 2).only("info", {});
+      return cmd_info(scenario, out);
+    }
     if (command == "capacity" || command == "available") {
       const io::ScenarioFile scenario = load();
       MRWSN_REQUIRE(args.size() >= 4, command + " needs <src> <dst>");
       const net::NodeId src = parse_node(args[2]);
       const net::NodeId dst = parse_node(args[3]);
-      if (command == "capacity") return cmd_capacity(scenario, src, dst, out, err);
+      if (command == "capacity") {
+        Options(args, 4).only("capacity", {});
+        return cmd_capacity(scenario, src, dst, out, err);
+      }
       return cmd_available(scenario, src, dst, Options(args, 4), out, err);
     }
     if (command == "admit") {

@@ -17,6 +17,13 @@ inline constexpr std::uint64_t kMaxStarts = 1024;
 std::uint64_t parse_unsigned(const std::string& what, const std::string& text,
                              std::uint64_t max);
 
+/// The CLI's one floating-point parser, for flag values and batch demands:
+/// an unsigned decimal (digits with at most one '.', no sign, exponent,
+/// blanks or trailing characters, so never nan or inf) no larger than
+/// `max`. Throws PreconditionError naming `what` otherwise.
+double parse_nonnegative_double(const std::string& what,
+                                const std::string& text, double max);
+
 /// Entry point of the `mrwsn` command-line tool, separated from main()
 /// so the test-suite can drive it in-process.
 ///

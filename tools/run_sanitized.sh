@@ -4,7 +4,9 @@
 # (bitset enumeration, pricing branch-and-bound, simplex warm starts):
 # ASan catches out-of-bounds/use-after-free, UBSan catches overflow and
 # invalid casts, and -fno-sanitize-recover turns every finding into a
-# test failure.
+# test failure. The build covers every target, so the test-only
+# tests/oracles library (the parity suite's reference kernels) is
+# instrumented too.
 #
 # Usage: run_sanitized.sh [build-dir] [sanitizers]
 #   build-dir   defaults to build-asan (sibling of build/)
