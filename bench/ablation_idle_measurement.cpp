@@ -10,7 +10,7 @@
 #include "core/idle_time.hpp"
 #include "core/interference.hpp"
 #include "geom/topology.hpp"
-#include "mac/csma.hpp"
+#include "mac/parallel_sim.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -33,7 +33,9 @@ int main() {
     const core::IdleResult oracle =
         core::schedule_idle_ratios(network, model, background);
 
-    mac::CsmaSimulator sim(network, mac::MacParams{}, /*seed=*/17);
+    mac::ParallelCsmaSimulator sim(network, mac::MacParams{},
+                                   mac::ShardParams::one_region(),
+                                   /*seed=*/17);
     sim.add_flow(path, load);
     const mac::SimReport report = sim.run(3.0);
 

@@ -10,7 +10,7 @@
 #include "core/available_bandwidth.hpp"
 #include "core/interference.hpp"
 #include "geom/topology.hpp"
-#include "mac/csma.hpp"
+#include "mac/parallel_sim.hpp"
 #include "mac/tdma.hpp"
 #include "util/table.hpp"
 
@@ -33,7 +33,8 @@ int main() {
     tdma.add_flow(path, offered);
     const mac::SimReport t = tdma.run(3.0);
 
-    mac::CsmaSimulator csma(network, mac::MacParams{}, 7);
+    mac::ParallelCsmaSimulator csma(network, mac::MacParams{},
+                                    mac::ShardParams::one_region(), 7);
     csma.add_flow(path, offered);
     const mac::SimReport c = csma.run(3.0);
 

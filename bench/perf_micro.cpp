@@ -21,7 +21,6 @@
 #include "geom/topology.hpp"
 #include "graph/undirected.hpp"
 #include "lp/simplex.hpp"
-#include "mac/csma.hpp"
 #include "mac/event_queue.hpp"
 #include "mac/parallel_sim.hpp"
 #include "routing/qos_router.hpp"
@@ -924,7 +923,8 @@ void BM_CsmaSimulatedSecond(benchmark::State& state) {
                                       *network.find_link(1, 2),
                                       *network.find_link(2, 3)};
   for (auto _ : state) {
-    mac::CsmaSimulator sim(network, mac::MacParams{}, 3);
+    mac::ParallelCsmaSimulator sim(network, mac::MacParams{},
+                                   mac::ShardParams::one_region(), 3);
     sim.add_flow(path, 4.0);
     benchmark::DoNotOptimize(sim.run(0.25, 0.05));
   }

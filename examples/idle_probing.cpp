@@ -10,7 +10,7 @@
 #include "core/estimation.hpp"
 #include "core/interference.hpp"
 #include "geom/topology.hpp"
-#include "mac/csma.hpp"
+#include "mac/parallel_sim.hpp"
 #include "net/path.hpp"
 #include "util/table.hpp"
 
@@ -27,7 +27,9 @@ int main() {
   const double bg_demand = 3.0;
 
   // --- measure idle ratios on the air ------------------------------------
-  mac::CsmaSimulator sim(network, mac::MacParams{}, /*seed=*/2026);
+  mac::ParallelCsmaSimulator sim(network, mac::MacParams{},
+                                 mac::ShardParams::one_region(),
+                                 /*seed=*/2026);
   sim.add_flow(bg_path.links(), bg_demand);
   const mac::SimReport report = sim.run(/*duration_s=*/3.0);
 

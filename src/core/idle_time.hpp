@@ -26,8 +26,8 @@ struct IdleResult {
 /// carrier-sense threshold.
 ///
 /// This is the "oracle" counterpart of the carrier-sensing measurement the
-/// paper's distributed nodes perform; mac::CsmaSimulator provides the
-/// measured counterpart (compared in the idle-measurement ablation).
+/// paper's distributed nodes perform; mac::ParallelCsmaSimulator provides
+/// the measured counterpart (compared in the idle-measurement ablation).
 IdleResult schedule_idle_ratios(const net::Network& network,
                                 const InterferenceModel& model,
                                 std::span<const LinkFlow> background);

@@ -103,6 +103,13 @@ void check_scenario_values(const ScenarioFile& scenario) {
             << " must be " << rule << ", got " << value;
     throw PreconditionError(message.str());
   };
+  const double sigma = scenario.shadowing_sigma_db;
+  if (!std::isfinite(sigma) || sigma < 0.0) {
+    std::ostringstream message;
+    message << "scenario shadowing: sigma must be finite and >= 0, got "
+            << sigma;
+    throw PreconditionError(message.str());
+  }
   for (std::size_t id = 0; id < scenario.positions.size(); ++id) {
     const geom::Point& p = scenario.positions[id];
     if (!std::isfinite(p.x)) fail("node", id, "x", p.x, "finite");

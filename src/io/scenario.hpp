@@ -41,8 +41,9 @@ struct ScenarioFile {
 /// Parse a scenario document; throws PreconditionError on malformed input.
 ScenarioFile parse_scenario(const std::string& text);
 
-/// The numeric check every scenario encoding applies once decoded: node
-/// coordinates must be finite, flow and request demands finite and >= 0.
+/// The numeric check every scenario encoding applies once decoded: the
+/// shadowing sigma must be finite and >= 0, node coordinates finite, flow
+/// and request demands finite and >= 0.
 /// Throws PreconditionError naming the first offending field.
 void check_scenario_values(const ScenarioFile& scenario);
 

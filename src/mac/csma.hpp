@@ -1,10 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "net/network.hpp"
 
 namespace mrwsn::mac {
 
@@ -62,38 +60,6 @@ struct SimReport {
   std::uint64_t data_transmissions = 0;
   std::uint64_t failed_receptions = 0;   ///< DATA frames lost to SINR/collision
   std::uint64_t control_failures = 0;    ///< RTS/CTS frames lost (RTS/CTS mode)
-};
-
-/// A packet-level CSMA/CA (DCF) simulator over a net::Network: carrier
-/// sensing against the PHY's carrier-sense threshold, DIFS + binary
-/// exponential backoff, DATA/ACK exchange, SINR-based reception with
-/// cumulative interference, multihop forwarding along configured flow
-/// paths, and per-node busy/idle accounting.
-///
-/// Its role in this repository is Section 4's *measured* channel idle
-/// ratio: an on-air counterpart to core::schedule_idle_ratios. It is not
-/// meant to reproduce the LP's optimal schedules (DCF cannot; that gap is
-/// precisely the paper's Scenario I observation). Each link transmits at
-/// its maximum lone rate; RTS/CTS is not modelled.
-class CsmaSimulator {
- public:
-  CsmaSimulator(const net::Network& network, MacParams params,
-                std::uint64_t seed);
-  ~CsmaSimulator();
-
-  CsmaSimulator(const CsmaSimulator&) = delete;
-  CsmaSimulator& operator=(const CsmaSimulator&) = delete;
-
-  /// Add a CBR flow along a contiguous link path with the given demand.
-  void add_flow(std::vector<net::LinkId> path_links, double demand_mbps);
-
-  /// Run for `warmup_s + duration_s` simulated seconds; statistics cover
-  /// only the final `duration_s`. May be called once per simulator.
-  SimReport run(double duration_s, double warmup_s = 0.5);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace mrwsn::mac

@@ -86,7 +86,8 @@ struct FlowTally {
 };
 
 /// The conservative-synchronization runtime of the sharded simulator: one
-/// EventQueue per region, a persistent worker pool, and
+/// EventQueue per region, a persistent worker pool of at most one worker
+/// per region (a spare worker would only spin at every barrier), and
 /// double-buffered per-(src,dst) outboxes exchanged at window barriers.
 ///
 /// The lookahead invariant: every message's effect time is at least its
@@ -109,7 +110,8 @@ class ShardCore {
       : owner_(owner),
         regions_(regions),
         latency_(latency_s),
-        pool_(threads),
+        pool_(std::min(threads == 0 ? util::configured_threads() : threads,
+                       regions)),
         queues_(regions),
         outbox_(regions * regions),
         min_emit_(regions, {kInf, kInf}),
@@ -167,8 +169,6 @@ class ShardCore {
       cursor_ = std::max(wend_, std::min(tnext, boundary));
     }
   }
-
-  util::WorkerPool& pool() { return pool_; }
 
  private:
   void run_region(std::size_t r) {
@@ -661,7 +661,7 @@ struct ParallelCsmaSimulator::Impl {
     evaluate(n);
     emit_signal_off(n, now, 0.0, kNoNode);
     // The ACK (if any) arrives at now + 2*latency + SIFS + ACK airtime;
-    // one slot of margin, as in the sequential model.
+    // one slot of margin.
     const double timeout = 2.0 * shard.latency_s + params.sifs_s +
                            params.ack_duration_s + params.slot_time_s;
     node.response_timer = queue_at(n).schedule_at(
@@ -999,8 +999,7 @@ struct ParallelCsmaSimulator::Impl {
     }
 
     core.run_to(warmup_s);
-    // Reset busy accounting at the measurement boundary (the same
-    // convention as the sequential simulator).
+    // Reset busy accounting at the measurement boundary.
     for (NodeState& node : nodes) {
       node.busy_accum = 0.0;
       if (node.busy_since >= 0.0) node.busy_since = warmup_s;

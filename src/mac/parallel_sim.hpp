@@ -21,7 +21,8 @@ namespace mrwsn::mac {
 struct ShardParams {
   std::size_t grid_x = 0;  ///< 0: auto-size cells by carrier-sense range
   std::size_t grid_y = 0;
-  std::size_t threads = 0;  ///< 0: util::configured_threads()
+  /// 0: util::configured_threads(); capped at the region count.
+  std::size_t threads = 0;
 
   /// Uniform latency charged on every cross-node effect, applied alike
   /// inside and across regions; also the conservative lookahead window.
@@ -33,15 +34,37 @@ struct ShardParams {
   /// decision by a measurable amount). Bounds per-transmission fan-out on
   /// large topologies; identical for every partitioning.
   double interaction_floor = 0.01;
+
+  /// The preset for small topologies (chains, hidden-terminal layouts,
+  /// `mrwsn simulate`): a single 1x1 region, which the worker pool runs
+  /// on the calling thread alone, and latency_s = 1 us, the air
+  /// propagation time across the paper PHY's 281 m carrier-sense range
+  /// (281 m / c ~ 0.94 us).
+  static ShardParams one_region() {
+    ShardParams shard;
+    shard.grid_x = 1;
+    shard.grid_y = 1;
+    shard.latency_s = 1e-6;
+    return shard;
+  }
 };
 
-/// Region-parallel counterpart of CsmaSimulator: the same DCF model
-/// (carrier sensing, DIFS + binary exponential backoff, DATA/ACK, optional
-/// RTS/CTS NAV and ARF), restated as a message-passing simulation in which
-/// every cross-node effect arrives `latency_s` after its cause. Nodes are
-/// partitioned into spatial-grid regions, each with its own event queue;
-/// regions run in parallel inside conservative lookahead windows of
-/// latency_s and exchange time-stamped messages at window barriers.
+/// The packet-level CSMA/CA (802.11 DCF) simulator over a net::Network:
+/// carrier sensing against the PHY's carrier-sense threshold, DIFS +
+/// binary exponential backoff, DATA/ACK, SINR-based reception with
+/// cumulative interference, optional RTS/CTS NAV and ARF, multihop
+/// forwarding along configured flow paths, and per-node busy/idle
+/// accounting. Its role is Section 4's *measured* channel idle ratio: an
+/// on-air counterpart to core::schedule_idle_ratios. It does not reproduce
+/// the LP's optimal schedules (DCF cannot; that gap is the paper's
+/// Scenario I observation).
+///
+/// The model is a message-passing simulation in which every cross-node
+/// effect arrives `latency_s` after its cause. Nodes are partitioned into
+/// spatial-grid regions, each with its own event queue; regions run in
+/// parallel inside conservative lookahead windows of latency_s and
+/// exchange time-stamped messages at window barriers. Small topologies
+/// use ShardParams::one_region().
 ///
 /// Determinism: every event carries an intrinsic (class, origin, sequence)
 /// key and queues order events by (time, key), so the execution order —

@@ -27,7 +27,7 @@ struct TdmaParams {
 /// scheduling exists" — into an executable artifact: if the LP says a
 /// flow set is feasible, the TDMA executor must deliver each flow's
 /// demand packet by packet (up to per-packet PHY overhead), where a
-/// contention MAC (CsmaSimulator) generally cannot.
+/// contention MAC (ParallelCsmaSimulator) generally cannot.
 ///
 /// Transmissions never fail here: the interference model already certified
 /// every slot's concurrent set (verify_schedule is called on input).

@@ -12,7 +12,7 @@
 #include "core/schedule.hpp"
 #include "geom/topology.hpp"
 #include "io/scenario.hpp"
-#include "mac/csma.hpp"
+#include "mac/parallel_sim.hpp"
 #include "mac/tdma.hpp"
 #include "routing/admission.hpp"
 #include "routing/widest_path.hpp"
@@ -179,7 +179,8 @@ TEST(Integration, CsmaNeverBeatsTheLpOracleOnAChain) {
   for (std::size_t i = 0; i < 3; ++i) path.push_back(*network.find_link(i, i + 1));
   const double capacity = core::path_capacity(model, path);  // 12 Mbps
   for (double offered : {4.0, 8.0, 16.0}) {
-    mac::CsmaSimulator sim(network, mac::MacParams{}, 31);
+    mac::ParallelCsmaSimulator sim(network, mac::MacParams{},
+                                   mac::ShardParams::one_region(), 31);
     sim.add_flow(path, offered);
     const auto report = sim.run(2.0);
     EXPECT_LE(report.flows[0].delivered_mbps, capacity + 0.5);

@@ -174,6 +174,11 @@ TEST(ScenarioBlob, RejectsNonFiniteCoordinatesAndBadDemands) {
     scenario.requests[0].demand_mbps = bad;
     expect_rejected(scenario, "request 0: demand");
   }
+  for (const double bad : {nan, inf, -4.0}) {
+    ScenarioFile scenario = base;
+    scenario.shadowing_sigma_db = bad;
+    expect_rejected(scenario, "shadowing: sigma");
+  }
   expect_equal(base, read_scenario_blob(write_scenario_blob(base)));
 }
 

@@ -87,9 +87,12 @@ TEST(Scenario, RejectsNonFiniteCoordinatesAndBadDemands) {
   expect_rejected(two + "flow inf 0 1\n", "flow 0: demand");
   expect_rejected(two + "request 0 1 -0.5\n", "request 0: demand");
   expect_rejected(two + "request 0 1 nan\n", "request 0: demand");
-  // Zero demands and negative (finite) coordinates are valid.
-  const ScenarioFile ok =
-      parse_scenario("node 0 -5 0\nnode 1 65 0\nflow 0 0 1\nrequest 0 1 0\n");
+  expect_rejected(two + "shadowing nan 7\n", "shadowing: sigma");
+  expect_rejected(two + "shadowing -4 7\n", "shadowing: sigma");
+  expect_rejected(two + "shadowing inf 7\n", "shadowing: sigma");
+  // Zero demands, zero sigma and negative (finite) coordinates are valid.
+  const ScenarioFile ok = parse_scenario(
+      "node 0 -5 0\nnode 1 65 0\nshadowing 0 7\nflow 0 0 1\nrequest 0 1 0\n");
   EXPECT_EQ(ok.flows.size(), 1u);
   EXPECT_EQ(ok.requests.size(), 1u);
 }

@@ -1,10 +1,12 @@
-#include "mac/csma.hpp"
+#include "mac/parallel_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include "geom/topology.hpp"
 #include "util/error.hpp"
 
+// The DCF property suite, run on the small-topology preset: one region,
+// one worker, 1 us cross-node latency (ShardParams::one_region()).
 namespace mrwsn::mac {
 namespace {
 
@@ -14,7 +16,8 @@ net::Network chain_network(std::size_t nodes, double spacing) {
 
 TEST(Csma, LightSingleHopFlowDeliversItsDemand) {
   const net::Network net = chain_network(2, 70.0);
-  CsmaSimulator sim(net, MacParams{}, /*seed=*/1);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(),
+                            /*seed=*/1);
   sim.add_flow({*net.find_link(0, 1)}, 2.0);
   const SimReport report = sim.run(2.0);
   ASSERT_EQ(report.flows.size(), 1u);
@@ -25,7 +28,7 @@ TEST(Csma, LightSingleHopFlowDeliversItsDemand) {
 
 TEST(Csma, TransmitterSensesItsOwnBusyTime) {
   const net::Network net = chain_network(2, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 1);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 1);
   sim.add_flow({*net.find_link(0, 1)}, 10.0);
   const SimReport report = sim.run(2.0);
   // 10 Mbps over a 36 Mbps link keeps the channel busy a noticeable
@@ -37,7 +40,7 @@ TEST(Csma, TransmitterSensesItsOwnBusyTime) {
 
 TEST(Csma, IdleNetworkIsFullyIdle) {
   const net::Network net = chain_network(3, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 1);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 1);
   const SimReport report = sim.run(0.5);
   for (double idle : report.node_idle) EXPECT_DOUBLE_EQ(idle, 1.0);
   EXPECT_EQ(report.data_transmissions, 0u);
@@ -46,7 +49,7 @@ TEST(Csma, IdleNetworkIsFullyIdle) {
 TEST(Csma, SameSeedIsDeterministic) {
   auto run_once = [] {
     const net::Network net = chain_network(4, 70.0);
-    CsmaSimulator sim(net, MacParams{}, 42);
+    ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 42);
     sim.add_flow({*net.find_link(0, 1), *net.find_link(1, 2),
                   *net.find_link(2, 3)},
                  1.5);
@@ -61,7 +64,7 @@ TEST(Csma, SameSeedIsDeterministic) {
 
 TEST(Csma, MultihopFlowForwardsEndToEnd) {
   const net::Network net = chain_network(4, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 7);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 7);
   sim.add_flow({*net.find_link(0, 1), *net.find_link(1, 2),
                 *net.find_link(2, 3)},
                1.0);
@@ -76,7 +79,7 @@ TEST(Csma, FarApartPairsDoNotShareAirtime) {
   const std::vector<geom::Point> positions{
       {0.0, 0.0}, {70.0, 0.0}, {800.0, 0.0}, {870.0, 0.0}};
   const net::Network net(positions, phy::PhyModel::paper_default());
-  CsmaSimulator sim(net, MacParams{}, 3);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 3);
   sim.add_flow({*net.find_link(0, 1)}, 12.0);
   sim.add_flow({*net.find_link(2, 3)}, 12.0);
   const SimReport report = sim.run(2.0);
@@ -88,7 +91,7 @@ TEST(Csma, FarApartPairsDoNotShareAirtime) {
 
 TEST(Csma, OverloadSaturatesBelowLinkRate) {
   const net::Network net = chain_network(2, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 5);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 5);
   sim.add_flow({*net.find_link(0, 1)}, 60.0);  // far beyond 36 Mbps
   const SimReport report = sim.run(2.0);
   // DCF overhead keeps goodput beneath the PHY rate but it must still
@@ -104,7 +107,7 @@ TEST(Csma, ContendingFlowsShareTheChannel) {
   // Two single-hop flows in mutual carrier-sense range must split roughly
   // fairly and their goodputs must sum below the link rate.
   const net::Network net = chain_network(3, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 11);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 11);
   sim.add_flow({*net.find_link(0, 1)}, 30.0);
   sim.add_flow({*net.find_link(2, 1)}, 30.0);
   const SimReport report = sim.run(2.0);
@@ -120,7 +123,7 @@ TEST(Csma, ContendingFlowsShareTheChannel) {
 
 TEST(Csma, LatencyStatsAreSaneAtLightLoad) {
   const net::Network net = chain_network(2, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 21);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 21);
   sim.add_flow({*net.find_link(0, 1)}, 2.0);
   const SimReport report = sim.run(2.0);
   const FlowStats& stats = report.flows[0];
@@ -135,11 +138,13 @@ TEST(Csma, LatencyStatsAreSaneAtLightLoad) {
 
 TEST(Csma, MultihopLatencyExceedsSingleHop) {
   const net::Network net = chain_network(4, 70.0);
-  CsmaSimulator one_hop(net, MacParams{}, 33);
+  ParallelCsmaSimulator one_hop(net, MacParams{}, ShardParams::one_region(),
+                                33);
   one_hop.add_flow({*net.find_link(0, 1)}, 1.0);
   const double single = one_hop.run(2.0).flows[0].mean_latency_s;
 
-  CsmaSimulator three_hop(net, MacParams{}, 33);
+  ParallelCsmaSimulator three_hop(net, MacParams{}, ShardParams::one_region(),
+                                  33);
   three_hop.add_flow({*net.find_link(0, 1), *net.find_link(1, 2),
                       *net.find_link(2, 3)},
                      1.0);
@@ -159,7 +164,7 @@ struct HiddenTerminalFixture {
   SimReport run(bool enable_arf, std::uint64_t seed = 77) {
     MacParams params;
     params.enable_arf = enable_arf;
-    CsmaSimulator sim(net, params, seed);
+    ParallelCsmaSimulator sim(net, params, ShardParams::one_region(), seed);
     sim.add_flow({*net.find_link(0, 1)}, 10.0);  // victim
     sim.add_flow({*net.find_link(2, 3)}, 10.0);  // hidden interferer
     return sim.run(3.0);
@@ -194,7 +199,7 @@ TEST(CsmaArf, CleanChannelStaysAtTopRate) {
   const net::Network net = chain_network(2, 70.0);
   MacParams params;
   params.enable_arf = true;
-  CsmaSimulator sim(net, params, 5);
+  ParallelCsmaSimulator sim(net, params, ShardParams::one_region(), 5);
   sim.add_flow({*net.find_link(0, 1)}, 8.0);
   const SimReport report = sim.run(2.0);
   EXPECT_NEAR(report.flows[0].delivered_mbps, 8.0, 0.8);
@@ -219,7 +224,7 @@ struct RtsFixture {
   SimReport run(bool enable_rts, std::uint64_t seed = 13) {
     MacParams params;
     params.enable_rts_cts = enable_rts;
-    CsmaSimulator sim(net, params, seed);
+    ParallelCsmaSimulator sim(net, params, ShardParams::one_region(), seed);
     sim.add_flow({*net.find_link(0, 1)}, 8.0);  // victim
     sim.add_flow({*net.find_link(2, 3)}, 8.0);  // hidden interferer
     return sim.run(3.0);
@@ -249,14 +254,14 @@ TEST(CsmaRtsCts, CleanChannelStillMeetsDemandDespiteOverhead) {
   const net::Network net = chain_network(2, 70.0);
   MacParams params;
   params.enable_rts_cts = true;
-  CsmaSimulator sim(net, params, 5);
+  ParallelCsmaSimulator sim(net, params, ShardParams::one_region(), 5);
   sim.add_flow({*net.find_link(0, 1)}, 6.0);
   const SimReport report = sim.run(2.0);
   EXPECT_NEAR(report.flows[0].delivered_mbps, 6.0, 0.6);
   EXPECT_EQ(report.flows[0].dropped_packets, 0u);
   // But the channel is busier than without the handshake.
   MacParams plain;
-  CsmaSimulator sim2(net, plain, 5);
+  ParallelCsmaSimulator sim2(net, plain, ShardParams::one_region(), 5);
   sim2.add_flow({*net.find_link(0, 1)}, 6.0);
   const SimReport base = sim2.run(2.0);
   EXPECT_LT(report.node_idle[0], base.node_idle[0] + 1e-9);
@@ -269,7 +274,7 @@ TEST(CsmaRtsCts, PaperPhyMakesNavUseless) {
   HiddenTerminalFixture f;  // the ARF fixture: paper PHY, CS 281 m
   MacParams params;
   params.enable_rts_cts = true;
-  CsmaSimulator sim(f.net, params, 77);
+  ParallelCsmaSimulator sim(f.net, params, ShardParams::one_region(), 77);
   sim.add_flow({*f.net.find_link(0, 1)}, 10.0);
   sim.add_flow({*f.net.find_link(2, 3)}, 10.0);
   const SimReport rts = sim.run(3.0);
@@ -285,7 +290,7 @@ class CsmaConservationTest : public ::testing::TestWithParam<int> {};
 TEST_P(CsmaConservationTest, PacketsAreConserved) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   const net::Network net = chain_network(4, 70.0);
-  CsmaSimulator sim(net, MacParams{}, seed);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), seed);
   const double demand = 1.0 + static_cast<double>(seed % 5) * 2.5;
   sim.add_flow({*net.find_link(0, 1), *net.find_link(1, 2),
                 *net.find_link(2, 3)},
@@ -302,7 +307,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsmaConservationTest, ::testing::Range(1, 9));
 
 TEST(Csma, RunTwiceIsRejected) {
   const net::Network net = chain_network(2, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 1);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 1);
   sim.add_flow({*net.find_link(0, 1)}, 1.0);
   (void)sim.run(0.2);
   EXPECT_THROW((void)sim.run(0.2), PreconditionError);
@@ -310,7 +315,7 @@ TEST(Csma, RunTwiceIsRejected) {
 
 TEST(Csma, ValidatesFlowPaths) {
   const net::Network net = chain_network(4, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 1);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 1);
   EXPECT_THROW(sim.add_flow({}, 1.0), PreconditionError);
   EXPECT_THROW(sim.add_flow({*net.find_link(0, 1)}, 0.0), PreconditionError);
   EXPECT_THROW(
@@ -320,9 +325,9 @@ TEST(Csma, ValidatesFlowPaths) {
 
 TEST(Csma, ValidatesDurations) {
   const net::Network net = chain_network(2, 70.0);
-  CsmaSimulator sim(net, MacParams{}, 1);
+  ParallelCsmaSimulator sim(net, MacParams{}, ShardParams::one_region(), 1);
   EXPECT_THROW((void)sim.run(0.0), PreconditionError);
-  CsmaSimulator sim2(net, MacParams{}, 1);
+  ParallelCsmaSimulator sim2(net, MacParams{}, ShardParams::one_region(), 1);
   EXPECT_THROW((void)sim2.run(1.0, -0.5), PreconditionError);
 }
 

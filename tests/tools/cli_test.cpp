@@ -462,6 +462,29 @@ TEST(Cli, ServeAnswersQueriesAndTracksState) {
   EXPECT_EQ(lines[4].rfind("err unknown command", 0), 0u);
 }
 
+TEST(Cli, ServeRejectsNegativeAndMalformedNumbers) {
+  // Its own topology, so this session gets a cold pooled engine whose
+  // commit counter holds only the scenario's preloaded flow.
+  TempScenario scenario("node 0 0 0\nnode 1 60 0\nnode 2 120 0\n"
+                        "node 3 180 0\nflow 3.0 0 1\n");
+  const CliResult r = run_with_input(
+      {"admit", scenario.path(), "--serve"},
+      "admit 2 3 -5\nquery 2 3 -3\nbackground 2 3 -1\nquery -1 3 1\n"
+      "admit 2 3 nan\nquery 2 x 1\nstats\nquit\n");
+  ASSERT_EQ(r.code, 0) << r.err;
+  const auto lines = lines_of(r.out);
+  ASSERT_EQ(lines.size(), 7u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(lines[i].rfind("err demand needs an unsigned decimal", 0), 0u)
+        << lines[i];
+  }
+  EXPECT_EQ(lines[3].rfind("err node id", 0), 0u) << lines[3];
+  EXPECT_EQ(lines[4].rfind("err demand", 0), 0u) << lines[4];
+  EXPECT_EQ(lines[5].rfind("err node id", 0), 0u) << lines[5];
+  // Nothing was committed beyond the preloaded flow.
+  EXPECT_NE(lines[6].find("commits=1 "), std::string::npos) << lines[6];
+}
+
 TEST(Cli, ServeReadersAnswerAsyncQueriesWithIds) {
   // A distinct topology so this session gets its own pooled engine rather
   // than the one warmed by ServeAnswersQueriesAndTracksState.

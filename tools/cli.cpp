@@ -32,7 +32,7 @@
 #include "io/mobility.hpp"
 #include "io/scenario.hpp"
 #include "io/scenario_blob.hpp"
-#include "mac/csma.hpp"
+#include "mac/parallel_sim.hpp"
 #include "routing/admission.hpp"
 #include "routing/qos_router.hpp"
 #include "util/error.hpp"
@@ -663,12 +663,15 @@ int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
         respond("ok reset");
       } else if (command == "query" || command == "admit" ||
                  command == "background") {
-        net::NodeId src = 0, dst = 0;
-        double demand = 0.0;
-        if (!(words >> src >> dst >> demand)) {
+        std::string src_text, dst_text, demand_text;
+        if (!(words >> src_text >> dst_text >> demand_text)) {
           respond("err " + command + " needs <src> <dst> <demand>");
           continue;
         }
+        const net::NodeId src = parse_node(src_text);
+        const net::NodeId dst = parse_node(dst_text);
+        const double demand = parse_nonnegative_double(
+            "demand", demand_text, std::numeric_limits<double>::max());
         const auto path = service.route(src, dst);
         if (!path) {
           respond("err no route " + std::to_string(src) + " -> " +
@@ -960,7 +963,9 @@ int cmd_simulate(const io::ScenarioFile& scenario, const Options& options,
   const net::Network network = io::build_network(scenario);
   mac::MacParams params;
   params.enable_arf = options.has("--arf");
-  mac::CsmaSimulator sim(network, params, options.get_u64("--seed", 1));
+  mac::ParallelCsmaSimulator sim(network, params,
+                                 mac::ShardParams::one_region(),
+                                 options.get_u64("--seed", 1));
   for (const net::Flow& flow : io::build_flows(scenario, network))
     sim.add_flow(flow.path.links(), flow.demand_mbps);
   const mac::SimReport report =
