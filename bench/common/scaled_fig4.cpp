@@ -9,7 +9,6 @@
 #include "geom/topology.hpp"
 #include "mac/parallel_sim.hpp"
 #include "routing/qos_router.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -52,9 +51,8 @@ void run_one_mac_mode(const net::Network& network,
   for (double idle : report.node_idle) idle_sum += idle;
   out << "\n=== RTS/CTS " << (rts ? "on" : "off") << " ===\n"
       << "measured " << options.measure_s << " s of CSMA air time in "
-      << Table::num(wall, 2) << " s wall ("
-      << (options.threads ? options.threads : util::configured_threads())
-      << " threads); mean node idle "
+      << Table::num(wall, 2) << " s wall (" << sim.workers()
+      << (sim.workers() == 1 ? " thread" : " threads") << "); mean node idle "
       << Table::num(idle_sum / static_cast<double>(report.node_idle.size()), 3)
       << ", data transmissions " << report.data_transmissions
       << ", failed receptions " << report.failed_receptions

@@ -285,6 +285,26 @@ const ScaledFig4Bench& scaled_fig4_bench() {
   return *cached;
 }
 
+// Cold set-up of the physical model on the scaled Fig. 4 positions
+// (topology seed 4): net::Network's link discovery plus the eager rx-power
+// table of core::PhysicalInterferenceModel. Snapshot loads, EnginePool cold
+// builds and add_node refills pay this. The arg is the node count.
+void BM_TopologyBuild(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const benchx::Section52Setup setup =
+      benchx::make_scaled_setup(/*seed=*/4, nodes, /*num_flows=*/8,
+                                /*demand_mbps=*/2.0, /*target_degree=*/12.0);
+  std::vector<geom::Point> positions;
+  for (const net::Node& node : setup.network.nodes())
+    positions.push_back(node.position);
+  for (auto _ : state) {
+    const net::Network network(positions, phy::PhyModel::paper_default());
+    const core::PhysicalInterferenceModel model(network);
+    benchmark::DoNotOptimize(model.rx_power(0, 1));
+  }
+}
+BENCHMARK(BM_TopologyBuild)->Arg(500)->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // Pricing oracles head to head (the tiered-pricing tentpole): one pricing
 // call over a chain universe with colgen-shaped duals — the exact

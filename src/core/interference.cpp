@@ -62,12 +62,8 @@ void ModelRepair::normalize() {
 
 PhysicalInterferenceModel::PhysicalInterferenceModel(const net::Network& network)
     : network_(&network), num_nodes_(network.num_nodes()) {
-  if (num_nodes_ * num_nodes_ <= kMaxEagerPowerEntries) {
-    rx_power_.resize(num_nodes_ * num_nodes_);
-    for (net::NodeId from = 0; from < num_nodes_; ++from)
-      for (net::NodeId at = 0; at < num_nodes_; ++at)
-        rx_power_[from * num_nodes_ + at] = network.received_power(from, at);
-  }
+  if (num_nodes_ * num_nodes_ <= kMaxEagerPowerEntries)
+    network.fill_received_power(rx_power_);
 }
 
 void PhysicalInterferenceModel::repair(const ModelRepair& delta) {
@@ -75,10 +71,7 @@ void PhysicalInterferenceModel::repair(const ModelRepair& delta) {
   if (n * n <= kMaxEagerPowerEntries) {
     if (delta.nodes_added || rx_power_.size() != n * n) {
       // The row stride changed (or the table was never eager): refill.
-      rx_power_.resize(n * n);
-      for (net::NodeId from = 0; from < n; ++from)
-        for (net::NodeId at = 0; at < n; ++at)
-          rx_power_[from * n + at] = network_->received_power(from, at);
+      network_->fill_received_power(rx_power_);
     } else {
       // A mutated node changes the power it delivers everywhere (its row)
       // and the power it receives from everyone (its column); nothing else.

@@ -8,19 +8,6 @@ namespace mrwsn::core {
 
 namespace {
 
-/// Weakest received power at which ANY rate of the table decodes with zero
-/// interference: a pair closer than the corresponding range has a link.
-double decode_threshold(const phy::PhyModel& phy) {
-  double threshold = 0.0;
-  for (const phy::Rate& rate : phy.rates().rates()) {
-    const double need =
-        std::max(rate.rx_sensitivity_watt, rate.sinr_min_linear * phy.noise_watt());
-    if (threshold == 0.0 || need < threshold) threshold = need;
-  }
-  MRWSN_REQUIRE(threshold > 0.0, "rate table admits links at any distance");
-  return threshold;
-}
-
 std::vector<geom::Point> live_positions(const net::Network& network) {
   std::vector<geom::Point> points;
   points.reserve(network.num_nodes());
@@ -34,11 +21,11 @@ TopologyDelta::TopologyDelta(net::Network* network,
                              PhysicalInterferenceModel* model)
     : network_(network),
       model_(model),
-      // Cell size = nominal-power decode range: radius queries touch ~9
-      // cells until power churn inflates the radius.
-      grid_(network->phy().path_loss().range_for_power(
-          network->phy().tx_power_watt(), decode_threshold(network->phy()))),
-      decode_threshold_watt_(decode_threshold(network->phy())) {
+      // Cell size = nominal-power decode reach: radius queries touch ~9
+      // cells until power churn inflates the radius. (+inf on a shadowed
+      // network, which the checks below reject.)
+      grid_(network->reach(network->phy().tx_power_watt(),
+                           network->decode_threshold_watt())) {
   MRWSN_REQUIRE(network_ != nullptr && model_ != nullptr,
                 "topology delta needs a network and its model");
   MRWSN_REQUIRE(&model_->network() == network_,
@@ -46,6 +33,8 @@ TopologyDelta::TopologyDelta(net::Network* network,
   MRWSN_REQUIRE(!network_->has_shadowing(),
                 "incremental repair does not support shadowed networks "
                 "(unbounded gains defeat grid-based link discovery)");
+  MRWSN_REQUIRE(network_->decode_threshold_watt() > 0.0,
+                "rate table admits links at any distance");
   grid_.build(live_positions(*network_));
   max_power_watt_ = network_->phy().tx_power_watt();
   for (net::NodeId id = 0; id < network_->num_nodes(); ++id) {
@@ -55,8 +44,7 @@ TopologyDelta::TopologyDelta(net::Network* network,
 }
 
 double TopologyDelta::discovery_radius() const {
-  return network_->phy().path_loss().range_for_power(max_power_watt_,
-                                                     decode_threshold_watt_);
+  return network_->reach(max_power_watt_, network_->decode_threshold_watt());
 }
 
 void TopologyDelta::refresh_incident(net::NodeId node, ModelRepair* repair) {

@@ -67,9 +67,8 @@ class TopologyDelta {
   const net::Network& network() const { return *network_; }
 
  private:
-  /// Conservative link-discovery radius: the farthest any node (at the
-  /// strongest transmit power seen so far) can deliver the weakest
-  /// decodable rate.
+  /// Conservative link-discovery radius: net::Network::reach of the
+  /// strongest transmit power seen so far at the weakest decodable power.
   double discovery_radius() const;
 
   /// Refresh every link incident to `node` into `repair->links`.
@@ -82,8 +81,7 @@ class TopologyDelta {
   net::Network* network_;
   PhysicalInterferenceModel* model_;
   geom::SpatialGrid grid_;
-  double decode_threshold_watt_;  // weakest power any rate can decode
-  double max_power_watt_;         // strongest per-node tx power seen
+  double max_power_watt_;  // strongest per-node tx power seen
 };
 
 }  // namespace mrwsn::core

@@ -124,6 +124,7 @@ class ShardCore {
   }
 
   std::size_t regions() const { return regions_; }
+  std::size_t workers() const { return pool_.size(); }
   EventQueue& queue_of(std::size_t region) { return queues_[region]; }
   double now_of(std::size_t region) const { return queues_[region].now(); }
 
@@ -393,11 +394,18 @@ struct ParallelCsmaSimulator::Impl {
     // cutoff never breaks determinism.
     const double floor_watt =
         shard.interaction_floor * network.phy().noise_watt();
+    // A pair beyond the sender's reach at that floor provably falls below
+    // it, so its power is never computed.
     neighbor_start.assign(n + 1, 0);
     for (std::uint32_t i = 0; i < n; ++i) {
       neighbor_start[i] = static_cast<std::uint32_t>(neighbors.size());
+      const double reach_m = network.reach(network.node_tx_power(i), floor_watt);
+      const double reach_sq = reach_m * reach_m;
+      const geom::Point origin = network.node(i).position;
       for (std::uint32_t m = 0; m < n; ++m) {
-        if (m == i) continue;
+        if (m == i ||
+            geom::distance_sq(origin, network.node(m).position) > reach_sq)
+          continue;
         const double power = network.received_power(i, m);
         if (power >= floor_watt)
           neighbors.push_back(Neighbor{m, power});
@@ -1048,6 +1056,10 @@ void ParallelCsmaSimulator::add_flow(std::vector<net::LinkId> path_links,
 
 SimReport ParallelCsmaSimulator::run(double duration_s, double warmup_s) {
   return impl_->run(duration_s, warmup_s);
+}
+
+std::size_t ParallelCsmaSimulator::workers() const {
+  return impl_->core.workers();
 }
 
 }  // namespace mrwsn::mac

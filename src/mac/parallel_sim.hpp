@@ -87,6 +87,10 @@ class ParallelCsmaSimulator {
   /// processed on the half-open interval [0, warmup_s + duration_s).
   SimReport run(double duration_s, double warmup_s = 0.5);
 
+  /// Threads that run the regions, the caller included: ShardParams::
+  /// threads (or util::configured_threads()) capped at the region count.
+  std::size_t workers() const;
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -1,6 +1,11 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace mrwsn::net {
 
@@ -20,11 +25,17 @@ Network::Network(std::vector<geom::Point> positions, phy::PhyModel phy,
   node_power_.assign(n, phy_.tx_power_watt());
   links_from_.assign(n, {});
   links_to_.assign(n, {});
-  by_pair_.assign(n, std::vector<std::optional<LinkId>>(n));
 
+  // Every node is at nominal power here, so a pair beyond the nominal
+  // decode reach cannot decode any rate and its power is never computed.
+  // Shadowed networks sweep every pair (reach is +inf).
+  const double reach_m = reach(phy_.tx_power_watt(), decode_threshold_watt());
+  const double reach_sq = reach_m * reach_m;
   for (NodeId tx = 0; tx < n; ++tx) {
     for (NodeId rx = 0; rx < n; ++rx) {
-      if (tx == rx) continue;
+      if (tx == rx ||
+          geom::distance_sq(nodes_[tx].position, nodes_[rx].position) > reach_sq)
+        continue;
       // Link existence and its lone rate follow the (possibly shadowed)
       // received power: Eq. 1 with zero interference.
       const double pr = received_power(tx, rx);
@@ -37,7 +48,6 @@ Network::Network(std::vector<geom::Point> positions, phy::PhyModel phy,
       link.length_m = geom::distance(nodes_[tx].position, nodes_[rx].position);
       link.best_rate_alone = *rate;
       link.best_mbps_alone = phy_.rates()[*rate].mbps;
-      by_pair_[tx][rx] = link.id;
       links_from_[tx].push_back(link.id);
       links_to_[rx].push_back(link.id);
       links_.push_back(link);
@@ -62,7 +72,9 @@ const Link& Network::link(LinkId id) const {
 std::optional<LinkId> Network::find_link(NodeId tx, NodeId rx) const {
   check_node(tx);
   check_node(rx);
-  return by_pair_[tx][rx];
+  for (const LinkId id : links_from_[tx])
+    if (links_[id].rx == rx) return id;
+  return std::nullopt;
 }
 
 const std::vector<LinkId>& Network::links_from(NodeId node) const {
@@ -89,6 +101,54 @@ double Network::received_power(NodeId from, NodeId at) const {
   return gain * scale * phy_.received_power(distance(from, at));
 }
 
+void Network::fill_received_power(std::vector<double>& table) const {
+  const std::size_t n = nodes_.size();
+  table.resize(n * n);
+  const double nominal = phy_.tx_power_watt();
+  // Square tiles on and above the diagonal; tile (I, J) writes its cells
+  // and their mirror in tile (J, I), so tasks never share a cell and only
+  // share cache lines along tile edges.
+  constexpr std::size_t kTile = 64;
+  const std::size_t blocks = (n + kTile - 1) / kTile;
+  std::vector<std::pair<std::size_t, std::size_t>> tiles;
+  tiles.reserve(blocks * (blocks + 1) / 2);
+  for (std::size_t bi = 0; bi < blocks; ++bi)
+    for (std::size_t bj = bi; bj < blocks; ++bj) tiles.emplace_back(bi, bj);
+  util::parallel_for(tiles.size(), [&](std::size_t t) {
+    const auto [bi, bj] = tiles[t];
+    const std::size_t a_end = std::min(n, (bi + 1) * kTile);
+    const std::size_t b_end = std::min(n, (bj + 1) * kTile);
+    for (NodeId a = bi * kTile; a < a_end; ++a) {
+      for (NodeId b = std::max(a, bj * kTile); b < b_end; ++b) {
+        // The same expression as received_power(), evaluated once for
+        // both directions.
+        const double pr = phy_.received_power(
+            geom::distance(nodes_[a].position, nodes_[b].position));
+        const double gain = shadowing_ ? shadowing_->gain(a, b) : 1.0;
+        table[a * n + b] = gain * (node_power_[a] / nominal) * pr;
+        table[b * n + a] = gain * (node_power_[b] / nominal) * pr;
+      }
+    }
+  });
+}
+
+double Network::decode_threshold_watt() const {
+  double threshold = 0.0;
+  for (const phy::Rate& rate : phy_.rates().rates()) {
+    const double need = std::max(rate.rx_sensitivity_watt,
+                                 rate.sinr_min_linear * phy_.noise_watt());
+    if (threshold == 0.0 || need < threshold) threshold = need;
+  }
+  return threshold;
+}
+
+double Network::reach(double tx_power_watt, double min_power_watt) const {
+  if (shadowing_ || !(min_power_watt > 0.0))
+    return std::numeric_limits<double>::infinity();
+  return phy_.path_loss().range_for_power(tx_power_watt, min_power_watt) *
+         (1.0 + 1e-6);
+}
+
 void Network::set_position(NodeId id, geom::Point position) {
   check_node(id);
   nodes_[id].position = position;
@@ -111,8 +171,6 @@ NodeId Network::add_node(geom::Point position) {
   node_power_.push_back(phy_.tx_power_watt());
   links_from_.emplace_back();
   links_to_.emplace_back();
-  for (auto& row : by_pair_) row.emplace_back();
-  by_pair_.emplace_back(nodes_.size());
   return id;
 }
 
@@ -141,7 +199,7 @@ std::optional<Network::LinkRefresh> Network::refresh_link(NodeId tx,
     rate = phy_.rates().max_supported(pr, phy_.sinr(pr, 0.0));
   }
 
-  const std::optional<LinkId> existing = by_pair_[tx][rx];
+  const std::optional<LinkId> existing = find_link(tx, rx);
   if (!existing) {
     if (!rate) return std::nullopt;
     Link link;
@@ -151,7 +209,6 @@ std::optional<Network::LinkRefresh> Network::refresh_link(NodeId tx,
     link.length_m = distance(tx, rx);
     link.best_rate_alone = *rate;
     link.best_mbps_alone = phy_.rates()[*rate].mbps;
-    by_pair_[tx][rx] = link.id;
     links_from_[tx].push_back(link.id);
     links_to_[rx].push_back(link.id);
     links_.push_back(link);

@@ -71,7 +71,7 @@ class Network {
   const std::vector<Link>& links() const { return links_; }
 
   /// The link from `tx` to `rx`, if one has ever been admitted (it may be
-  /// dead — check link(id).alive).
+  /// dead — check link(id).alive). Scans the out-links of `tx`.
   std::optional<LinkId> find_link(NodeId tx, NodeId rx) const;
 
   /// Links whose transmitter is `node` (alive and dead alike).
@@ -86,6 +86,29 @@ class Network {
   /// Received power at node `at` from a transmission by node `from`, at
   /// `from`'s per-node transmit power.
   double received_power(NodeId from, NodeId at) const;
+
+  /// received_power(from, at) for every ordered node pair, written into
+  /// `table` (resized to num_nodes()^2, row-major by `from`). Bit-identical
+  /// to calling received_power per pair, at one path-loss and shadowing
+  /// evaluation per unordered pair: distance and shadowing gain are
+  /// symmetric, and only the per-node power scale differs between the two
+  /// directions. Fans out over util::parallel_for; every cell has exactly
+  /// one writer.
+  void fill_received_power(std::vector<double>& table) const;
+
+  /// Weakest received power at which some rate decodes with no
+  /// interference (Eq. 1 alone): max(sensitivity, SINR_min x noise),
+  /// minimized over the rate table.
+  double decode_threshold_watt() const;
+
+  /// Farthest distance at which a transmission at `tx_power_watt` still
+  /// arrives with at least `min_power_watt`, padded by one part in 10^6 so
+  /// that pow's rounding never decides which side of it a pair falls on:
+  /// every pair farther apart receives less. +inf when the network is
+  /// shadowed (its gains are unbounded) or `min_power_watt` is not
+  /// positive. The strongest power with decode_threshold_watt() bounds
+  /// link discovery.
+  double reach(double tx_power_watt, double min_power_watt) const;
 
   // --- Dynamic-topology surface (see class comment) -----------------------
 
@@ -136,7 +159,6 @@ class Network {
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> links_from_;        // by tx node
   std::vector<std::vector<LinkId>> links_to_;          // by rx node
-  std::vector<std::vector<std::optional<LinkId>>> by_pair_;  // [tx][rx]
 };
 
 }  // namespace mrwsn::net

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/scenarios.hpp"
+#include "core/topology_delta.hpp"
 #include "geom/topology.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace mrwsn::core {
 namespace {
@@ -20,6 +25,52 @@ net::LinkId link_of(const net::Network& net, net::NodeId a, net::NodeId b) {
 }
 
 // ---------------------------------------------------------------- physical
+
+std::vector<geom::Point> random_layout() {
+  Rng rng(20261018);
+  return geom::random_rectangle(300, 1000.0, 1000.0, rng);
+}
+
+/// Brute force: every ordered pair through Network::received_power,
+/// compared bit for bit against the model's eager table.
+std::size_t power_table_mismatches(const PhysicalInterferenceModel& model) {
+  const net::Network& net = model.network();
+  std::size_t mismatches = 0;
+  for (net::NodeId from = 0; from < net.num_nodes(); ++from) {
+    for (net::NodeId at = 0; at < net.num_nodes(); ++at) {
+      const double want = net.received_power(from, at);
+      const double got = model.rx_power(from, at);
+      if (std::memcmp(&want, &got, sizeof(double)) != 0) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(PhysicalModelPowerTable, MatchesBruteForceOnRandomLayout) {
+  const net::Network net(random_layout(), phy::PhyModel::paper_default());
+  const PhysicalInterferenceModel model(net);
+  EXPECT_EQ(power_table_mismatches(model), 0u);
+}
+
+TEST(PhysicalModelPowerTable, MatchesBruteForceWithShadowing) {
+  const net::Network net(random_layout(), phy::PhyModel::paper_default(),
+                         phy::Shadowing(4.0, 7));
+  const PhysicalInterferenceModel model(net);
+  EXPECT_EQ(power_table_mismatches(model), 0u);
+}
+
+TEST(PhysicalModelPowerTable, MatchesBruteForceAfterPowerChangeAndJoinRefill) {
+  net::Network net(random_layout(), phy::PhyModel::paper_default());
+  PhysicalInterferenceModel model(net);
+  TopologyDelta delta(&net, &model);
+  delta.set_power(17, 0.25);  // row/column repair
+  delta.set_power(250, 0.03);
+  EXPECT_EQ(power_table_mismatches(model), 0u);
+  const ModelRepair join = delta.add_node({500.0, 500.0});  // full refill
+  EXPECT_TRUE(join.nodes_added);
+  EXPECT_EQ(net.num_nodes(), 301u);
+  EXPECT_EQ(power_table_mismatches(model), 0u);
+}
 
 TEST(PhysicalModel, LinksSharingANodeAlwaysInterfere) {
   const net::Network net = chain_network(3, 70.0);

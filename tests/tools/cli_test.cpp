@@ -564,6 +564,17 @@ TEST(Cli, Fig4RunsScaledEstimatorComparison) {
   EXPECT_NE(r.out.find("LP truth"), std::string::npos);
 }
 
+TEST(Cli, Fig4ReportsTheSimulatorsWorkerCount) {
+  // This draw's auto grid is a single region, so the simulator runs one
+  // worker whatever --threads asks for, and the report says so.
+  const CliResult r = run({"fig4", "--nodes", "40", "--flows", "2",
+                           "--seconds", "0.05", "--threads", "8", "--rts",
+                           "off", "--seed", "6"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find(" s wall (1 thread);"), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("8 threads"), std::string::npos);
+}
+
 TEST(Cli, Fig4RejectsBadRtsMode) {
   const CliResult r = run({"fig4", "--nodes", "40", "--rts", "sometimes"});
   EXPECT_EQ(r.code, 1);

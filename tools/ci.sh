@@ -30,8 +30,10 @@
 #      BM_JointBandwidthLp and BM_ScenarioTwoPipeline, and the MAC
 #      simulators: BM_CsmaSimulatedSecond (the DCF model as one region on
 #      the 3-hop chain), BM_CsmaParallel/{1,8} (500 nodes sharded into
-#      regions, 1 and 8 workers) and BM_TdmaSimulatedQuarterSecond, with
-#      --require coverage guards for every family.
+#      regions, 1 and 8 workers) and BM_TdmaSimulatedQuarterSecond, and
+#      the cold set-up BM_TopologyBuild/500 (net::Network plus the
+#      physical model's rx-power table on the scaled Fig. 4 positions),
+#      with --require coverage guards for every family.
 #   6. perfbench: the end-to-end benchmark's self-tests
 #      (perfbench/selftest.py: gate trips, metric names, short runs of
 #      every workload), then the scaled Fig. 4 study on seed 3 under a
@@ -120,13 +122,14 @@ else
   # background columns, and the batched admission replay warm (one engine
   # committing every decision), cold, and sequential (query() then
   # add_background(), publishing on every read), the Tier 1 / Tier 2
-  # pricing oracles, the full-enumeration Eq. 6 solves, and the one-region
-  # and sharded DCF runs plus the TDMA executor; the --require guards fail
+  # pricing oracles, the full-enumeration Eq. 6 solves, the one-region
+  # and sharded DCF runs plus the TDMA executor, and the 500-node cold
+  # topology and model build; the --require guards fail
   # the gate if any side of a comparison silently drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
@@ -135,7 +138,8 @@ else
     --require BM_PricingHeuristic --require BM_PricingExact \
     --require BM_FullEnumeration --require BM_JointBandwidthLp \
     --require BM_ScenarioTwoPipeline --require BM_CsmaSimulatedSecond \
-    --require BM_CsmaParallel --require BM_TdmaSimulatedQuarterSecond
+    --require BM_CsmaParallel --require BM_TdmaSimulatedQuarterSecond \
+    --require BM_TopologyBuild/500
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi
