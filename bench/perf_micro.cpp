@@ -287,8 +287,9 @@ const ScaledFig4Bench& scaled_fig4_bench() {
 
 // Cold set-up of the physical model on the scaled Fig. 4 positions
 // (topology seed 4): net::Network's link discovery plus the eager rx-power
-// table of core::PhysicalInterferenceModel. Snapshot loads, EnginePool cold
-// builds and add_node refills pay this. The arg is the node count.
+// table of core::PhysicalInterferenceModel. Snapshot loads, the admission
+// service's start-up and add_node refills pay this. The arg is the node
+// count.
 void BM_TopologyBuild(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const benchx::Section52Setup setup =

@@ -175,12 +175,10 @@ class AdmissionEngine::BackgroundMaster final : public ColGenMaster {
     e_.stats_.lp_pivots += lp_stats.pivots;
     if (first_ && warm) {
       if (lp_stats.dual_phase &&
-          lp_stats.fallback_reason == lp::Fallback::kNone) {
+          lp_stats.fallback_reason == lp::Fallback::kNone)
         ++e_.stats_.dual_resolves;
-      } else {
+      else
         ++e_.stats_.dual_fallbacks;
-        e_.stats_.last_fallback = lp_stats.fallback_reason;
-      }
     }
     first_ = false;
     if (solution.optimal()) e_.bg_basis_ = solution.basis;
@@ -206,8 +204,7 @@ class AdmissionEngine::BackgroundMaster final : public ColGenMaster {
   }
 
   bool add_column(IndependentSet set) override {
-    const auto [idx, fresh] = e_.pool_add(std::move(set));
-    if (!fresh) ++e_.stats_.pool_hits;
+    const std::size_t idx = e_.pool_add(std::move(set)).first;
     if (e_.master_var_of_pool_[idx] >= 0) return false;
     e_.enter_background_master(idx);
     return true;
@@ -349,7 +346,6 @@ std::size_t AdmissionEngine::preload_columns(
 void AdmissionEngine::refresh_background() {
   if (!bg_dirty_) return;
   bg_dirty_ = false;
-  ++stats_.background_solves;
   bg_converged_ = true;
   if (bg_impossible_ || bg_links_.empty()) {
     bg_feasible_ = !bg_impossible_;
@@ -695,8 +691,7 @@ AdmissionAnswer AdmissionEngine::commit(std::span<const net::LinkId> path,
   std::vector<IndependentSet> fresh;
   AdmissionAnswer answer = solve_query(path, demand_mbps, *state, &fresh);
   // The writer holds the lock, so its own columns go straight to the pool.
-  for (IndependentSet& set : fresh)
-    if (!pool_add(std::move(set)).second) ++stats_.pool_hits;
+  for (IndependentSet& set : fresh) pool_add(std::move(set));
   ++stats_.queries;
   stats_.pricing_rounds += answer.pricing_rounds;
   stats_.lp_pivots += answer.lp_pivots;

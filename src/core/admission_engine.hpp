@@ -74,9 +74,7 @@ struct SnapshotReadStats {
 struct AdmissionEngineStats {
   std::size_t queries = 0;  ///< commit() decisions
   std::size_t commits = 0;  ///< background flows accepted into the row set
-  std::size_t background_solves = 0;  ///< background-master refreshes
   std::size_t pricing_rounds = 0;     ///< pricing rounds across all masters
-  std::size_t pool_hits = 0;    ///< priced columns the pool already held
   std::size_t tier0_columns = 0;      ///< pool columns taken by masters
   std::size_t heuristic_columns = 0;  ///< columns from the heuristic tier
   std::size_t exact_rounds = 0;       ///< exact B&B invocations
@@ -85,8 +83,6 @@ struct AdmissionEngineStats {
                                    ///< the dual simplex phase
   std::size_t dual_fallbacks = 0;  ///< background re-solves that went cold
   std::size_t lp_pivots = 0;       ///< simplex pivots across all solves
-  lp::Fallback last_fallback = lp::Fallback::kNone;  ///< reason of the
-                                                     ///< latest cold fall
   std::size_t topology_repairs = 0;  ///< apply_topology_delta() calls
   std::size_t columns_dropped = 0;   ///< pool columns invalidated by churn
   std::size_t shelf_dropped = 0;  ///< reader columns lost to a full shelf

@@ -51,7 +51,7 @@ void save_scenario_blob(const ScenarioFile& scenario, const std::string& path);
 
 /// Stable 64-bit scenario identity: FNV-1a over the canonical blob bytes.
 /// Two scenarios hash equal iff their ScenarioFile contents are
-/// bit-identical, which is what keys core::EnginePool.
+/// bit-identical; `mrwsn scenario` prints it.
 std::uint64_t scenario_hash(const ScenarioFile& scenario);
 
 }  // namespace mrwsn::io

@@ -19,6 +19,12 @@ constexpr EventId kNoEvent = std::numeric_limits<EventId>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
 
+/// Signals weaker than this fraction of the noise floor are not propagated
+/// at all (they could never move a carrier-sense or SINR decision by a
+/// measurable amount). Bounds per-transmission fan-out on large
+/// topologies; identical for every partitioning.
+constexpr double kInteractionFloor = 0.01;
+
 /// Same-timestamp class order (EventKey::klass). Evaluations run before
 /// simultaneous signal edges (a signal arriving exactly when a frame ends
 /// does not interfere with it), signal edges before frame starts (a frame
@@ -392,8 +398,7 @@ struct ParallelCsmaSimulator::Impl {
     // Interaction neighborhoods: everyone whose view a transmission by
     // `i` can measurably move. Identical for every partitioning, so the
     // cutoff never breaks determinism.
-    const double floor_watt =
-        shard.interaction_floor * network.phy().noise_watt();
+    const double floor_watt = kInteractionFloor * network.phy().noise_watt();
     // A pair beyond the sender's reach at that floor provably falls below
     // it, so its power is never computed.
     neighbor_start.assign(n + 1, 0);

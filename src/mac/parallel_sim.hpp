@@ -12,12 +12,13 @@ namespace mrwsn::mac {
 
 /// Sharding knobs for the region-parallel simulator.
 ///
-/// None of these change results except latency_s and interaction_floor,
-/// which are part of the *model*: the parallel simulator charges a uniform
-/// sense latency on every cross-node effect (signal sensed, NAV heard,
-/// frame handed to the next hop), which is what gives every region a
-/// guaranteed lookahead. grid/thread choices are pure performance knobs —
-/// SimReport is bit-identical across all of them.
+/// None of these change results except latency_s, which is part of the
+/// *model*: the parallel simulator charges a uniform sense latency on every
+/// cross-node effect (signal sensed, NAV heard, frame handed to the next
+/// hop), which is what gives every region a guaranteed lookahead.
+/// grid/thread choices are pure performance knobs — SimReport is
+/// bit-identical across all of them. (The interaction floor below which a
+/// signal is not propagated is a fixed constant of the simulator.)
 struct ShardParams {
   std::size_t grid_x = 0;  ///< 0: auto-size cells by carrier-sense range
   std::size_t grid_y = 0;
@@ -28,12 +29,6 @@ struct ShardParams {
   /// inside and across regions; also the conservative lookahead window.
   /// Default is DIFS-scale: two slots + a SIFS of sensing/decode latency.
   double latency_s = 34e-6;
-
-  /// Signals weaker than this fraction of the noise floor are not
-  /// propagated at all (they could never move a carrier-sense or SINR
-  /// decision by a measurable amount). Bounds per-transmission fan-out on
-  /// large topologies; identical for every partitioning.
-  double interaction_floor = 0.01;
 
   /// The preset for small topologies (chains, hidden-terminal layouts,
   /// `mrwsn simulate`): a single 1x1 region, which the worker pool runs

@@ -1,8 +1,7 @@
-// Snapshot isolation and the engine pool: concurrent evaluate() calls
-// racing commit()/evict() must return answers consistent with a single
-// published epoch (never a torn mix of pre- and post-commit state), the
-// published snapshot must be immutable once handed out, and EnginePool
-// must build exactly one engine per key under concurrent acquires.
+// Snapshot isolation: concurrent evaluate() calls racing commit()/evict()
+// must return answers consistent with a single published epoch (never a
+// torn mix of pre- and post-commit state), and the published snapshot must
+// be immutable once handed out.
 //
 // This binary is also the ThreadSanitizer target for the concurrent
 // admission path (tools/run_sanitized.sh builds it in the TSan tree).
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "core/admission_engine.hpp"
-#include "core/engine_pool.hpp"
 #include "core/topology_delta.hpp"
 #include "geom/topology.hpp"
 #include "net/network.hpp"
@@ -535,107 +533,6 @@ TEST(SnapshotIsolation, ShelfCapacityDropsOverflowAndCounts) {
   EXPECT_LE(tight.snapshot_read_stats().shelved_columns, 1u);
   EXPECT_GT(roomy.snapshot_read_stats().shelved_columns,
             tight.snapshot_read_stats().shelved_columns);
-}
-
-TEST(EnginePool, BuildsOncePerKeyUnderConcurrentAcquire) {
-  const net::Network net = chain_network(5, 70.0);
-  PhysicalInterferenceModel model(net);
-  EnginePool pool;
-  std::atomic<std::size_t> builds{0};
-  const auto factory = [&] {
-    builds.fetch_add(1);
-    return std::make_shared<EnginePool::Entry>(nullptr, model);
-  };
-
-  constexpr std::size_t kThreads = 8;
-  std::vector<EnginePool::EntryPtr> got(kThreads);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back(
-        [&, t] { got[t] = pool.acquire(0xABCDu, factory); });
-  for (std::thread& thread : threads) thread.join();
-
-  EXPECT_EQ(builds.load(), 1u);
-  for (std::size_t t = 1; t < kThreads; ++t) EXPECT_EQ(got[t], got[0]);
-  const EnginePoolStats stats = pool.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, kThreads - 1);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(EnginePool, EvictDropsTheKeyButNotOutstandingEntries) {
-  const net::Network net = chain_network(5, 70.0);
-  PhysicalInterferenceModel model(net);
-  EnginePool pool;
-  std::size_t builds = 0;
-  const auto factory = [&] {
-    ++builds;
-    return std::make_shared<EnginePool::Entry>(nullptr, model);
-  };
-
-  const EnginePool::EntryPtr first = pool.acquire(7, factory);
-  ASSERT_TRUE(first != nullptr);
-  EXPECT_TRUE(pool.evict(7));
-  EXPECT_FALSE(pool.evict(7));
-  EXPECT_EQ(pool.size(), 0u);
-
-  // The held entry stays alive and usable after eviction.
-  first->engine.snapshot();
-  EXPECT_EQ(first->engine.epoch(), 1u);
-
-  const EnginePool::EntryPtr second = pool.acquire(7, factory);
-  EXPECT_EQ(builds, 2u);
-  EXPECT_TRUE(second != first);
-}
-
-TEST(EnginePool, MutatedEntryIsAStaleMissOnReacquire) {
-  net::Network net = chain_network(6, 70.0);
-  PhysicalInterferenceModel model(net);
-  TopologyDelta delta(&net, &model);
-  EnginePool pool;
-  std::size_t builds = 0;
-  const auto factory = [&] {
-    ++builds;
-    return std::make_shared<EnginePool::Entry>(nullptr, model);
-  };
-
-  constexpr std::uint64_t kKey = 0xB10Bu;  // stands in for io::scenario_hash
-  const EnginePool::EntryPtr first = pool.acquire(kKey, factory);
-  first->engine.snapshot();
-  const std::uint64_t pre_epoch = first->engine.epoch();
-  EXPECT_EQ(pool.acquire(kKey, factory), first);  // untouched: warm hit
-
-  // Mutate the pooled topology in place: the load-time content hash the
-  // key was computed from no longer describes this entry.
-  first->engine.apply_topology_delta(
-      [&] { return delta.move_node(0, {5.0, 5.0}); });
-  first->mark_mutated();
-
-  const EnginePool::EntryPtr second = pool.acquire(kKey, factory);
-  EXPECT_TRUE(second != first);
-  EXPECT_FALSE(second->mutated());
-  EXPECT_EQ(builds, 2u);
-  EXPECT_EQ(pool.stats().stale, 1u);
-  EXPECT_EQ(pool.acquire(kKey, factory), second);  // fresh entry is warm
-
-  // The stale holder keeps a working engine (its churn epoch survived).
-  EXPECT_GT(first->engine.epoch(), pre_epoch);
-}
-
-TEST(EnginePool, DistinctKeysGetDistinctEngines) {
-  const net::Network net = chain_network(5, 70.0);
-  PhysicalInterferenceModel model(net);
-  EnginePool pool;
-  const auto factory = [&] {
-    return std::make_shared<EnginePool::Entry>(nullptr, model);
-  };
-  const EnginePool::EntryPtr a = pool.acquire(1, factory);
-  const EnginePool::EntryPtr b = pool.acquire(2, factory);
-  EXPECT_TRUE(a != b);
-  EXPECT_EQ(pool.acquire(1, factory), a);
-  EXPECT_EQ(pool.size(), 2u);
-  pool.clear();
-  EXPECT_EQ(pool.size(), 0u);
 }
 
 }  // namespace

@@ -454,17 +454,35 @@ TEST(Cli, ServeAnswersQueriesAndTracksState) {
   EXPECT_EQ(field_of(lines[0], "available"), field_of(lines[1], "available"));
   EXPECT_EQ(std::stoull(field_of(lines[1], "epoch")),
             std::stoull(field_of(lines[0], "epoch")) + 1);
-  // Engine-lifetime counter: preload + admit. Assumes a cold engine pool,
-  // which holds because ctest runs each test case in its own process.
+  // Engine-lifetime counter: preload + admit.
   EXPECT_NE(lines[2].find("commits=2"), std::string::npos);
-  EXPECT_NE(lines[2].find("engines="), std::string::npos);   // pool stats
   EXPECT_EQ(lines[3], "ok reset");
   EXPECT_EQ(lines[4].rfind("err unknown command", 0), 0u);
 }
 
+TEST(Cli, ServeSessionsOnOneScenarioStartAlike) {
+  // Each session owns its engine: a second session on the same scenario in
+  // the same process starts from the scenario's preloaded flows, not from
+  // what the first one committed.
+  TempScenario scenario(kChain);
+  std::vector<std::string> stats;
+  std::vector<std::string> available;
+  for (int session = 0; session < 2; ++session) {
+    const CliResult r = run_with_input({"admit", scenario.path(), "--serve"},
+                                       "admit 2 3 2.0\nstats\nquit\n");
+    ASSERT_EQ(r.code, 0) << r.err;
+    const auto lines = lines_of(r.out);
+    ASSERT_EQ(lines.size(), 2u);
+    available.push_back(field_of(lines[0], "available"));
+    stats.push_back(lines[1]);
+  }
+  for (const std::string& line : stats)
+    EXPECT_NE(line.find(" commits=2 "), std::string::npos) << line;
+  EXPECT_EQ(available[0], available[1]);
+  EXPECT_FALSE(available[0].empty());
+}
+
 TEST(Cli, ServeRejectsNegativeAndMalformedNumbers) {
-  // Its own topology, so this session gets a cold pooled engine whose
-  // commit counter holds only the scenario's preloaded flow.
   TempScenario scenario("node 0 0 0\nnode 1 60 0\nnode 2 120 0\n"
                         "node 3 180 0\nflow 3.0 0 1\n");
   const CliResult r = run_with_input(
@@ -486,13 +504,8 @@ TEST(Cli, ServeRejectsNegativeAndMalformedNumbers) {
 }
 
 TEST(Cli, ServeReadersAnswerAsyncQueriesWithIds) {
-  // A distinct topology so this session gets its own pooled engine rather
-  // than the one warmed by ServeAnswersQueriesAndTracksState.
   TempScenario scenario(
       "node 0 0 0\nnode 1 70 0\nnode 2 140 0\nnode 3 210 0\nnode 4 280 0\n");
-  // The trailing `reset` evicts the pooled engine's background so the
-  // test is idempotent when the process-wide pool hands the same warm
-  // engine back (e.g. under --gtest_repeat).
   const CliResult r = run_with_input(
       {"admit", scenario.path(), "--serve", "--readers", "2"},
       "query 0 2 1.0\nquery 1 3 1.0\nadmit 2 4 0.5\nstats\nreset\nquit\n");

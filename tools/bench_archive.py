@@ -4,7 +4,8 @@
 Usage: bench_archive.py REPORT.json [--history DIR] [--label NAME]
 
 Writes one compact JSON file per invocation —
-``<history>/<UTC stamp>-<git rev>-<label>.json`` — holding only
+``<history>/<UTC stamp>-<git rev>-<label>.json`` (the rev carries a
+``-dirty`` suffix when tracked files have uncommitted changes) — holding only
 ``run_name -> {"real_time": median, "time_unit": unit}``, a few hundred
 bytes instead of the full multi-repetition report. ci.sh calls this after
 its bench stages so the perf trajectory across commits stays diffable even
@@ -49,10 +50,18 @@ def load_medians(path):
 
 
 def git_revision(start_dir):
-    try:
+    """Short HEAD revision, suffixed ``-dirty`` when tracked files differ
+    from HEAD, so rows measured on an uncommitted tree are not filed under
+    the commit they started from."""
+    def git(*args):
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=start_dir,
-            capture_output=True, text=True, check=True).stdout.strip()
+            ["git", *args], cwd=start_dir, capture_output=True, text=True,
+            check=True).stdout.strip()
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        if git("status", "--porcelain", "--untracked-files=no"):
+            rev += "-dirty"
+        return rev
     except (OSError, subprocess.CalledProcessError):
         return "nogit"
 

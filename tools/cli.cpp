@@ -23,7 +23,6 @@
 #include "common/admission_replay.hpp"
 #include "common/scaled_fig4.hpp"
 #include "core/admission_engine.hpp"
-#include "core/engine_pool.hpp"
 #include "core/estimation.hpp"
 #include "core/idle_time.hpp"
 #include "core/interference.hpp"
@@ -358,65 +357,32 @@ int cmd_admit(const io::ScenarioFile& scenario, const Options& options,
   return 0;
 }
 
-/// Everything a pooled engine borrows: the network and the interference
-/// model, owned together so the EnginePool entry keeps them alive as long
-/// as any session holds the engine.
-struct ServiceContext {
-  explicit ServiceContext(const io::ScenarioFile& scenario)
-      : network(io::build_network(scenario)), model(network) {}
-
-  net::Network network;
-  core::PhysicalInterferenceModel model;
-};
-
-/// The process-wide engine pool behind `admit --serve`: one engine per
-/// distinct scenario hash, shared by every serve session in the process so
-/// a session on a warm topology inherits the column pool and caches.
-core::EnginePool& engine_pool() {
-  static core::EnginePool pool;
-  return pool;
-}
-
 /// Shared setup of the batch/serve admission service: network, model,
 /// hop-count routing over a fully idle channel (deterministic, path choice
 /// does not depend on the admission order), and one long-lived engine
-/// preloaded with the scenario's `flow` lines. `pooled` sessions borrow
-/// the engine from engine_pool() (keyed by io::scenario_hash); the rest
-/// build a private one.
+/// preloaded with the scenario's `flow` lines. Each session owns all of it.
 struct AdmissionService {
-  explicit AdmissionService(const io::ScenarioFile& scenario,
-                            const Options& options, bool pooled = false)
-      : metric(parse_metric(options.get("--metric", "hop"))) {
-    const auto factory = [&scenario] {
-      auto built = std::make_shared<ServiceContext>(scenario);
-      const core::PhysicalInterferenceModel& model = built->model;
-      return std::make_shared<core::EnginePool::Entry>(std::move(built),
-                                                       model);
-    };
-    entry = pooled ? engine_pool().acquire(io::scenario_hash(scenario), factory)
-                   : factory();
-    context = std::static_pointer_cast<const ServiceContext>(entry->context);
-    router.emplace(context->network, *entry->model);
-    // Preload the scenario's `flow` lines unless a warm pooled engine
-    // already carries committed background from an earlier session.
-    if (engine().background().empty())
-      for (const core::LinkFlow& flow : background_of(scenario, context->network))
-        engine().add_background(flow);
-    engine().snapshot();  // publish the current epoch for evaluate()
+  AdmissionService(const io::ScenarioFile& scenario, const Options& options)
+      : metric(parse_metric(options.get("--metric", "hop"))),
+        network(io::build_network(scenario)),
+        model(network),
+        engine(model),
+        router(network, model) {
+    for (const core::LinkFlow& flow : background_of(scenario, network))
+      engine.add_background(flow);
+    engine.snapshot();  // publish the current epoch for evaluate()
   }
-
-  core::AdmissionEngine& engine() { return entry->engine; }
-  const net::Network& network() const { return context->network; }
 
   std::optional<net::Path> route(net::NodeId src, net::NodeId dst) const {
-    const std::vector<double> idle(network().num_nodes(), 1.0);
-    return router->find_path(src, dst, metric, idle);
+    const std::vector<double> idle(network.num_nodes(), 1.0);
+    return router.find_path(src, dst, metric, idle);
   }
 
-  core::EnginePool::EntryPtr entry;
-  std::shared_ptr<const ServiceContext> context;
-  std::optional<routing::QosRouter> router;
   routing::Metric metric;
+  net::Network network;
+  core::PhysicalInterferenceModel model;
+  core::AdmissionEngine engine;
+  routing::QosRouter router;
 };
 
 std::string decision_name(const core::AdmissionAnswer& answer) {
@@ -486,7 +452,7 @@ int cmd_batch(const io::ScenarioFile& scenario, const Options& options,
     if (queries[next].commit) {
       const BatchQuery& query = queries[next];
       core::AdmissionAnswer answer;
-      if (query.path) answer = service.engine().commit(query.path->links(), query.demand_mbps);
+      if (query.path) answer = service.engine.commit(query.path->links(), query.demand_mbps);
       print_batch_row(out, next, query, answer);
       ++next;
       continue;
@@ -504,7 +470,7 @@ int cmd_batch(const io::ScenarioFile& scenario, const Options& options,
       ++segment_end;
     }
     const std::vector<core::AdmissionAnswer> answers =
-        service.engine().query_batch(segment);
+        service.engine.query_batch(segment);
     std::map<std::size_t, const core::AdmissionAnswer*> answer_of;
     for (std::size_t i = 0; i < segment_ids.size(); ++i)
       answer_of[segment_ids[i]] = &answers[i];
@@ -516,9 +482,9 @@ int cmd_batch(const io::ScenarioFile& scenario, const Options& options,
     next = segment_end;
   }
 
-  const core::AdmissionEngineStats& stats = service.engine().stats();
+  const core::AdmissionEngineStats& stats = service.engine.stats();
   err << "batch: "
-      << stats.queries + service.engine().snapshot_read_stats().queries
+      << stats.queries + service.engine.snapshot_read_stats().queries
       << " queries, " << stats.commits
       << " commits, " << stats.dual_resolves << " dual re-solves, "
       << stats.dual_fallbacks << " cold fallbacks, pool "
@@ -621,13 +587,13 @@ class ServeReaders {
 int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
               std::istream& in, std::ostream& out, std::ostream& err) {
   options.only("admit --serve", {"--serve", "--metric", "--readers"});
-  AdmissionService service(scenario, options, /*pooled=*/true);
+  AdmissionService service(scenario, options);
   const auto readers = static_cast<std::size_t>(
       options.get_u64("--readers", 0, util::kMaxThreads));
   std::mutex out_mu;
   std::unique_ptr<ServeReaders> async;
   if (readers > 0)
-    async = std::make_unique<ServeReaders>(readers, service.engine(), out,
+    async = std::make_unique<ServeReaders>(readers, service.engine, out,
                                            out_mu);
   const auto respond = [&](const std::string& text) {
     const std::lock_guard<std::mutex> lock(out_mu);
@@ -644,22 +610,20 @@ int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
       if (command == "quit") break;
       if (command == "stats") {
         if (async) async->drain();
-        const core::AdmissionEngineStats& stats = service.engine().stats();
+        const core::AdmissionEngineStats& stats = service.engine.stats();
         const core::SnapshotReadStats reads =
-            service.engine().snapshot_read_stats();
-        const core::EnginePoolStats pool = engine_pool().stats();
+            service.engine.snapshot_read_stats();
         std::ostringstream text;
         text << "ok queries=" << stats.queries << " commits=" << stats.commits
              << " dual_resolves=" << stats.dual_resolves
              << " dual_fallbacks=" << stats.dual_fallbacks
              << " pool=" << stats.pool_columns
-             << " epoch=" << service.engine().epoch()
+             << " epoch=" << service.engine.epoch()
              << " snapshot_queries=" << reads.queries
-             << " shelved=" << reads.shelved_columns
-             << " engines=" << pool.entries << " engine_hits=" << pool.hits;
+             << " shelved=" << reads.shelved_columns;
         respond(text.str());
       } else if (command == "reset") {
-        service.engine().evict();
+        service.engine.evict();
         respond("ok reset");
       } else if (command == "query" || command == "admit" ||
                  command == "background") {
@@ -679,11 +643,11 @@ int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
           continue;
         }
         if (command == "background") {
-          service.engine().add_background(
+          service.engine.add_background(
               core::LinkFlow{path->links(), demand});
-          service.engine().snapshot();  // publish for concurrent readers
+          service.engine.snapshot();  // publish for concurrent readers
           respond("ok committed airtime=" +
-                  Table::num(service.engine().background_airtime(), 6));
+                  Table::num(service.engine.background_airtime(), 6));
           continue;
         }
         if (command == "query" && async) {
@@ -696,8 +660,8 @@ int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
         }
         const core::AdmissionAnswer answer =
             command == "admit"
-                ? service.engine().commit(path->links(), demand)
-                : service.engine().evaluate(path->links(), demand);
+                ? service.engine.commit(path->links(), demand)
+                : service.engine.evaluate(path->links(), demand);
         respond("ok decision=" + decision_name(answer) +
                 " available=" + Table::num(answer.available_mbps, 6) +
                 " epoch=" + std::to_string(answer.epoch) +

@@ -29,13 +29,13 @@ echo "sanitized test run ($SANITIZERS) passed"
 # share a build with ASan, so it gets its own tree; only the parallel
 # simulator's determinism suite drives every cross-region message path at
 # several thread counts, the admission-concurrency suite races snapshot
-# readers against committing writers, concurrent EnginePool acquires, and
-# churn repairs (apply_topology_delta racing evaluate(), with per-epoch
-# shadow verification), and the util suite drives the parallel_for fan-out
+# readers against committing writers and churn repairs
+# (apply_topology_delta racing evaluate(), with per-epoch shadow
+# verification), and the util suite drives the parallel_for fan-out
 # pool through nested calls, concurrent callers, exceptions and
 # thread-count changes — between them, every multithreaded path in the
 # repository (util::WorkerPool, util::parallel_for, mac/parallel_sim.*,
-# the engine's snapshot/commit/churn surface, EnginePool) runs under TSan.
+# the engine's snapshot/commit/churn surface) runs under TSan.
 # Skippable with MRWSN_SKIP_TSAN=1 (e.g. on kernels without ASLR compat).
 if [ "${MRWSN_SKIP_TSAN:-0}" != "1" ]; then
   TSAN_BUILD=${MRWSN_TSAN_BUILD:-"$REPO/build-tsan"}
