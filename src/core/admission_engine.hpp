@@ -233,8 +233,6 @@ class AdmissionEngine {
   /// publish.
   std::size_t preload_columns(std::span<const IndependentSet> columns);
 
-  const FlowSeg& background() const { return background_; }
-
   /// Same as evict().
   void clear() { evict(); }
 

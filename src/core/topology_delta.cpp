@@ -8,6 +8,8 @@ namespace mrwsn::core {
 
 namespace {
 
+constexpr const char* kOutOfGrid = "node position is outside the spatial grid's range";
+
 std::vector<geom::Point> live_positions(const net::Network& network) {
   std::vector<geom::Point> points;
   points.reserve(network.num_nodes());
@@ -35,7 +37,10 @@ TopologyDelta::TopologyDelta(net::Network* network,
                 "(unbounded gains defeat grid-based link discovery)");
   MRWSN_REQUIRE(network_->decode_threshold_watt() > 0.0,
                 "rate table admits links at any distance");
-  grid_.build(live_positions(*network_));
+  const std::vector<geom::Point> positions = live_positions(*network_);
+  for (const geom::Point& p : positions)
+    MRWSN_REQUIRE(grid_.indexes(p), kOutOfGrid);
+  grid_.build(positions);
   max_power_watt_ = network_->phy().tx_power_watt();
   for (net::NodeId id = 0; id < network_->num_nodes(); ++id) {
     max_power_watt_ = std::max(max_power_watt_, network_->node_tx_power(id));
@@ -83,6 +88,7 @@ void TopologyDelta::discover_new_links(net::NodeId node, ModelRepair* repair) {
 
 ModelRepair TopologyDelta::move_node(net::NodeId node, geom::Point position) {
   MRWSN_REQUIRE(network_->node(node).alive, "cannot move a departed node");
+  MRWSN_REQUIRE(grid_.indexes(position), kOutOfGrid);
   network_->set_position(node, position);
   grid_.move(node, position);
 
@@ -142,6 +148,7 @@ ModelRepair TopologyDelta::set_rate(net::LinkId link, phy::RateIndex cap) {
 }
 
 ModelRepair TopologyDelta::add_node(geom::Point position) {
+  MRWSN_REQUIRE(grid_.indexes(position), kOutOfGrid);
   const net::NodeId node = network_->add_node(position);
   grid_.insert(node, position);
 

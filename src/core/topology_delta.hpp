@@ -45,7 +45,8 @@ class TopologyDelta {
 
   /// Move a live node. Refreshes every incident link (some may die, some
   /// revive, rates change) and creates links for pairs that came into
-  /// range.
+  /// range. A position the spatial grid cannot index (non-finite, or a cell
+  /// index beyond 32 bits) is rejected before anything changes.
   ModelRepair move_node(net::NodeId node, geom::Point position);
 
   /// Change a node's transmit power. Affects its outgoing links' rates and
@@ -56,7 +57,8 @@ class TopologyDelta {
   ModelRepair set_rate(net::LinkId link, phy::RateIndex cap);
 
   /// Join: append a node and link it to every pair in decode range. The new
-  /// node's id is the last entry of the returned ModelRepair::nodes.
+  /// node's id is the last entry of the returned ModelRepair::nodes. The
+  /// position is checked as in move_node.
   ModelRepair add_node(geom::Point position);
 
   /// Leave: mark the node dead; every incident link dies with it (the ids

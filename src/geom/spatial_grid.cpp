@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -63,6 +65,13 @@ void SpatialGrid::move(std::size_t id, Point position) {
   auto& bucket = cells_[from];
   bucket.erase(std::find(bucket.begin(), bucket.end(), id));
   cells_[to].push_back(id);
+}
+
+bool SpatialGrid::indexes(Point p) const {
+  constexpr double kMaxCell = std::numeric_limits<std::int32_t>::max();
+  // NaN compares false, so it fails too.
+  return std::abs(std::floor(p.x / cell_size_)) <= kMaxCell &&
+         std::abs(std::floor(p.y / cell_size_)) <= kMaxCell;
 }
 
 bool SpatialGrid::contains(std::size_t id) const {

@@ -43,6 +43,10 @@ class SpatialGrid {
   void move(std::size_t id, Point position);
 
   bool contains(std::size_t id) const;
+  /// True when `p`'s cell indices fit the grid's 32-bit-per-axis cell key;
+  /// false for non-finite coordinates. build(), insert() and move() do not
+  /// check: callers pass only positions that pass this.
+  bool indexes(Point p) const;
   std::size_t size() const { return tracked_; }
 
   /// Every tracked id within `radius` metres of `centre` (inclusive),

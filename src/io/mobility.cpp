@@ -1,5 +1,6 @@
 #include "io/mobility.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -44,6 +45,8 @@ std::uint64_t parse_u64(const std::string& token, const char* what) {
   }
 }
 
+bool finite(geom::Point p) { return std::isfinite(p.x) && std::isfinite(p.y); }
+
 }  // namespace
 
 MobilityTrace parse_mobility(const std::string& text) {
@@ -68,12 +71,14 @@ MobilityTrace parse_mobility(const std::string& text) {
       event.node = parse_u64(tokens[1], "node id");
       event.position = {parse_double(tokens[2], "x"),
                         parse_double(tokens[3], "y")};
+      if (!finite(event.position)) fail("coordinates must be finite");
     } else if (kind == "power") {
       if (tokens.size() != 3) fail("expected: power <node> <tx_watt>");
       event.kind = MobilityTrace::Event::Kind::kPower;
       event.node = parse_u64(tokens[1], "node id");
       event.tx_power_watt = parse_double(tokens[2], "tx power");
-      if (event.tx_power_watt <= 0.0) fail("tx power must be positive");
+      if (!(std::isfinite(event.tx_power_watt) && event.tx_power_watt > 0.0))
+        fail("tx power must be finite and positive");
     } else if (kind == "rate") {
       if (tokens.size() != 4) fail("expected: rate <tx> <rx> <cap>");
       event.kind = MobilityTrace::Event::Kind::kRate;
@@ -87,6 +92,7 @@ MobilityTrace parse_mobility(const std::string& text) {
       event.kind = MobilityTrace::Event::Kind::kJoin;
       event.position = {parse_double(tokens[1], "x"),
                         parse_double(tokens[2], "y")};
+      if (!finite(event.position)) fail("coordinates must be finite");
     } else if (kind == "leave") {
       if (tokens.size() != 2) fail("expected: leave <node>");
       event.kind = MobilityTrace::Event::Kind::kLeave;

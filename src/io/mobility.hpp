@@ -17,7 +17,7 @@ namespace mrwsn::io {
 ///
 ///   # comments and blank lines are ignored
 ///   move <node> <x> <y>        (waypoint: the node relocates)
-///   power <node> <tx_watt>     (new transmit power, watts, > 0)
+///   power <node> <tx_watt>     (new transmit power, watts, finite, > 0)
 ///   rate <tx> <rx> <cap>       (cap the tx->rx link's fastest usable rate
 ///                               index; 0 = unrestricted)
 ///   join <x> <y>               (a new node appears at the next dense id)
@@ -25,7 +25,8 @@ namespace mrwsn::io {
 ///
 /// Node and link references are validated at REPLAY time against the
 /// evolving network (a trace file cannot know how many joins precede an
-/// event); the parser validates shape, arity, and value ranges only.
+/// event); the parser validates shape, arity, and value ranges only
+/// (coordinates and powers must be finite).
 struct MobilityTrace {
   struct Event {
     enum class Kind { kMove, kPower, kRate, kJoin, kLeave };

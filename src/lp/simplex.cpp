@@ -118,324 +118,6 @@ void Problem::set_objective_coeff(VarId var, double objective_coeff) {
   objective_coeffs_[static_cast<std::size_t>(var)] = objective_coeff;
 }
 
-namespace {
-
-/// Dense two-phase tableau simplex, cold only: solve()'s numerical
-/// fallback and the differential suites' reference (solve_dense). Column
-/// layout:
-///   [0, n)            original variables
-///   [n, n+s)          slack/surplus variables (one per inequality row)
-///   [n+s, n+s+m)      artificial variables (one per row)
-/// The last tableau column is the right-hand side.
-///
-/// The tableau lives in ONE contiguous row-major buffer (stride cols_+1):
-/// every pivot walks the pivot row and each updated row sequentially, so
-/// the hundreds of LP solves behind Eq. 6 / Eq. 9 stream through cache
-/// lines instead of chasing per-row heap allocations.
-class Tableau {
- public:
-  Tableau(const Problem& p, double eps) : eps_(eps) {
-    const std::size_t n = p.num_variables();
-    const std::size_t m = p.num_constraints();
-
-    // Count slack/surplus columns, and which rows need an artificial: a
-    // row whose (sign-normalized) slack enters with +1 can start basic on
-    // its slack — only >=-like and equality rows need artificials. This
-    // keeps phase 1 tiny for the mostly-<= problems this library builds.
-    std::size_t num_slack = 0;
-    std::size_t num_art = 0;
-    std::vector<double> signs(m, 1.0);
-    std::vector<char> needs_art(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& row = p.rows()[i];
-      signs[i] = row.rhs < 0.0 ? -1.0 : 1.0;
-      if (row.sense != Sense::kEqual) ++num_slack;
-      const bool slack_is_basic =
-          (row.sense == Sense::kLessEqual && signs[i] > 0.0) ||
-          (row.sense == Sense::kGreaterEqual && signs[i] < 0.0);
-      needs_art[i] = slack_is_basic ? 0 : 1;
-      if (needs_art[i]) ++num_art;
-    }
-
-    n_ = n;
-    slack_begin_ = n;
-    art_begin_ = n + num_slack;
-    cols_ = n + num_slack + num_art;
-    rows_ = m;
-    stride_ = cols_ + 1;
-
-    a_.assign(rows_ * stride_, 0.0);
-    basis_.assign(rows_, 0);
-    dual_col_.assign(rows_, 0);
-    row_sign_.reserve(rows_);
-    slack_row_.assign(num_slack, 0);
-
-    std::size_t slack = slack_begin_;
-    std::size_t art = art_begin_;
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& prow = p.rows()[i];
-      const double sign = signs[i];
-      double* arow = row(i);
-      for (const auto& [var, coeff] : prow.terms)
-        arow[static_cast<std::size_t>(var)] = sign * coeff;
-      arow[cols_] = sign * prow.rhs;
-      std::size_t slack_col = cols_;  // sentinel: no slack (equality row)
-      if (prow.sense == Sense::kLessEqual) {
-        slack_col = slack++;
-        arow[slack_col] = sign * 1.0;
-      } else if (prow.sense == Sense::kGreaterEqual) {
-        slack_col = slack++;
-        arow[slack_col] = sign * -1.0;
-      }
-      if (slack_col != cols_) slack_row_[slack_col - slack_begin_] = i;
-      if (needs_art[i]) {
-        // Identity column for the row; doubles as the dual probe.
-        const std::size_t art_col = art++;
-        arow[art_col] = 1.0;
-        basis_[i] = art_col;
-        dual_col_[i] = art_col;
-      } else {
-        // Slack coefficient is +1 here, so it is both a valid starting
-        // basis column and an identity column for dual extraction.
-        basis_[i] = slack_col;
-        dual_col_[i] = slack_col;
-      }
-      row_sign_.push_back(sign);
-    }
-    in_basis_.assign(cols_, 0);
-    for (std::size_t b : basis_) in_basis_[b] = 1;
-
-    // Objective in "maximize" orientation.
-    obj_.assign(cols_, 0.0);
-    const double obj_sign = p.objective() == Objective::kMaximize ? 1.0 : -1.0;
-    for (std::size_t j = 0; j < n; ++j) obj_[j] = obj_sign * p.objective_coeffs()[j];
-    obj_sign_ = obj_sign;
-  }
-
-  Solution run(std::size_t max_pivots) {
-    budget_ = max_pivots;
-    // --- Phase 1: minimize the sum of artificials (maximize its negation).
-    // Skipped entirely when no row needed one (the all-slack basis is
-    // already feasible).
-    if (art_begin_ < cols_) {
-      std::vector<double> phase1(cols_, 0.0);
-      for (std::size_t j = art_begin_; j < cols_; ++j) phase1[j] = -1.0;
-      const LoopResult r = pivot_loop(phase1, /*allow_artificials=*/true);
-      if (r == LoopResult::kLimit) return limit_solution();
-      // Phase 1 is bounded below by zero, so an "unbounded" verdict can
-      // only mean accumulated round-off broke the ratio test. Report
-      // non-convergence instead of asserting: this engine is the fallback
-      // of last resort and must not abort the process.
-      if (r != LoopResult::kOptimal) return limit_solution();
-      double phase1_value = 0.0;
-      for (std::size_t i = 0; i < rows_; ++i)
-        if (basis_[i] >= art_begin_) phase1_value -= row(i)[cols_];
-      if (phase1_value < -eps_) return Solution{};
-      drive_out_artificials();
-    }
-    return phase2();
-  }
-
- private:
-  enum class LoopResult { kOptimal, kUnbounded, kLimit };
-
-  double* row(std::size_t i) { return a_.data() + i * stride_; }
-  const double* row(std::size_t i) const { return a_.data() + i * stride_; }
-
-  static Solution limit_solution() {
-    Solution solution;
-    solution.status = Status::kIterationLimit;
-    return solution;
-  }
-
-  /// Phase 2: the real objective; artificials may no longer enter.
-  Solution phase2() {
-    Solution solution;
-    const LoopResult r = pivot_loop(obj_, /*allow_artificials=*/false);
-    if (r == LoopResult::kLimit) return limit_solution();
-    if (r == LoopResult::kUnbounded) {
-      solution.status = Status::kUnbounded;
-      return solution;
-    }
-
-    solution.status = Status::kOptimal;
-    solution.values.assign(n_, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < n_) solution.values[basis_[i]] = row(i)[cols_];
-    }
-    double obj_value = 0.0;
-    for (std::size_t j = 0; j < n_; ++j) obj_value += obj_[j] * solution.values[j];
-    solution.objective = obj_sign_ * obj_value;
-
-    // Duals from each row's identity-like column (its artificial if one
-    // was created, else its +1 slack): that column's phase-2 reduced cost
-    // is 0 - y_i. Undo the row sign normalization and the min/max flip.
-    solution.duals.assign(rows_, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i)
-      solution.duals[i] = obj_sign_ * row_sign_[i] * -red_[dual_col_[i]];
-
-    // Export the basis in the problem-level representation for warm
-    // starts. A basic artificial (redundant row) has no such form; the
-    // basis is then reported empty (not reusable).
-    solution.basis.reserve(rows_);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const std::size_t b = basis_[i];
-      if (b < n_) {
-        solution.basis.push_back(
-            {BasisEntry::Kind::kStructural, static_cast<int>(b)});
-      } else if (b < art_begin_) {
-        solution.basis.push_back(
-            {BasisEntry::Kind::kSlack,
-             static_cast<int>(slack_row_[b - slack_begin_])});
-      } else {
-        solution.basis.clear();
-        break;
-      }
-    }
-    return solution;
-  }
-
-  /// Core simplex loop.
-  LoopResult pivot_loop(const std::vector<double>& c, bool allow_artificials) {
-    // Maintain the reduced-cost row incrementally (full-tableau simplex):
-    // red_[j] = c_j - c_B' * B^{-1} A_j, updated on every pivot. Built
-    // row-by-row so the initialization streams over the contiguous buffer.
-    red_.assign(c.begin(), c.begin() + static_cast<std::ptrdiff_t>(cols_));
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const double cb = c[basis_[i]];
-      if (cb == 0.0) continue;
-      const double* arow = row(i);
-      for (std::size_t j = 0; j < cols_; ++j) red_[j] -= cb * arow[j];
-    }
-
-    for (std::size_t iter = 0;; ++iter) {
-      // Dantzig's rule (steepest reduced cost) for speed; after a long
-      // stall switch permanently to Bland's rule, whose anti-cycling
-      // guarantee ensures termination on degenerate problems.
-      const bool bland = iter >= kDantzigIters;
-      std::size_t entering = cols_;
-      double best_reduced = eps_;
-      const std::size_t limit = allow_artificials ? cols_ : art_begin_;
-      for (std::size_t j = 0; j < limit; ++j) {
-        if (red_[j] > best_reduced && !is_basic(j)) {
-          entering = j;
-          if (bland) break;  // first (lowest-index) improving column
-          best_reduced = red_[j];
-        }
-      }
-      if (entering == cols_) return LoopResult::kOptimal;
-
-      // Ratio test; Bland tie-break on the smallest basic variable index.
-      // One strided pass over the pivot column.
-      std::size_t leaving = rows_;
-      double best_ratio = std::numeric_limits<double>::infinity();
-      const double* col = a_.data() + entering;
-      for (std::size_t i = 0; i < rows_; ++i, col += stride_) {
-        if (*col > eps_) {
-          const double ratio = row(i)[cols_] / *col;
-          if (ratio < best_ratio - eps_ ||
-              (ratio < best_ratio + eps_ &&
-               (leaving == rows_ || basis_[i] < basis_[leaving]))) {
-            best_ratio = ratio;
-            leaving = i;
-          }
-        }
-      }
-      if (leaving == rows_) return LoopResult::kUnbounded;
-
-      if (budget_ == 0) return LoopResult::kLimit;
-      --budget_;
-      pivot(leaving, entering);
-    }
-  }
-
-  bool is_basic(std::size_t col) const { return in_basis_[col] != 0; }
-
-  void pivot(std::size_t prow_idx, std::size_t col) {
-    // The pivot row is normalized in place, then every other row gets one
-    // branch-free fused update pass; __restrict lets the compiler
-    // vectorize the row updates (prow never aliases the updated row).
-    double* const __restrict prow = row(prow_idx);
-    const double p = prow[col];
-    for (std::size_t j = 0; j <= cols_; ++j) prow[j] /= p;
-    double* arow = a_.data();
-    for (std::size_t i = 0; i < rows_; ++i, arow += stride_) {
-      if (i == prow_idx) continue;
-      const double factor = arow[col];
-      if (factor == 0.0) continue;
-      double* const __restrict dst = arow;
-      for (std::size_t j = 0; j <= cols_; ++j) dst[j] -= factor * prow[j];
-    }
-    if (!red_.empty()) {
-      const double factor = red_[col];
-      if (factor != 0.0) {
-        double* const __restrict red = red_.data();
-        for (std::size_t j = 0; j < cols_; ++j) red[j] -= factor * prow[j];
-      }
-    }
-    in_basis_[basis_[prow_idx]] = 0;
-    in_basis_[col] = 1;
-    basis_[prow_idx] = col;
-  }
-
-  /// After phase 1, pivot any artificial still basic (at level ~0) out of
-  /// the basis; if its row has no eligible pivot the row is redundant and
-  /// the artificial stays basic at zero (it is barred from re-entering).
-  void drive_out_artificials() {
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < art_begin_) continue;
-      MRWSN_ASSERT(std::abs(row(i)[cols_]) <= 1e-6,
-                   "basic artificial with nonzero value after feasible phase 1");
-      for (std::size_t j = 0; j < art_begin_; ++j) {
-        if (std::abs(row(i)[j]) > eps_ && !is_basic(j)) {
-          pivot(i, j);
-          break;
-        }
-      }
-    }
-  }
-
-  static constexpr std::size_t kDantzigIters = 20000;
-
-  double eps_;
-  double obj_sign_ = 1.0;
-  std::size_t n_ = 0;           // original variables
-  std::size_t slack_begin_ = 0;
-  std::size_t art_begin_ = 0;
-  std::size_t cols_ = 0;        // total structural columns (excl. rhs)
-  std::size_t rows_ = 0;
-  std::size_t stride_ = 0;      // cols_ + 1 (rhs lives in the last column)
-  std::size_t budget_ = 0;      // remaining pivots before kIterationLimit
-  std::vector<double> a_;       // contiguous rows_ x stride_ tableau
-  std::vector<std::size_t> basis_;
-  std::vector<char> in_basis_;  // membership flags mirroring basis_
-  std::vector<double> row_sign_;  // +1/-1 rhs normalization per row
-  std::vector<std::size_t> dual_col_;  // identity-like column per row
-  std::vector<std::size_t> slack_row_;  // per slack column: its row
-  std::vector<double> obj_;  // maximize orientation over original columns
-  std::vector<double> red_;  // reduced-cost row maintained by pivot()
-};
-
-Solution solve_trivial(const Problem& problem, double eps) {
-  // Degenerate but well-defined: feasible iff every constraint already
-  // holds with an all-zero left-hand side.
-  Solution s;
-  s.status = Status::kOptimal;
-  s.duals.assign(problem.num_constraints(), 0.0);
-  for (const auto& row : problem.rows()) {
-    const bool ok = (row.sense == Sense::kLessEqual && 0.0 <= row.rhs + eps) ||
-                    (row.sense == Sense::kGreaterEqual && 0.0 >= row.rhs - eps) ||
-                    (row.sense == Sense::kEqual && std::abs(row.rhs) <= eps);
-    if (!ok) {
-      s.status = Status::kInfeasible;
-      break;
-    }
-  }
-  return s;
-}
-
-}  // namespace
-
 /// One product-form (eta) update of the basis factorization: after the
 /// pivot at basis position `pos` with FTRAN'd entering column `w`,
 /// B_new = B_old * E where E is the identity with column `pos` replaced by
@@ -471,12 +153,12 @@ std::size_t RevisedContext::rows() const {
   return state_ != nullptr ? state_->rows : 0;
 }
 
-/// Sparse revised two-phase primal simplex. Shares the dense Tableau's
-/// column layout (structural, slack, artificial columns; rows
-/// sign-normalized to rhs >= 0) and pivot rules (Dantzig with a permanent
-/// switch to Bland's anti-cycling rule after a stall, Bland tie-break in
-/// the ratio test), so the two engines agree on status and optimum — the
-/// differential fuzz harness holds them to that.
+/// Sparse revised two-phase primal simplex. Column layout: structural,
+/// slack, then artificial columns, with rows sign-normalized to rhs >= 0.
+/// Pivot rules: Dantzig with a permanent switch to Bland's anti-cycling
+/// rule after a stall, and a Bland tie-break in the ratio test. A dense
+/// full-tableau simplex with the same layout and rules agrees with it on
+/// status and optimum; the differential fuzz harness holds it to that.
 ///
 /// Instead of updating an m x cols tableau on every pivot, it keeps an LU
 /// factorization (partial pivoting) of the m x m basis matrix plus an eta
@@ -581,17 +263,13 @@ class RevisedSimplex {
     obj_sign_ = obj_sign;
   }
 
-  /// Cold two-phase solve, mirroring Tableau::run.
+  /// Cold two-phase solve.
   Solution run(std::size_t max_pivots) {
     budget_ = max_pivots;
     head_ = initial_head_;
     in_basis_.assign(cols_, 0);
     for (std::size_t c : head_) in_basis_[c] = 1;
-    if (!refactorize()) {
-      // The initial basis is the identity; this cannot fail.
-      numerical_failure_ = true;
-      return Solution{};
-    }
+    refactorize();  // the slack/artificial start basis is I: never singular
     x_ = b_;
 
     if (art_begin_ < cols_) {
@@ -601,8 +279,8 @@ class RevisedSimplex {
       if (r == LoopResult::kNumericalFailure) return Solution{};
       if (r == LoopResult::kLimit) return limit_solution();
       // Phase 1 is bounded below by zero; "unbounded" here means the eta
-      // file drifted. Flag a numerical failure so solve() falls back to
-      // the dense engine for this instance.
+      // file drifted. Flag a numerical failure so solve() re-runs this
+      // instance on an equilibrated copy.
       if (r != LoopResult::kOptimal) {
         numerical_failure_ = true;
         return Solution{};
@@ -944,10 +622,9 @@ class RevisedSimplex {
       if (v < 0.0 && v > -1e-7) v = 0.0;
   }
 
-  /// Core revised simplex loop: same entering/leaving rules as the dense
-  /// tableau (Dantzig, permanent Bland switch after a stall, Bland
-  /// tie-break in the ratio test), reduced costs priced fresh from the
-  /// duals every iteration.
+  /// Core revised simplex loop: Dantzig entering rule with a permanent
+  /// Bland switch after a stall, Bland tie-break in the ratio test, and
+  /// reduced costs priced fresh from the duals every iteration.
   LoopResult pivot_loop(const std::vector<double>& c, bool allow_artificials) {
     const std::size_t limit = allow_artificials ? cols_ : art_begin_;
     std::vector<double> y(rows_);
@@ -1147,8 +824,7 @@ class RevisedSimplex {
   }
 
   /// Phase 2 on the real objective plus solution extraction; artificials
-  /// may no longer enter (they can linger basic at zero on redundant rows,
-  /// exactly as in the dense path).
+  /// may no longer enter (they can linger basic at zero on redundant rows).
   Solution phase2() {
     Solution solution;
     const LoopResult r = pivot_loop(obj_, /*allow_artificials=*/false);
@@ -1178,7 +854,7 @@ class RevisedSimplex {
 
     // Export the basis in the problem-level representation for warm
     // starts; a basic artificial (redundant row) has no such form and
-    // makes the basis non-reusable, as in the dense path.
+    // makes the basis non-reusable.
     solution.basis.reserve(rows_);
     for (std::size_t k = 0; k < rows_; ++k) {
       const std::size_t c = head_[k];
@@ -1205,8 +881,10 @@ class RevisedSimplex {
     std::vector<double> rho, w;
     for (std::size_t k = 0; k < rows_; ++k) {
       if (head_[k] < art_begin_) continue;
-      MRWSN_ASSERT(std::abs(x_[k]) <= 1e-6,
-                   "basic artificial with nonzero value after feasible phase 1");
+      if (std::abs(x_[k]) > 1e-6) {  // phase 1 said feasible: values drifted
+        numerical_failure_ = true;
+        return;
+      }
       rho.assign(rows_, 0.0);
       rho[k] = 1.0;
       btran(&rho);  // row k of B^{-1}
@@ -1284,6 +962,94 @@ class RevisedSimplex {
   mutable std::vector<double> work_;  // FTRAN/BTRAN scratch
 };
 
+namespace {
+
+Solution solve_trivial(const Problem& problem, double eps) {
+  // Degenerate but well-defined: feasible iff every constraint already
+  // holds with an all-zero left-hand side.
+  Solution s;
+  s.status = Status::kOptimal;
+  s.duals.assign(problem.num_constraints(), 0.0);
+  for (const auto& row : problem.rows()) {
+    const bool ok = (row.sense == Sense::kLessEqual && 0.0 <= row.rhs + eps) ||
+                    (row.sense == Sense::kGreaterEqual && 0.0 >= row.rhs - eps) ||
+                    (row.sense == Sense::kEqual && std::abs(row.rhs) <= eps);
+    if (!ok) {
+      s.status = Status::kInfeasible;
+      break;
+    }
+  }
+  return s;
+}
+
+/// solve()'s answer to a cold numerical failure: run the revised engine
+/// cold once more on an equilibrated copy and map its answer back. The
+/// copy scales row i by r_i = 2^row_exp[i] and column j by c_j =
+/// 2^col_exp[j], from alternating geometric passes that centre each row's,
+/// then each column's, log2 range of |r_i a_ij c_j| on zero; powers of two
+/// keep the scaling exact. Values come back as x_j = c_j x'_j and duals as
+/// y_i = r_i y'_i; objective and basis carry over unchanged. Throws
+/// InvariantError if this run fails numerically too.
+Solution solve_equilibrated(const Problem& problem, const SolveOptions& options) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<int> row_exp(problem.num_constraints(), 0);
+  std::vector<int> col_exp(problem.num_variables(), 0);
+  const auto centre = [](double lo, double hi) {  // 0 for an empty range
+    return lo > hi ? 0 : -static_cast<int>(std::lround((lo + hi) / 2));
+  };
+  std::vector<double> lo, hi;
+  for (int pass = 0; pass < 4; ++pass) {
+    lo.assign(col_exp.size(), kInf);
+    hi.assign(col_exp.size(), -kInf);
+    for (std::size_t i = 0; i < row_exp.size(); ++i) {
+      const auto& terms = problem.rows()[i].terms;
+      double row_lo = kInf, row_hi = -kInf;
+      for (const auto& [var, coeff] : terms) {
+        const double l =
+            std::log2(std::abs(coeff)) + col_exp[static_cast<std::size_t>(var)];
+        row_lo = std::min(row_lo, l);
+        row_hi = std::max(row_hi, l);
+      }
+      row_exp[i] = centre(row_lo, row_hi);
+      for (const auto& [var, coeff] : terms) {
+        const std::size_t j = static_cast<std::size_t>(var);
+        lo[j] = std::min(lo[j], std::log2(std::abs(coeff)) + row_exp[i]);
+        hi[j] = std::max(hi[j], std::log2(std::abs(coeff)) + row_exp[i]);
+      }
+    }
+    for (std::size_t j = 0; j < col_exp.size(); ++j) col_exp[j] = centre(lo[j], hi[j]);
+  }
+  const auto scale = [](double value, int exp) {
+    const double scaled = std::ldexp(value, exp);
+    MRWSN_ASSERT(std::isfinite(scaled), "equilibrated LP value overflows");
+    return scaled;
+  };
+  Problem scaled(problem.objective());
+  for (std::size_t j = 0; j < col_exp.size(); ++j)
+    scaled.add_variable(scale(problem.objective_coeffs()[j], col_exp[j]));
+  for (std::size_t i = 0; i < row_exp.size(); ++i) {
+    const Problem::Row& row = problem.rows()[i];
+    std::vector<std::pair<VarId, double>> terms = row.terms;
+    for (auto& [var, coeff] : terms)
+      coeff = scale(coeff, row_exp[i] + col_exp[static_cast<std::size_t>(var)]);
+    scaled.add_constraint(terms, row.sense, scale(row.rhs, row_exp[i]));
+  }
+  RevisedSimplex simplex(scaled, options.eps);
+  Solution solution = simplex.run(options.max_pivots);
+  if (options.stats != nullptr)
+    options.stats->pivots += simplex.pivots_spent(options.max_pivots);
+  MRWSN_ASSERT(!simplex.numerical_failure(),
+               "revised simplex failed numerically on the LP and on its "
+               "equilibrated copy");
+  for (std::size_t j = 0; j < solution.values.size(); ++j)
+    solution.values[j] = std::ldexp(solution.values[j], col_exp[j]);
+  for (std::size_t i = 0; i < solution.duals.size(); ++i)
+    solution.duals[i] = std::ldexp(solution.duals[i], row_exp[i]);
+  return solution;
+}
+
+}  // namespace
+
 Solution solve(const Problem& problem, double eps) {
   SolveOptions options;
   options.eps = eps;
@@ -1316,10 +1082,10 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
     note(Fallback::kStaleContextRows);
   }
 
-  // A numerically singular refactorization mid-solve is the one failure
-  // mode the eta-update scheme adds over the dense tableau: a warm or dual
-  // attempt that hits it restarts cold, and a cold run that hits it falls
-  // back to the dense tableau rather than surfacing a numerical artifact.
+  // A numerically singular refactorization mid-solve, or basic values that
+  // drift off the phase-1 verdict, is a numerical failure: a warm or dual
+  // attempt that hits it restarts cold, and a cold run that hits it runs
+  // once more on an equilibrated copy rather than surfacing an artifact.
   if (options.warm_start != nullptr && !options.warm_start->empty()) {
     RevisedSimplex simplex(problem, options.eps);
     Solution solution;
@@ -1353,18 +1119,10 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
   if (simplex.numerical_failure()) {
     note(Fallback::kNumerical);
     if (options.context != nullptr) options.context->reset();
-    return solve_dense(problem, options.eps, options.max_pivots);
+    return solve_equilibrated(problem, options);
   }
   simplex.save_context(options.context, solution);
   return solution;
-}
-
-Solution solve_dense(const Problem& problem, double eps,
-                     std::size_t max_pivots) {
-  MRWSN_REQUIRE(eps > 0.0, "tolerance must be positive");
-  if (problem.num_variables() == 0) return solve_trivial(problem, eps);
-  Tableau tableau(problem, eps);
-  return tableau.run(max_pivots);
 }
 
 }  // namespace mrwsn::lp

@@ -18,11 +18,9 @@
 /// LU factorization of the basis with product-form (eta-file) updates
 /// between pivots, periodic refactorization — whose per-iteration cost
 /// scales with the problem's nonzeros instead of the full tableau; it is
-/// the only engine solve() runs. A dense full-tableau simplex is kept for
-/// two roles, both cold (solve_dense): the fallback when the revised
-/// engine fails numerically, and the reference the differential fuzz and
-/// parity suites check the revised engine against. No external solver is
-/// used anywhere in the repository.
+/// the only engine solve() runs. When a cold run fails numerically, it
+/// runs once more on a copy of the problem equilibrated by powers of two.
+/// No external solver is used anywhere in the repository.
 namespace mrwsn::lp {
 
 enum class Objective { kMaximize, kMinimize };
@@ -195,7 +193,9 @@ enum class Fallback : std::uint8_t {
   /// problem (e.g. columns or the objective changed too).
   kNotDualFeasible,
   /// The revised engine failed numerically: a warm or dual attempt
-  /// restarted cold, and a cold run was re-solved by solve_dense().
+  /// restarted cold, and a cold run re-ran cold on a copy of the problem
+  /// with rows and columns scaled by powers of two (geometric
+  /// equilibration), whose values and duals were scaled back.
   kNumerical,
   /// The dual phase of a dual re-solve exceeded SolveOptions::
   /// dual_pivot_cap (a degenerate stall, not progress) and the solve went
@@ -215,9 +215,7 @@ struct SolveStats {
   std::size_t pivots = 0;       ///< total pivots spent (all phases)
 };
 
-/// Knobs for solve(). The defaults reproduce the classic solve() behavior
-/// apart from the iteration limit, which now reports kIterationLimit
-/// instead of throwing.
+/// Knobs for solve().
 struct SolveOptions {
   /// Feasibility/optimality tolerance.
   double eps = 1e-9;
@@ -284,17 +282,11 @@ struct Solution {
 ///
 /// `eps` is the feasibility/optimality tolerance. The default is suited to
 /// the well-scaled problems this library produces (coefficients within a
-/// few orders of magnitude of 1).
+/// few orders of magnitude of 1). Throws InvariantError when the engine
+/// fails numerically on the problem and on its equilibrated copy.
 Solution solve(const Problem& problem, double eps = 1e-9);
 
 /// Solve with explicit options (tolerance, pivot budget, warm-start basis).
 Solution solve(const Problem& problem, const SolveOptions& options);
-
-/// Cold two-phase solve on the dense full tableau: the same pivot rules as
-/// the revised engine on an explicit m x cols tableau. solve() runs it
-/// when the revised engine fails numerically; the differential suites use
-/// it as their reference. `max_pivots` as in SolveOptions.
-Solution solve_dense(const Problem& problem, double eps = 1e-9,
-                     std::size_t max_pivots = SolveOptions{}.max_pivots);
 
 }  // namespace mrwsn::lp

@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -156,7 +157,8 @@ void Network::set_position(NodeId id, geom::Point position) {
 
 void Network::set_node_tx_power(NodeId id, double tx_power_watt) {
   check_node(id);
-  MRWSN_REQUIRE(tx_power_watt > 0.0, "node tx power must be positive");
+  MRWSN_REQUIRE(std::isfinite(tx_power_watt) && tx_power_watt > 0.0,
+                "node tx power must be finite and positive");
   node_power_[id] = tx_power_watt;
 }
 

@@ -86,7 +86,7 @@ TEST(AdmissionEngine, ChainReplayMatchesColdSolvesThroughCommits) {
     EXPECT_NEAR(answer.available_mbps, cold_available(model, background, path),
                 kParityTol);
     if (answer.admitted) background.push_back(LinkFlow{path, step.demand});
-    EXPECT_EQ(engine.background().size(), background.size());
+    EXPECT_EQ(engine.snapshot()->background.size(), background.size());
   }
   EXPECT_GT(engine.stats().commits, 2u);
   // Every refresh after the first warm basis must ride the dual phase.
@@ -130,7 +130,7 @@ TEST(AdmissionEngine, QueryDoesNotCommit) {
   const AdmissionAnswer second = engine.query(path, 1.0);
   EXPECT_TRUE(first.admitted);
   EXPECT_NEAR(first.available_mbps, second.available_mbps, 1e-12);
-  EXPECT_TRUE(engine.background().empty());
+  EXPECT_TRUE(engine.snapshot()->background.empty());
 }
 
 TEST(AdmissionEngine, RejectedDemandIsNotCommitted) {
@@ -142,7 +142,7 @@ TEST(AdmissionEngine, RejectedDemandIsNotCommitted) {
   const AdmissionAnswer answer = engine.commit(path, 1000.0);
   EXPECT_TRUE(answer.background_feasible);
   EXPECT_FALSE(answer.admitted);
-  EXPECT_TRUE(engine.background().empty());
+  EXPECT_TRUE(engine.snapshot()->background.empty());
 }
 
 TEST(AdmissionEngine, InfeasibleBackgroundIsReported) {
@@ -231,7 +231,7 @@ TEST(AdmissionEngine, ClearKeepsThePoolWarm) {
   ASSERT_GT(warm_pool, 0u);
 
   engine.clear();
-  EXPECT_TRUE(engine.background().empty());
+  EXPECT_TRUE(engine.snapshot()->background.empty());
   EXPECT_TRUE(engine.background_feasible());
   EXPECT_EQ(engine.background_airtime(), 0.0);
   EXPECT_EQ(engine.stats().pool_columns, warm_pool);

@@ -94,6 +94,12 @@ TEST(Mobility, RejectsMalformedTraces) {
   EXPECT_THROW(parse_mobility("power 1 0\n"), PreconditionError);
   EXPECT_THROW(parse_mobility("power 1 -0.5\n"), PreconditionError);
   EXPECT_THROW(parse_mobility("rate 2 2 1\n"), PreconditionError);
+  // Non-finite coordinates and powers never reach a replay.
+  EXPECT_THROW(parse_mobility("move 1 nan 5\n"), PreconditionError);
+  EXPECT_THROW(parse_mobility("move 1 5 -inf\n"), PreconditionError);
+  EXPECT_THROW(parse_mobility("join inf 0\n"), PreconditionError);
+  EXPECT_THROW(parse_mobility("power 1 inf\n"), PreconditionError);
+  EXPECT_THROW(parse_mobility("power 1 nan\n"), PreconditionError);
   // Unparsable numbers and trailing junk.
   EXPECT_THROW(parse_mobility("move x 1 2\n"), PreconditionError);
   EXPECT_THROW(parse_mobility("move 1 2.0zz 3\n"), PreconditionError);
@@ -184,6 +190,30 @@ TEST(MobilityReplay, EngineEpochsMatchColdRebuilds) {
         << "event " << i;
   }
   EXPECT_EQ(engine.stats().topology_repairs, trace.events.size());
+}
+
+/// A finite position whose grid cell does not fit the 32-bit-per-axis cell
+/// key (or a non-finite position or power, from a library caller that
+/// skips the parser) is rejected before the network or the grid changes.
+TEST(MobilityReplay, UnindexablePositionsAreRejectedBeforeAnyChange) {
+  net::Network network(geom::chain(6, 70.0), phy::PhyModel::paper_default());
+  core::PhysicalInterferenceModel model(network);
+  core::TopologyDelta delta(&network, &model);
+  const geom::Point before = network.node(1).position;
+  const std::size_t links = network.links().size();
+  for (const geom::Point bad : {geom::Point{1e300, 5.0}, geom::Point{5.0, -1e15},
+                                geom::Point{std::nan(""), 5.0}}) {
+    EXPECT_THROW(delta.move_node(1, bad), PreconditionError);
+    EXPECT_THROW(delta.add_node(bad), PreconditionError);
+  }
+  EXPECT_THROW(delta.set_power(1, HUGE_VAL), PreconditionError);
+  EXPECT_EQ(network.node(1).position.x, before.x);
+  EXPECT_EQ(network.node(1).position.y, before.y);
+  EXPECT_EQ(network.num_nodes(), 6u);
+  EXPECT_EQ(network.links().size(), links);
+  // The delta still works afterwards.
+  const core::ModelRepair repair = delta.move_node(1, {75.0, 5.0});
+  EXPECT_FALSE(repair.links.empty());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Differential fuzz harness for the sparse revised simplex (the production
-// engine) against the retained dense tableau (the reference engine).
+// engine) against the dense vector-of-rows tableau of tests/oracles
+// (solve_reference, the same algorithm and pivot rules).
 //
 // A seeded generator draws LP instances from five families — feasible
 // bounded, provably infeasible, provably unbounded, degenerate (duplicate
@@ -14,7 +15,12 @@
 //     (the KKT certificate, which is what column generation prices from),
 //   * the revised engine's warm-start path, chained through its
 //     RevisedContext, reaching the dense cold optimum after columns are
-//     appended (the column-generation re-solve pattern).
+//     appended (the column-generation re-solve pattern),
+//   * none of these in-domain instances failing numerically.
+//
+// A sixth, badly-scaled family (rows and columns scaled across 1e-8..1e8)
+// drives the revised engine into numerical failure on purpose and holds
+// its equilibrated cold restart to a witness point instead of the oracle.
 //
 // Seed count: kSeedsPerFamily per family by default (>= 500 instances
 // total); override with MRWSN_FUZZ_SEEDS=<n> (n seeds per family) for
@@ -25,12 +31,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/interference.hpp"
 #include "core/scenarios.hpp"
+#include "oracles/reference_simplex.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mrwsn::lp {
@@ -127,11 +136,17 @@ void check_kkt(const Problem& problem, const Solution& solution,
 }
 
 /// The core differential check: both engines, same status; on optimal,
-/// 1e-6 objectives and a full KKT certificate from each engine.
+/// 1e-6 objectives and a full KKT certificate from each engine. These
+/// instances are in the revised engine's domain, so it must not fail
+/// numerically on any of them.
 void check_differential(const Problem& problem, const std::string& tag) {
-  const Solution dense = solve_dense(problem);
-  const Solution revised = solve(problem);
+  const Solution dense = solve_reference(problem);
+  SolveStats stats;
+  SolveOptions options;
+  options.stats = &stats;
+  const Solution revised = solve(problem, options);
 
+  EXPECT_NE(stats.fallback_reason, Fallback::kNumerical) << tag;
   ASSERT_EQ(dense.status, revised.status) << tag;
   // Bland's rule termination: a pivot-budget blowout on these small
   // instances would mean the eta-update path cycles where the dense
@@ -409,7 +424,7 @@ TEST(RevisedSimplexFuzz, WarmStartParityAfterAppendingColumns) {
       revised_options.warm_start =
           revised_basis.empty() ? nullptr : &revised_basis;
       const Solution revised = solve(problem, revised_options);
-      const Solution cold = solve_dense(problem);
+      const Solution cold = solve_reference(problem);
 
       const std::string tag =
           "seed=" + std::to_string(seed) + " use=" + std::to_string(use);
@@ -509,7 +524,7 @@ TEST(RevisedSimplexFuzz, DualResolveParityAfterAppendingRows) {
     dual_options.stats = &stats;
     const Solution warm = solve(grown, dual_options);
 
-    const Solution cold = solve_dense(grown);
+    const Solution cold = solve_reference(grown);
 
     const std::string tag = "dual-resolve seed=" + std::to_string(seed);
     ASSERT_NE(warm.status, Status::kIterationLimit) << tag;
@@ -526,6 +541,159 @@ TEST(RevisedSimplexFuzz, DualResolveParityAfterAppendingRows) {
   // its instances, not quietly fall back cold.
   EXPECT_GT(4 * engaged, attempted)
       << "dual path engaged on " << engaged << "/" << attempted;
+}
+
+/// A badly-scaled instance and the facts that make it checkable: a witness
+/// point x̂ that satisfies every row, and the column scales c_j.
+struct ScaledInstance {
+  Problem problem;
+  std::vector<double> witness;
+  std::vector<double> col_scale;
+};
+
+/// Badly-scaled family: a well-scaled feasible core (as in
+/// feasible_bounded) whose rows are multiplied by r_i and whose variables
+/// are divided by c_j, both drawn log-uniformly from 1e-8..1e8. The witness
+/// x̂_j = c_j·w_j satisfies every row by construction, and a bounding row
+/// Σ x_j/c_j <= Σ x̂_j/c_j + 1 keeps the instance bounded either way, so the
+/// only correct verdict is kOptimal.
+ScaledInstance badly_scaled(Rng& rng) {
+  const auto scale = [&rng] { return std::pow(10.0, rng.uniform(-8.0, 8.0)); };
+  const std::size_t vars = rng.uniform_int(2, 24);
+  const std::size_t rows = rng.uniform_int(1, 20);
+  ScaledInstance out{Problem(rng.uniform() < 0.5 ? Objective::kMaximize
+                                                 : Objective::kMinimize),
+                     {}, {}};
+  for (std::size_t j = 0; j < vars; ++j) {
+    const double c = scale();
+    out.col_scale.push_back(c);
+    out.witness.push_back(c * rng.uniform(0.0, 3.0));
+    out.problem.add_variable(rng.uniform(-1.5, 2.0) / c);
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double r = scale();
+    std::vector<std::pair<VarId, double>> row;
+    double lhs = 0.0;
+    for (std::size_t j = 0; j < vars; ++j) {
+      if (rng.uniform() < 0.3) continue;
+      const double a = r * rng.uniform(-1.0, 2.0) / out.col_scale[j];
+      row.emplace_back(static_cast<VarId>(j), a);
+      lhs += a * out.witness[j];
+    }
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        out.problem.add_constraint(row, Sense::kLessEqual,
+                                   lhs + r * rng.uniform(0.0, 2.0));
+        break;
+      case 1:
+        out.problem.add_constraint(row, Sense::kGreaterEqual,
+                                   lhs - r * rng.uniform(0.0, 2.0));
+        break;
+      default:
+        out.problem.add_constraint(row, Sense::kEqual, lhs);
+        break;
+    }
+  }
+  std::vector<std::pair<VarId, double>> bound;
+  double level = 1.0;
+  for (std::size_t j = 0; j < vars; ++j) {
+    bound.emplace_back(static_cast<VarId>(j), 1.0 / out.col_scale[j]);
+    level += out.witness[j] / out.col_scale[j];
+  }
+  out.problem.add_constraint(bound, Sense::kLessEqual, level);
+  return out;
+}
+
+/// True when `solution` is an optimum the instance's witness vouches for:
+/// kOptimal, x >= 0 and every row satisfied to 1e-6 relative to the
+/// magnitudes in that row, and an objective no worse than x̂'s.
+bool answers_scaled_instance(const ScaledInstance& instance,
+                             const Solution& solution) {
+  const Problem& problem = instance.problem;
+  if (solution.status != Status::kOptimal ||
+      solution.values.size() != problem.num_variables())
+    return false;
+  const std::vector<double>& x = solution.values;
+  for (std::size_t j = 0; j < x.size(); ++j)
+    if (!(x[j] >= -kFeasTol * instance.col_scale[j])) return false;
+  for (const Problem::Row& row : problem.rows()) {
+    double lhs = 0.0;
+    double magnitude = std::abs(row.rhs);
+    for (const auto& [var, coeff] : row.terms) {
+      lhs += coeff * x[static_cast<std::size_t>(var)];
+      magnitude += std::abs(coeff * x[static_cast<std::size_t>(var)]);
+    }
+    const double tol = kFeasTol * magnitude;
+    if ((row.sense != Sense::kGreaterEqual && lhs > row.rhs + tol) ||
+        (row.sense != Sense::kLessEqual && lhs < row.rhs - tol))
+      return false;
+  }
+  const double sign = problem.objective() == Objective::kMaximize ? 1.0 : -1.0;
+  double found = 0.0, witnessed = 0.0, magnitude = 0.0;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const double c = problem.objective_coeffs()[j];
+    found += c * x[j];
+    witnessed += c * instance.witness[j];
+    magnitude += std::abs(c) * (std::abs(x[j]) + instance.witness[j]);
+  }
+  return sign * found >= sign * witnessed - kFeasTol * magnitude;
+}
+
+/// The badly-scaled family against the equilibrated restart. The revised
+/// engine's first pass fails numerically on a few percent of these
+/// instances; solve() then re-runs it on a power-of-two equilibrated copy.
+/// At least 90% of the instances that reach that restart must come back
+/// optimal, feasible and no worse than the witness, with duals that close
+/// the duality gap; any exception must be InvariantError (anything else
+/// escapes the catch and fails the test).
+TEST(RevisedSimplexFuzz, BadlyScaledFamilyRestartsEquilibrated) {
+  const std::size_t instances = 20 * seeds_per_family();
+  std::size_t reached = 0, correct = 0, wrong_verdict = 0, bad_answer = 0,
+              threw = 0;
+  for (std::size_t seed = 1; seed <= instances; ++seed) {
+    Rng rng(0x5ca1eULL ^ (seed * 0x9e3779b97f4a7c15ULL));
+    const ScaledInstance instance = badly_scaled(rng);
+    SolveStats stats;
+    SolveOptions options;
+    options.stats = &stats;
+    try {
+      const Solution solution = solve(instance.problem, options);
+      if (stats.fallback_reason != Fallback::kNumerical) continue;
+      ++reached;
+      if (solution.status != Status::kOptimal) {
+        ++wrong_verdict;
+        continue;
+      }
+      if (!answers_scaled_instance(instance, solution)) {
+        ++bad_answer;
+        continue;
+      }
+      ++correct;
+      // Strong duality: y·b equals the optimum when the duals were scaled
+      // back by the same row factors as the rows.
+      double yb = 0.0, magnitude = std::abs(solution.objective);
+      for (std::size_t i = 0; i < solution.duals.size(); ++i) {
+        const double term = solution.duals[i] * instance.problem.rows()[i].rhs;
+        yb += term;
+        magnitude += std::abs(term);
+      }
+      EXPECT_NEAR(yb, solution.objective, kFeasTol * magnitude)
+          << "seed=" << seed;
+    } catch (const InvariantError&) {
+      ++reached;
+      ++threw;
+    }
+  }
+  std::printf(
+      "badly-scaled: %zu instances, %zu reached the restart: %zu correct, "
+      "%zu wrong verdict, %zu infeasible answer, %zu threw\n",
+      instances, reached, correct, wrong_verdict, bad_answer, threw);
+  EXPECT_GE(10 * correct, 9 * reached);
+  // About 3-4% of the family reaches the restart; a sample this large that
+  // reaches it far less often no longer tests it.
+  if (instances >= 1000) {
+    EXPECT_GE(50 * reached, instances);
+  }
 }
 
 /// Beale's classic cycling LP (1955): Dantzig's most-improving rule cycles

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -596,6 +598,107 @@ TEST(SimplexDualResolve, TrailingEqualityRowIsRejectedToColdPath) {
   ASSERT_TRUE(warm.optimal());
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
   EXPECT_EQ(stats.fallback_reason, Fallback::kDualRejected);
+}
+
+// Two badly scaled LPs from the fuzz harness's badly-scaled family, cut
+// down to the rows that still make the revised engine's first cold pass
+// fail numerically. Each is bounded and feasible (the witness satisfies
+// every row), so the only right answer is an optimum at least as good as
+// the witness. solve() must reach it through the equilibrated restart.
+struct WitnessedLp {
+  Problem problem{Objective::kMaximize};
+  std::vector<double> witness;
+};
+
+void expect_equilibrated_optimum(const WitnessedLp& lp) {
+  SolveStats stats;
+  SolveOptions options;
+  options.stats = &stats;
+  const Solution s = solve(lp.problem, options);
+  EXPECT_EQ(stats.fallback_reason, Fallback::kNumerical);
+  ASSERT_TRUE(s.optimal());
+  for (const Problem::Row& row : lp.problem.rows()) {
+    double lhs = 0.0, magnitude = std::abs(row.rhs);
+    for (const auto& [var, coeff] : row.terms) {
+      lhs += coeff * s.value(var);
+      magnitude += std::abs(coeff * s.value(var));
+    }
+    if (row.sense != Sense::kGreaterEqual) {
+      EXPECT_LE(lhs, row.rhs + 1e-6 * magnitude);
+    }
+    if (row.sense != Sense::kLessEqual) {
+      EXPECT_GE(lhs, row.rhs - 1e-6 * magnitude);
+    }
+  }
+  double witnessed = 0.0;
+  for (std::size_t j = 0; j < lp.witness.size(); ++j)
+    witnessed += lp.problem.objective_coeffs()[j] * lp.witness[j];
+  EXPECT_GE(s.objective, witnessed - 1e-6 * std::abs(witnessed));
+}
+
+TEST(SimplexEquilibratedRestart, DriftedArtificialAfterPhaseOneIsRestarted) {
+  // The first pass ends phase 1 with a basic artificial at a nonzero value;
+  // this used to escape solve() as an InvariantError.
+  WitnessedLp lp;
+  Problem& p = lp.problem;
+  p.add_variable(0x1.04638cff3adcep+12);
+  p.add_variable(-0x1.23ae1a88815a7p-18);
+  lp.witness = {0x1.0f4bd1b655ca8p-15, 0x1.9c8aa9445f47cp+13};
+  p.add_constraint({{0, 0x1.5d605b4a476c8p-4}}, Sense::kEqual,
+                   0x1.72407a12e27cbp-19);
+  p.add_constraint({{0, 0x1.ee86de8353b2dp+25}, {1, -0x1.7f1694113ce93p-3}},
+                   Sense::kLessEqual, 0x1.44246f5310e1ap+10);
+  p.add_constraint({{0, -0x1.a8b833334f231p-14}, {1, 0x1.931af65404a1dp-28}},
+                   Sense::kEqual, 0x1.44c9598eab188p-14);
+  p.add_constraint({{0, 0x1.d99dc9ba95118p+12}, {1, 0x1.c7ae0ac5d02ffp-15}},
+                   Sense::kLessEqual, 0x1.f65204552929cp+0);
+  expect_equilibrated_optimum(lp);
+}
+
+TEST(SimplexEquilibratedRestart, FeasibleBadlyScaledLpIsNotCalledInfeasible) {
+  // The first pass fails numerically; a cold dense tableau rerun of the
+  // same unscaled rows called this feasible LP infeasible.
+  WitnessedLp lp;
+  Problem& p = lp.problem;
+  for (double c : {-0x1.be5b5c6d10768p+10, 0x1.87b609c15f154p-15,
+                   0x1.291c09582055p-15, -0x1.b75ebd7b6d654p-6})
+    p.add_variable(c);
+  lp.witness = {0x1.b586ff769f555p-10, 0x1.0c49cba057026p+15,
+                0x1.ddc62fdce1fa4p+16, 0x1.448d35093391ap+5};
+  p.add_constraint({{0, -0x1.34175d1f79fa6p+28}, {3, 0x1.1c60aa14dd18dp+14}},
+                   Sense::kLessEqual, 0x1.3abbe787c5ca8p+20);
+  p.add_constraint({{0, 0x1.7a6276f452e96p-2},
+                    {1, 0x1.519c03636973fp-28},
+                    {2, 0x1.456900f81b159p-28}},
+                   Sense::kGreaterEqual, 0x1.61c1ad32cef4ap-10);
+  p.add_constraint({{0, 0x1.f75e02e737613p+3},
+                    {1, 0x1.34299dffc6a85p-21},
+                    {2, -0x1.85489269efd18p-23},
+                    {3, 0x1.031554d3f133p-11}},
+                   Sense::kEqual, 0x1.6726fc469393fp-5);
+  p.add_constraint({{1, 0x1.c7dc7af281cc2p-17}, {2, 0x1.842b90bb7d99ep-15}},
+                   Sense::kGreaterEqual, 0x1.47758fdaf8fe4p+2);
+  p.add_constraint({{0, -0x1.594cc1d7e9a9fp-14}, {3, 0x1.4ca21f38938a9p-29}},
+                   Sense::kEqual, -0x1.50e2e7dc58692p-25);
+  p.add_constraint({{1, 0x1.4d587e1be50d1p+12},
+                    {2, 0x1.2d4484c92b988p+10},
+                    {3, 0x1.f14bf9c5aac1ep+21}},
+                   Sense::kEqual, 0x1.d8da74e22910cp+28);
+  p.add_constraint({{0, 0x1.f3272b0587928p+2},
+                    {1, -0x1.1a1ef0a267e74p-24},
+                    {3, 0x1.5b17623102a8p-14}},
+                   Sense::kEqual, 0x1.cea45fc105863p-7);
+  p.add_constraint({{0, 0x1.4f8345861e24bp+37},
+                    {1, 0x1.af57b4db3f24bp+11},
+                    {2, 0x1.e487dc6dbde43p+9},
+                    {3, 0x1.172b15dee67e8p+21}},
+                   Sense::kEqual, 0x1.2c9e9a7920b0bp+29);
+  p.add_constraint({{0, 0x1.6a7ab4da1c502p+10},
+                    {1, 0x1.72e6e13b4dfap-15},
+                    {2, 0x1.8a89bedc192f8p-16},
+                    {3, 0x1.c646056b259aep-6}},
+                   Sense::kLessEqual, 0x1.1e101da060506p+3);
+  expect_equilibrated_optimum(lp);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@ namespace mrwsn::lp {
 
 namespace {
 
-/// The vector<vector<double>> tableau the contiguous one replaced.
+/// The full tableau as one vector<double> per row.
 class ReferenceTableau {
  public:
   ReferenceTableau(const Problem& p, double eps) : eps_(eps) {

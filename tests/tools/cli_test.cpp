@@ -373,6 +373,27 @@ TEST(Cli, MobilityRejectsDanglingEventReferences) {
   EXPECT_NE(r.err.find("mobility event 1"), std::string::npos) << r.err;
 }
 
+TEST(Cli, MobilityRejectsNonFiniteAndUnindexableEvents) {
+  TempScenario scenario(kChain);
+  // Non-finite values fail at parse time, naming the trace line.
+  for (const char* bad : {"move 1 nan 5\n", "power 1 inf\n"}) {
+    TempScenario trace(std::string("# bad event\n") + bad);
+    const CliResult r =
+        run({"mobility", scenario.path(), "--trace", trace.path()});
+    EXPECT_EQ(r.code, 1) << bad;
+    EXPECT_NE(r.err.find("mobility line 2"), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+  // A finite position beyond the spatial grid's key range fails in the
+  // replay, before the node moves.
+  TempScenario trace("move 1 1e300 5\n");
+  const CliResult r =
+      run({"mobility", scenario.path(), "--trace", trace.path()});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("spatial grid"), std::string::npos) << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
 TEST(Cli, BatchEmitsOneCsvRowPerQueryInOrder) {
   TempScenario scenario(kChain);
   TempScenario queries(
