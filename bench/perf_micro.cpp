@@ -261,6 +261,18 @@ BENCHMARK(BM_ColumnGenRevised)->Arg(40);
 struct ScaledFig4Bench {
   benchx::Section52Setup setup;
   std::vector<std::vector<net::LinkId>> paths;
+
+  /// Every link of the routed paths, sorted and deduplicated: flow 8's
+  /// pricing universe over the seven flows routed before it (66 links).
+  std::vector<net::LinkId> union_universe() const {
+    std::vector<net::LinkId> universe;
+    for (const auto& path : paths)
+      universe.insert(universe.end(), path.begin(), path.end());
+    std::sort(universe.begin(), universe.end());
+    universe.erase(std::unique(universe.begin(), universe.end()),
+                   universe.end());
+    return universe;
+  }
 };
 
 const ScaledFig4Bench& scaled_fig4_bench() {
@@ -366,11 +378,7 @@ struct ScaledFig4Universe {};
 void BM_PricingHeuristic(benchmark::State& state, ScaledFig4Universe) {
   const ScaledFig4Bench& bench = scaled_fig4_bench();
   const core::PhysicalInterferenceModel model(bench.setup.network);
-  std::vector<net::LinkId> universe;
-  for (const auto& path : bench.paths)
-    universe.insert(universe.end(), path.begin(), path.end());
-  std::sort(universe.begin(), universe.end());
-  universe.erase(std::unique(universe.begin(), universe.end()), universe.end());
+  const std::vector<net::LinkId> universe = bench.union_universe();
   std::vector<double> weights(universe.size());
   for (std::size_t k = 0; k < weights.size(); ++k)
     weights[k] = 0.2 + 0.05 * double(k % 7);
@@ -813,6 +821,21 @@ void BM_ConflictMatrixBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConflictMatrixBuild)->Arg(8)->Arg(12);
+
+// The same cold build over the scaled Fig. 4 study's union universe, the
+// one BM_PricingHeuristic/fig4_seed4 prices: 66 links scattered over a
+// 500-node network whose link ids span thousands. Each iteration also pays
+// the fresh model's rx-power table.
+void BM_ConflictMatrixBuild(benchmark::State& state, ScaledFig4Universe) {
+  const ScaledFig4Bench& bench = scaled_fig4_bench();
+  const std::vector<net::LinkId> universe = bench.union_universe();
+  for (auto _ : state) {
+    const core::PhysicalInterferenceModel model(bench.setup.network);
+    benchmark::DoNotOptimize(model.conflict_matrix(universe));
+  }
+}
+BENCHMARK_CAPTURE(BM_ConflictMatrixBuild, fig4_seed4, ScaledFig4Universe{})
+    ->Unit(benchmark::kMillisecond);
 
 // Domination filtering over synthetic set collections (sorted link arrays,
 // discrete per-link rates) — the remove_dominated rewrite's counter.

@@ -172,33 +172,4 @@ void MisCache::clear() {
   entries_.clear();
 }
 
-void PairLimitCache::ensure(std::size_t num_links) const {
-  if (ready_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ready_.load(std::memory_order_relaxed)) return;
-  links_ = num_links;
-  slots_ = std::vector<std::atomic<std::uint32_t>>(num_links * num_links);
-  ready_.store(true, std::memory_order_release);
-}
-
-void PairLimitCache::invalidate(const std::vector<char>& link_affected,
-                                std::size_t num_links) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!ready_.load(std::memory_order_relaxed)) return;
-  if (num_links != links_) {
-    // Topology churn appended links: the row stride changed, so the whole
-    // table must be re-laid-out (everything resets to kUnset).
-    links_ = num_links;
-    slots_ = std::vector<std::atomic<std::uint32_t>>(num_links * num_links);
-    return;
-  }
-  for (std::size_t a = 0; a < links_; ++a) {
-    if (link_affected.size() <= a || link_affected[a] == 0) continue;
-    for (std::size_t b = 0; b < links_; ++b) {
-      if (a == b) continue;
-      store(std::min(a, b), std::max(a, b), kUnset);
-    }
-  }
-}
-
 }  // namespace mrwsn::core

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -232,63 +230,6 @@ struct ModelCaches {
   ConflictCache conflict;
   MisCache mis;
   PricingCache pricing;
-};
-
-/// Lazily-filled per-link-pair interference summary for the physical model.
-/// For a link pair the cumulative-SINR "interferes" answer depends on the
-/// requested rates only through each side's maximum supported rate under
-/// the other's interference — two small integers. This cache stores them
-/// packed in one 32-bit slot per ordered pair, so the full SINR evaluation
-/// (four received powers + two rate scans) runs once per pair, ever.
-///
-/// Slots are written with relaxed atomics: recomputation is deterministic,
-/// so a racing duplicate write stores the identical value (benign by
-/// construction), which keeps the hot path lock-free for the bounds.cpp
-/// thread fan-out.
-class PairLimitCache {
- public:
-  PairLimitCache() = default;
-  PairLimitCache(const PairLimitCache&) {}
-  PairLimitCache(PairLimitCache&&) noexcept {}
-  PairLimitCache& operator=(const PairLimitCache&) { return *this; }
-  PairLimitCache& operator=(PairLimitCache&&) noexcept { return *this; }
-
-  static constexpr std::uint32_t kUnset = 0;
-  static constexpr std::uint32_t kSharesNode = 1;
-  static constexpr std::uint32_t kComputed = 2;
-
-  /// Pack the two per-side limits (nullopt -> 0, rate k -> k + 1).
-  static std::uint32_t pack(std::optional<phy::RateIndex> limit_lo,
-                            std::optional<phy::RateIndex> limit_hi) {
-    const auto enc = [](std::optional<phy::RateIndex> l) -> std::uint32_t {
-      return l ? static_cast<std::uint32_t>(*l) + 1 : 0;
-    };
-    return kComputed | (enc(limit_lo) << 8) | (enc(limit_hi) << 16);
-  }
-
-  /// Allocate num_links^2 zeroed slots on first use (thread-safe).
-  void ensure(std::size_t num_links) const;
-
-  /// Forget the memoized limits of every pair touching an affected link
-  /// (their received powers may have changed). When the link count itself
-  /// changed (topology churn appended links) the slot table is re-laid-out
-  /// from scratch. Must not race readers — callers serialize mutations
-  /// against interferes() queries (AdmissionEngine's topology lock).
-  void invalidate(const std::vector<char>& link_affected,
-                  std::size_t num_links) const;
-
-  std::uint32_t load(std::size_t lo, std::size_t hi) const {
-    return slots_[lo * links_ + hi].load(std::memory_order_relaxed);
-  }
-  void store(std::size_t lo, std::size_t hi, std::uint32_t value) const {
-    slots_[lo * links_ + hi].store(value, std::memory_order_relaxed);
-  }
-
- private:
-  mutable std::mutex mu_;
-  mutable std::atomic<bool> ready_{false};
-  mutable std::size_t links_ = 0;
-  mutable std::vector<std::atomic<std::uint32_t>> slots_;
 };
 
 }  // namespace mrwsn::core

@@ -94,7 +94,6 @@ void PhysicalInterferenceModel::repair(const ModelRepair& delta) {
                   "repaired link id out of range");
     link_affected[link] = 1;
   }
-  pair_limits_.invalidate(link_affected, network_->num_links());
   patch_caches(link_affected);
   pricing_cache().patch(*this, link_affected);
 }
@@ -132,49 +131,27 @@ bool PhysicalInterferenceModel::interferes(net::LinkId a, phy::RateIndex ra,
   MRWSN_REQUIRE(a != b, "the interferes relation is over distinct links");
   MRWSN_REQUIRE(a < num_links() && b < num_links(), "link id out of range");
 
-  // The requested rates enter only through each side's pairwise maximum
-  // supported rate, which depends on the link pair alone — look those up
-  // in the pair-limit cache and run the SINR evaluation at most once per
-  // pair, ever.
-  const net::LinkId lo = std::min(a, b);
-  const net::LinkId hi = std::max(a, b);
-  pair_limits_.ensure(num_links());
-  std::uint32_t entry = pair_limits_.load(lo, hi);
-  if (entry == PairLimitCache::kUnset) {
-    if (shares_node(lo, hi)) {
-      entry = PairLimitCache::kSharesNode;  // half-duplex radios
-    } else {
-      const net::Link& llo = network_->link(lo);
-      const net::Link& lhi = network_->link(hi);
-      const phy::PhyModel& phy = network_->phy();
-      const double signal_lo = rx_power(llo.tx, llo.rx);
-      const double signal_hi = rx_power(lhi.tx, lhi.rx);
-      const double interference_at_lo = rx_power(lhi.tx, llo.rx);
-      const double interference_at_hi = rx_power(llo.tx, lhi.rx);
-      entry = PairLimitCache::pack(phy.max_rate(signal_lo, interference_at_lo),
-                                   phy.max_rate(signal_hi, interference_at_hi));
-    }
-    pair_limits_.store(lo, hi, entry);
-  }
-  if (entry == PairLimitCache::kSharesNode) return true;
+  const net::Link& la = network_->links()[a];
+  const net::Link& lb = network_->links()[b];
+  if (la.tx == lb.tx || la.tx == lb.rx || la.rx == lb.tx || la.rx == lb.rx)
+    return true;  // half-duplex radios
 
-  const std::uint32_t enc_lo = (entry >> 8) & 0xFFu;
-  const std::uint32_t enc_hi = (entry >> 16) & 0xFFu;
-  const phy::RateIndex rate_lo = (a < b) ? ra : rb;
-  const phy::RateIndex rate_hi = (a < b) ? rb : ra;
-  // Higher rate = smaller index; a side succeeds iff its pairwise max
-  // supported rate is at least as fast as the requested one. The cached
-  // entry is pure SINR geometry; the per-link rate cap (which may change
-  // under churn without touching received powers) clamps at decode time.
-  const bool lo_ok =
-      enc_lo != 0 &&
-      std::max(static_cast<phy::RateIndex>(enc_lo - 1),
-               network_->link(lo).rate_cap) <= rate_lo;
-  const bool hi_ok =
-      enc_hi != 0 &&
-      std::max(static_cast<phy::RateIndex>(enc_hi - 1),
-               network_->link(hi).rate_cap) <= rate_hi;
-  return !(lo_ok && hi_ok);
+  // Eq. 3 between two links needs four received powers: each side's signal
+  // and the other transmitter's interference at its receiver. A side
+  // succeeds iff its rate cap allows the requested rate and that rate's
+  // sensitivity and SINR thresholds hold. RateTable's thresholds never rise
+  // as the rate drops, so this is exactly "the side's PhyModel::max_rate
+  // under that interference is at least as fast as the requested rate".
+  const phy::PhyModel& phy = network_->phy();
+  const auto decodes = [&](const net::Link& self, const net::Link& other,
+                           phy::RateIndex rate) {
+    if (self.rate_cap > rate) return false;
+    const phy::Rate& need = phy.rates()[std::min(rate, phy.rates().size() - 1)];
+    const double signal = rx_power(self.tx, self.rx);
+    return signal >= need.rx_sensitivity_watt &&
+           phy.sinr(signal, rx_power(other.tx, self.rx)) >= need.sinr_min_linear;
+  };
+  return !(decodes(la, lb, ra) && decodes(lb, la, rb));
 }
 
 bool PhysicalInterferenceModel::supports(

@@ -162,20 +162,22 @@ struct ModelRepair {
 ///
 /// Dynamic topologies: the referenced network may be mutated through
 /// core::TopologyDelta, which calls repair() after each batch of mutations
-/// so the rx-power table, pair-limit cache, and per-universe memos are
-/// patched (not rebuilt) to match. A repaired model answers every query
-/// exactly as a fresh model over the mutated network would — the
-/// differential churn fuzz suite holds it to `==` parity.
+/// so the rx-power table and per-universe memos are patched (not rebuilt)
+/// to match. A repaired model answers every query exactly as a fresh model
+/// over the mutated network would — the differential churn fuzz suite holds
+/// it to `==` parity. interferes() keeps no memo of its own: it reads four
+/// entries of the rx-power table per call, so no state grows with the
+/// square of the link count.
 class PhysicalInterferenceModel final : public InterferenceModel {
  public:
   explicit PhysicalInterferenceModel(const net::Network& network);
 
   /// Patch all derived state after the network mutations summarized in
   /// `repair`: affected rx-power rows/columns are recomputed (full refill
-  /// only when the node count changed), pair limits of affected links are
-  /// forgotten, conflict matrices are patched in place, intersecting MIS
-  /// memos dropped, and pricing contexts re-derived at affected positions.
-  /// Callers must serialize this against concurrent queries.
+  /// only when the node count changed), conflict matrices are patched in
+  /// place, intersecting MIS memos dropped, and pricing contexts re-derived
+  /// at affected positions. Callers must serialize this against concurrent
+  /// queries.
   void repair(const ModelRepair& delta);
 
   std::size_t num_links() const override { return network_->num_links(); }
@@ -219,7 +221,6 @@ class PhysicalInterferenceModel final : public InterferenceModel {
   const net::Network* network_;  // non-owning; outlives the model
   std::size_t num_nodes_ = 0;
   std::vector<double> rx_power_;  // num_nodes^2, row-major by `from`
-  PairLimitCache pair_limits_;    // per link pair interferes() summary
 };
 
 /// Table-driven pairwise interference for hand-built scenarios. A set with

@@ -22,8 +22,8 @@ namespace mrwsn::core {
 /// (net::Network::refresh_link — stable ids, dead links revive rather than
 /// re-number), while a geom::SpatialGrid discovers the pairs that newly
 /// came into decode range and must gain a link. The resulting ModelRepair
-/// summary drives PhysicalInterferenceModel::repair (rx-power rows,
-/// pair-limit slots, conflict-matrix patching, pricing-memo invalidation)
+/// summary drives PhysicalInterferenceModel::repair (rx-power rows and
+/// columns, conflict-matrix patching, pricing-memo invalidation)
 /// and is returned to the caller so AdmissionEngine can repair its
 /// background master the same way.
 ///

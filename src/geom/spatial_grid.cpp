@@ -9,6 +9,14 @@
 
 namespace mrwsn::geom {
 
+namespace {
+
+// The cell indices a key can hold: 32 bits per axis.
+constexpr double kMaxCell = std::numeric_limits<std::int32_t>::max();
+constexpr double kMinCell = std::numeric_limits<std::int32_t>::min();
+
+}  // namespace
+
 SpatialGrid::SpatialGrid(double cell_size) : cell_size_(cell_size) {
   MRWSN_REQUIRE(cell_size > 0.0, "spatial grid cell size must be positive");
 }
@@ -68,7 +76,6 @@ void SpatialGrid::move(std::size_t id, Point position) {
 }
 
 bool SpatialGrid::indexes(Point p) const {
-  constexpr double kMaxCell = std::numeric_limits<std::int32_t>::max();
   // NaN compares false, so it fails too.
   return std::abs(std::floor(p.x / cell_size_)) <= kMaxCell &&
          std::abs(std::floor(p.y / cell_size_)) <= kMaxCell;
@@ -83,19 +90,30 @@ void SpatialGrid::neighbors_within(Point centre, double radius,
   out->clear();
   MRWSN_REQUIRE(radius >= 0.0, "query radius must be non-negative");
   const double r_sq = radius * radius;
-  const std::int64_t x_lo = cell_of(centre.x - radius);
-  const std::int64_t x_hi = cell_of(centre.x + radius);
-  const std::int64_t y_lo = cell_of(centre.y - radius);
-  const std::int64_t y_hi = cell_of(centre.y + radius);
-  for (std::int64_t cx = x_lo; cx <= x_hi; ++cx) {
-    for (std::int64_t cy = y_lo; cy <= y_hi; ++cy) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
-      const auto it = cells_.find(key);
-      if (it == cells_.end()) continue;
-      for (const std::size_t id : it->second)
-        if (distance_sq(position_[id], centre) <= r_sq) out->push_back(id);
+  const auto collect = [&](const std::vector<std::size_t>& bucket) {
+    for (const std::size_t id : bucket)
+      if (distance_sq(position_[id], centre) <= r_sq) out->push_back(id);
+  };
+  // The window's cell span, in double so a huge radius (or centre) cannot
+  // overflow an integer cast. Tracked points sit in cells that fit 32 bits
+  // per axis (indexes()), so clamping the window to that range is exact.
+  const double x_lo = std::max(std::floor((centre.x - radius) / cell_size_), kMinCell);
+  const double x_hi = std::min(std::floor((centre.x + radius) / cell_size_), kMaxCell);
+  const double y_lo = std::max(std::floor((centre.y - radius) / cell_size_), kMinCell);
+  const double y_hi = std::min(std::floor((centre.y + radius) / cell_size_), kMaxCell);
+  if (!(x_lo <= x_hi && y_lo <= y_hi)) return;  // nothing tracked out there
+  if ((x_hi - x_lo + 1.0) * (y_hi - y_lo + 1.0) > double(cells_.size())) {
+    // The window covers more cells than the grid holds: scan those instead.
+    for (const auto& [key, bucket] : cells_) collect(bucket);
+  } else {
+    for (auto cx = std::int64_t(x_lo); cx <= std::int64_t(x_hi); ++cx) {
+      for (auto cy = std::int64_t(y_lo); cy <= std::int64_t(y_hi); ++cy) {
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
+            static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
+        const auto it = cells_.find(key);
+        if (it != cells_.end()) collect(it->second);
+      }
     }
   }
   std::sort(out->begin(), out->end());

@@ -16,11 +16,12 @@ namespace mrwsn::geom {
 /// a full O(n) position scan.
 ///
 /// Cells are `cell_size` metres square. A radius-r query inspects the
-/// ceil(r / cell_size)-ring of cells around the centre and filters by exact
-/// squared distance, so results are independent of the cell size chosen;
-/// `cell_size` only tunes how many candidates each probe touches. Ids are
-/// dense indices chosen by the caller (node ids); the grid tracks each id's
-/// current position so movement is a two-cell update.
+/// ceil(r / cell_size)-ring of cells around the centre (every occupied cell
+/// instead, when the ring spans more cells than the grid holds) and filters
+/// by exact squared distance, so results are independent of the cell size
+/// chosen; `cell_size` only tunes how many candidates each probe touches.
+/// Ids are dense indices chosen by the caller (node ids); the grid tracks
+/// each id's current position so movement is a two-cell update.
 ///
 /// Deterministic: query results are returned sorted ascending by id.
 class SpatialGrid {

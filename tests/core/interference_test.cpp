@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "core/scenarios.hpp"
 #include "core/topology_delta.hpp"
 #include "geom/topology.hpp"
+#include "phy/phy_model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -70,6 +73,53 @@ TEST(PhysicalModelPowerTable, MatchesBruteForceAfterPowerChangeAndJoinRefill) {
   EXPECT_TRUE(join.nodes_added);
   EXPECT_EQ(net.num_nodes(), 301u);
   EXPECT_EQ(power_table_mismatches(model), 0u);
+}
+
+/// The live links as (tx, rx, lone rate) triples, ordered.
+using LinkKey = std::tuple<net::NodeId, net::NodeId, phy::RateIndex>;
+std::vector<LinkKey> live_links(const net::Network& net) {
+  std::vector<LinkKey> keys;
+  for (net::LinkId id = 0; id < net.num_links(); ++id) {
+    const net::Link& link = net.link(id);
+    if (link.alive) keys.emplace_back(link.tx, link.rx, link.best_rate_alone);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// Brute force: every ordered pair of live nodes at the current powers.
+std::vector<LinkKey> brute_force_links(const net::Network& net) {
+  const phy::PhyModel& phy = net.phy();
+  std::vector<LinkKey> keys;
+  for (net::NodeId tx = 0; tx < net.num_nodes(); ++tx) {
+    for (net::NodeId rx = 0; rx < net.num_nodes(); ++rx) {
+      if (tx == rx || !net.node(tx).alive || !net.node(rx).alive) continue;
+      const double pr = net.received_power(tx, rx);
+      if (const auto rate = phy.rates().max_supported(pr, phy.sinr(pr, 0.0)))
+        keys.emplace_back(tx, rx, *rate);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(TopologyDeltaDiscovery, HugePowerFindsEveryLinkTheSweepFinds) {
+  // `mrwsn generate --nodes 6 --seed 3`. A 1e300 W radio reaches past any
+  // cell index the spatial grid can hold; it must gain the same links as
+  // a merely large power that reaches every node.
+  const std::vector<geom::Point> points{
+      {189.531, 348.339}, {104.883, 208.664}, {119.111, 283.83},
+      {153.154, 324.836}, {240.736, 229.118}, {242.723, 158.767}};
+  std::vector<std::vector<LinkKey>> replays;
+  for (const double watt : {1e300, 1e6}) {
+    net::Network net(points, phy::PhyModel::paper_default());
+    PhysicalInterferenceModel model(net);
+    TopologyDelta delta(&net, &model);
+    delta.set_power(1, watt);
+    EXPECT_EQ(live_links(net), brute_force_links(net)) << watt << " W";
+    replays.push_back(live_links(net));
+  }
+  EXPECT_EQ(replays[0], replays[1]);
 }
 
 TEST(PhysicalModel, LinksSharingANodeAlwaysInterfere) {

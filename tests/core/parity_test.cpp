@@ -1,17 +1,21 @@
 // Parity suite for the performance kernels: the bitset Bron–Kerbosch, the
-// revised simplex on the Eq. 6 LP, the conflict-matrix/interference caches,
-// and the remove_dominated rewrite must reproduce the retained reference
-// implementations on randomized inputs with fixed seeds.
+// revised simplex on the Eq. 6 LP, the physical interferes() test and the
+// conflict matrix built from it, and the remove_dominated rewrite must
+// reproduce the retained reference implementations on randomized inputs
+// with fixed seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
+#include "common/scaled_fig4.hpp"
 #include "core/bounds.hpp"
 #include "core/clique.hpp"
 #include "core/interference.hpp"
 #include "core/scenarios.hpp"
+#include "core/topology_delta.hpp"
 #include "geom/topology.hpp"
 #include "graph/undirected.hpp"
 #include "lp/simplex.hpp"
@@ -103,9 +107,10 @@ TEST(SimplexParity, Eq6ShapedProblemMatchesReference) {
   EXPECT_NEAR(revised.objective, ref.objective, 1e-9);
 }
 
-/// The pre-cache physical "interferes" evaluation, straight from the paper:
-/// both sides must keep a rate at least as fast as requested under the
-/// other's interference.
+/// The physical "interferes" evaluation straight from the paper, over the
+/// network's own received powers: both sides must keep a rate at least as
+/// fast as requested under the other's interference, clamped by the link's
+/// rate cap.
 bool reference_interferes(const net::Network& network, net::LinkId a,
                           phy::RateIndex ra, net::LinkId b, phy::RateIndex rb) {
   const net::Link& la = network.link(a);
@@ -116,29 +121,104 @@ bool reference_interferes(const net::Network& network, net::LinkId a,
       network.received_power(la.tx, la.rx), network.received_power(lb.tx, la.rx));
   const auto rate_b = network.phy().max_rate(
       network.received_power(lb.tx, lb.rx), network.received_power(la.tx, lb.rx));
-  const bool a_ok = rate_a.has_value() && *rate_a <= ra;
-  const bool b_ok = rate_b.has_value() && *rate_b <= rb;
+  const bool a_ok = rate_a.has_value() && std::max(*rate_a, la.rate_cap) <= ra;
+  const bool b_ok = rate_b.has_value() && std::max(*rate_b, lb.rate_cap) <= rb;
   return !(a_ok && b_ok);
 }
 
-TEST(PairLimitCacheParity, InterferesMatchesDirectSinrEvaluation) {
-  Rng rng(41);
-  const auto points = geom::connected_random_rectangle(8, 300.0, 300.0, 158.0, rng);
-  const net::Network network(points, phy::PhyModel::paper_default());
-  const PhysicalInterferenceModel model(network);
+/// Every link pair, both argument orders, every rate pair.
+void expect_interferes_matches_reference(const net::Network& network,
+                                         const PhysicalInterferenceModel& model) {
   const std::size_t rates = model.rate_table().size();
   for (net::LinkId a = 0; a < network.num_links(); ++a) {
     for (net::LinkId b = a + 1; b < network.num_links(); ++b) {
       for (phy::RateIndex ra = 0; ra < rates; ++ra) {
         for (phy::RateIndex rb = 0; rb < rates; ++rb) {
           const bool expected = reference_interferes(network, a, ra, b, rb);
-          // Both argument orders exercise both halves of the packed entry.
-          EXPECT_EQ(model.interferes(a, ra, b, rb), expected);
-          EXPECT_EQ(model.interferes(b, rb, a, ra), expected);
+          EXPECT_EQ(model.interferes(a, ra, b, rb), expected)
+              << a << "@" << ra << " vs " << b << "@" << rb;
+          EXPECT_EQ(model.interferes(b, rb, a, ra), expected)
+              << b << "@" << rb << " vs " << a << "@" << ra;
         }
       }
     }
   }
+}
+
+TEST(PhysicalInterferesParity, MatchesDirectSinrEvaluation) {
+  Rng rng(41);
+  const auto points = geom::connected_random_rectangle(8, 300.0, 300.0, 158.0, rng);
+  const net::Network network(points, phy::PhyModel::paper_default());
+  const PhysicalInterferenceModel model(network);
+  expect_interferes_matches_reference(network, model);
+}
+
+TEST(PhysicalInterferesParity, MatchesDirectSinrEvaluationAfterChurn) {
+  // A model queried before churn and repaired after it must answer from
+  // the mutated network's powers and rate caps, never from the old ones.
+  Rng rng(41);
+  const auto points = geom::connected_random_rectangle(8, 300.0, 300.0, 158.0, rng);
+  net::Network network(points, phy::PhyModel::paper_default());
+  PhysicalInterferenceModel model(network);
+  expect_interferes_matches_reference(network, model);
+
+  // The join comes first: it refills the whole rx-power table, so the
+  // row/column repairs of the move and re-power after it are what the
+  // final sweep checks.
+  TopologyDelta delta(&network, &model);
+  delta.add_node({150.0, 150.0});
+  delta.move_node(2, {network.node(2).position.x + 60.0,
+                      network.node(2).position.y - 40.0});
+  delta.set_power(5, 0.4 * network.phy().tx_power_watt());
+  // Cap a 54 Mbps link at 18 Mbps: its pairwise limits stay fast, so only
+  // the cap can make it fail at the faster rates.
+  net::LinkId fast = 0;
+  while (fast < network.num_links() &&
+         !(network.link(fast).alive && network.link(fast).best_rate_alone == 0))
+    ++fast;
+  ASSERT_LT(fast, network.num_links());
+  delta.set_rate(fast, 2);
+  expect_interferes_matches_reference(network, model);
+}
+
+TEST(PhysicalInterferesParity, MatchesOnSampledPairsOfTheScaledFig4Network) {
+  // The 500-node study network: ~5.4k links, so ids span thousands. Half the
+  // pairs are uniform (mostly far apart), half two hops apart (mostly close
+  // enough for the SINR test to matter).
+  const auto setup = benchx::make_scaled_setup(4, 500, 8, 2.0, 12.0);
+  const net::Network& network = setup.network;
+  const PhysicalInterferenceModel model(network);
+  ASSERT_GT(network.num_links(), 4000u);
+  const std::size_t rates = model.rate_table().size();
+  Rng rng(25);
+  const auto any_link = [&] {
+    return static_cast<net::LinkId>(rng.uniform_int(0, network.num_links() - 1));
+  };
+  const auto link_from = [&](net::NodeId node) -> std::optional<net::LinkId> {
+    const auto& out = network.links_from(node);
+    if (out.empty()) return std::nullopt;
+    return out[rng.uniform_int(0, out.size() - 1)];
+  };
+  std::size_t conflicts = 0;
+  std::size_t compatible = 0;
+  for (int sample = 0; sample < 20000; ++sample) {
+    const net::LinkId a = any_link();
+    std::optional<net::LinkId> b = any_link();
+    if (sample % 2 == 1) {
+      const auto hop = link_from(network.link(a).rx);
+      b = hop ? link_from(network.link(*hop).rx) : std::nullopt;
+    }
+    if (!b || *b == a) continue;
+    const auto ra = static_cast<phy::RateIndex>(rng.uniform_int(0, rates - 1));
+    const auto rb = static_cast<phy::RateIndex>(rng.uniform_int(0, rates - 1));
+    const bool expected = reference_interferes(network, a, ra, *b, rb);
+    ASSERT_EQ(model.interferes(a, ra, *b, rb), expected)
+        << a << "@" << ra << " vs " << *b << "@" << rb;
+    ASSERT_EQ(model.interferes(*b, rb, a, ra), expected);
+    ++(expected ? conflicts : compatible);
+  }
+  EXPECT_GT(conflicts, 1000u);
+  EXPECT_GT(compatible, 1000u);
 }
 
 TEST(ConflictMatrixParity, CliquesMatchDirectGraphConstruction) {

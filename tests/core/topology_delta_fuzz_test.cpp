@@ -141,8 +141,8 @@ void expect_physical_parity(const net::Network& network,
       EXPECT_EQ(patched.usable_alone(link, r), fresh.usable_alone(link, r));
   }
 
-  // Full-universe conflict matrix: exercises interferes() (and the patched
-  // pair-limit cache) over every usable couple pair.
+  // Full-universe conflict matrix: exercises interferes() over every usable
+  // couple pair.
   const auto universe = full_universe(network.num_links());
   expect_matrices_equal(*patched.conflict_matrix(universe),
                         *fresh.conflict_matrix(universe));

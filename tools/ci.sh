@@ -33,13 +33,22 @@
 #      regions, 1 and 8 workers) and BM_TdmaSimulatedQuarterSecond, and
 #      the cold set-up BM_TopologyBuild/500 (net::Network plus the
 #      physical model's rx-power table on the scaled Fig. 4 positions),
-#      with --require coverage guards for every family.
+#      and the cold conflict-matrix builds BM_ConflictMatrixBuild/{8,12}
+#      (chains) and /fig4_seed4 (the scaled Fig. 4 union universe), with
+#      --require coverage guards for every family.
 #   6. perfbench: the end-to-end benchmark's self-tests
 #      (perfbench/selftest.py: gate trips, metric names, short runs of
 #      every workload), then the scaled Fig. 4 study on seed 3 under a
 #      120 s timeout. Seed 3 is the study's heavy tail: its LP truth prices
 #      seven flows against an undeliverable background, which took minutes
 #      of CPU before phase A stopped at the first exact round proving it.
+#      Last, a memory guard: `mrwsn fig4 --nodes 1000 --seconds 0.05 --rts
+#      off` must peak below 128 MiB of resident memory (the child's
+#      ru_maxrss, read through python3's resource module). It peaked at
+#      ~514 MiB while the physical model kept a num_links^2 pair table
+#      (11,320 links) and at ~25 MiB without one; nothing in the set-up,
+#      the LP truth or the MAC run may grow with the square of the link
+#      count again.
 #   7. portable kernels: test_core (with the test-only tests/oracles
 #      library it links) built in a -DMRWSN_FAST_KERNELS=OFF
 #      tree (build-nofast, sibling of build/) running the pinned
@@ -123,13 +132,14 @@ else
   # committing every decision), cold, and sequential (query() then
   # add_background(), publishing on every read), the Tier 1 / Tier 2
   # pricing oracles, the full-enumeration Eq. 6 solves, the one-region
-  # and sharded DCF runs plus the TDMA executor, and the 500-node cold
-  # topology and model build; the --require guards fail
+  # and sharded DCF runs plus the TDMA executor, the 500-node cold
+  # topology and model build, and the cold conflict-matrix builds; the
+  # --require guards fail
   # the gate if any side of a comparison silently drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild|BM_ConflictMatrixBuild' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
@@ -139,14 +149,23 @@ else
     --require BM_FullEnumeration --require BM_JointBandwidthLp \
     --require BM_ScenarioTwoPipeline --require BM_CsmaSimulatedSecond \
     --require BM_CsmaParallel --require BM_TdmaSimulatedQuarterSecond \
-    --require BM_TopologyBuild/500
+    --require BM_TopologyBuild/500 --require BM_ConflictMatrixBuild
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi
 
-echo "== ci stage 6: perfbench self-tests + Fig. 4 heavy-tail guard =="
+echo "== ci stage 6: perfbench self-tests + Fig. 4 heavy-tail and memory guards =="
 python3 "$REPO/perfbench/selftest.py"
 timeout 120 "$BUILD/tools/mrwsn" fig4 --seed 3
+python3 - "$BUILD/tools/mrwsn" <<'EOF'
+import resource, subprocess, sys
+subprocess.run([sys.argv[1], "fig4", "--nodes", "1000", "--seconds", "0.05",
+                "--rts", "off"], check=True, stdout=subprocess.DEVNULL,
+               timeout=120)
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+print(f"fig4 --nodes 1000: peak RSS {peak_mib:.1f} MiB (limit 128 MiB)")
+sys.exit(1 if peak_mib > 128.0 else 0)
+EOF
 
 echo "== ci stage 7: pinned column-generation tests, MRWSN_FAST_KERNELS=OFF =="
 NOFAST_BUILD="$REPO/build-nofast"
