@@ -390,6 +390,23 @@ void BM_PricingHeuristic(benchmark::State& state, ScaledFig4Universe) {
 }
 BENCHMARK_CAPTURE(BM_PricingHeuristic, fig4_seed4, ScaledFig4Universe{});
 
+// The exact (Tier 2) call on the same universe and weights: the
+// branch-and-bound that certifies the study's truth once the heuristic
+// dries up.
+void BM_PricingExact(benchmark::State& state, ScaledFig4Universe) {
+  const ScaledFig4Bench& bench = scaled_fig4_bench();
+  const core::PhysicalInterferenceModel model(bench.setup.network);
+  const std::vector<net::LinkId> universe = bench.union_universe();
+  std::vector<double> weights(universe.size());
+  for (std::size_t k = 0; k < weights.size(); ++k)
+    weights[k] = 0.2 + 0.05 * double(k % 7);
+  model.max_weight_independent_set(universe, weights);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.max_weight_independent_set(universe, weights));
+  }
+}
+BENCHMARK_CAPTURE(BM_PricingExact, fig4_seed4, ScaledFig4Universe{});
+
 // ---------------------------------------------------------------------------
 // Batched admission engine (the shared-cache scenario service tentpole):
 // replay the same 50-query admission sequence on a ~40-link random

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -12,6 +11,7 @@
 
 #include "core/conflict_matrix.hpp"
 #include "phy/phy_model.hpp"
+#include "phy/sinr_edges.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -353,14 +353,14 @@ struct PhysicalPricerData {
 /// PhysicalPricerData's candidates re-indexed densely by their rank in
 /// `order` (a "slot"), so a search reads contiguous rows and its state
 /// scales with the candidates, not the universe. Both physical searches
-/// run on it; the exact one adds a clique cover of the candidates for its
-/// node bound (add_clique_cover).
+/// run on it and read every concurrent rate from its SINR edge table; the
+/// exact one adds a clique cover of the candidates for its node bound
+/// (add_clique_cover).
 struct PhysicalSearchData {
   const PhysicalPricerData* pricer = nullptr;
-  std::size_t size = 0;                  ///< number of candidates (slots)
-  std::vector<double> signal;            ///< by slot
-  std::vector<double> weight;            ///< link weight, by slot
-  std::vector<phy::RateIndex> rate_cap;  ///< by slot
+  std::size_t size = 0;        ///< number of candidates (slots)
+  phy::SinrEdgeTable edges;    ///< by slot: signal and rate cap
+  std::vector<double> weight;  ///< link weight, by slot
   std::vector<double> cross;  ///< [a * size + b]: a's power at b's receiver
   std::vector<char> shares;   ///< [a * size + b]: a and b share a node
   std::vector<std::size_t> clique;  ///< by slot: its clique of the cover
@@ -398,6 +398,14 @@ std::vector<std::uint64_t> physical_signature(
 /// interference (a superset can only add interference, and holds at most
 /// one link per clique). Each child is bounded the same way over the
 /// candidates after it, before it is even pushed.
+///
+/// A child's candidates are the tail of its parent's addable list after
+/// the pushed slot: down the tree `blocked` and every interference sum
+/// only grow (rounded addition of a non-negative term is monotone), and so
+/// does every member's interference with a newcomer, so a slot that cannot
+/// join a node cannot join any descendant. For the same reason a node
+/// updates the state of its members and candidates only: no descendant
+/// reads any other slot.
 class PhysicalRootSearch {
  public:
   using Set = PhysicalSet;
@@ -406,23 +414,25 @@ class PhysicalRootSearch {
       : data_(data),
         chain_(floor),
         levels_(data.size + 1),
+        slots_(data.size),
         clique_best_(data.num_cliques, 0.0) {
     levels_[0].interference.assign(data_.size, 0.0);
     levels_[0].blocked.assign(data_.size, 0);
+    std::iota(slots_.begin(), slots_.end(), std::size_t{0});
   }
 
   /// Upper bound on every set whose first member (in slot order) is `root`.
   double root_bound(std::size_t root) {
-    push(root);
-    const double bound = scan(root + 1, member_weight());
+    push(root, later(root));
+    const double bound = scan(later(root), member_weight());
     members_.pop_back();
     return bound;
   }
 
   /// Explore every set whose first member (in slot order) is `root`.
   void run(std::size_t root) {
-    push(root);
-    visit(root + 1);
+    push(root, later(root));
+    visit(later(root));
     members_.pop_back();
   }
 
@@ -430,47 +440,42 @@ class PhysicalRootSearch {
   Chain<Set> take_chain() { return std::move(chain_); }
 
  private:
+  using Slots = std::span<const std::size_t>;
+
   /// The search state with k members lives in levels_[k], derived from
   /// levels_[k - 1] on push, so popping a member restores its parent's
   /// state exactly: a node's state depends only on its member sequence,
   /// never on which other subtrees were searched before it.
   struct Level {
-    std::vector<double> interference;  ///< by slot
+    std::vector<double> interference;  ///< by slot: members and candidates
     std::vector<char> blocked;         ///< by slot: shares a member's node
-    std::vector<std::size_t> addable;  ///< slots scan() found can join
+    std::vector<std::size_t> addable;  ///< candidates scan() found can join
     std::vector<double> bound;  ///< per addable slot: its subtree's bound
   };
 
   Level& level() { return levels_[members_.size()]; }
 
-  double cross(std::size_t a, std::size_t b) const {
-    return data_.cross[a * data_.size + b];
+  /// Every slot after `root`: the candidates of a root's node.
+  Slots later(std::size_t root) const {
+    return Slots(slots_).subspan(root + 1);
   }
 
-  /// Max supported rate of slot `a` under the current members'
-  /// interference plus `extra` watts, clamped by the link's rate cap
-  /// (smaller index = faster), matching the model's usable and interferes
-  /// semantics — candidates are alive by construction (alone_usable gates
-  /// PhysicalPricerData::order).
-  std::optional<phy::RateIndex> rate_of(std::size_t a, double extra) {
-    const auto rate = data_.pricer->ctx->phy->max_rate(
-        data_.signal[a], level().interference[a] + extra);
-    if (!rate) return rate;
-    return std::max(*rate, data_.rate_cap[a]);
-  }
-
-  void push(std::size_t a) {
+  /// Add member `a`, deriving the new level's state for the members and
+  /// for `candidates`, the slots the new node may still take.
+  void push(std::size_t a, Slots candidates) {
     const Level& from = level();
     Level& to = levels_[members_.size() + 1];
-    const std::size_t n = data_.size;
-    to.interference.resize(n);
-    to.blocked.resize(n);
-    const double* row = &data_.cross[a * n];
-    const char* shares = &data_.shares[a * n];
-    for (std::size_t b = 0; b < n; ++b) {
+    to.interference.resize(data_.size);
+    to.blocked.resize(data_.size);
+    const double* row = &data_.cross[a * data_.size];
+    const char* shares = &data_.shares[a * data_.size];
+    const auto derive = [&](std::size_t b) {
       to.interference[b] = from.interference[b] + row[b];
       to.blocked[b] = static_cast<char>(from.blocked[b] | shares[b]);
-    }
+    };
+    for (std::size_t j : members_) derive(j);
+    derive(a);
+    for (std::size_t b : candidates) derive(b);
     members_.push_back(a);
   }
 
@@ -478,10 +483,11 @@ class PhysicalRootSearch {
   /// fills rates_scratch_ in members_ order as a side effect.
   double member_weight() {
     const phy::RateTable& rates = data_.pricer->ctx->phy->rates();
+    const Level& here = level();
     rates_scratch_.clear();
     double total = 0.0;
     for (std::size_t j : members_) {
-      const auto rate = rate_of(j, 0.0);
+      const auto rate = data_.edges.rate(j, here.interference[j]);
       MRWSN_ASSERT(rate.has_value(), "member of a feasible set lost its rate");
       rates_scratch_.push_back(*rate);
       total += data_.weight[j] * rates[*rate].mbps;
@@ -489,28 +495,27 @@ class PhysicalRootSearch {
     return total;
   }
 
-  /// Record in level().addable the slots from `start` on that can join the
-  /// current members (no shared node, every member and the newcomer still
-  /// decode), and in level().bound, per addable slot, the optimistic bound
-  /// of every set that extends the members by it and later slots only:
-  /// the members' weight `current` plus, per clique, the best score among
-  /// the addable slots from it on. Returns the bound of the whole subtree.
-  double scan(std::size_t start, double current) {
+  /// Record in level().addable the `candidates` that can join the current
+  /// members (no shared node, every member and the newcomer still decode),
+  /// and in level().bound, per addable slot, the optimistic bound of every
+  /// set that extends the members by it and later slots only: the
+  /// members' weight `current` plus, per clique, the best score among the
+  /// addable slots from it on. Returns the bound of the whole subtree.
+  double scan(Slots candidates, double current) {
     const phy::RateTable& rates = data_.pricer->ctx->phy->rates();
+    const phy::SinrEdgeTable& edges = data_.edges;
     Level& here = level();
     here.addable.clear();
     here.bound.clear();
-    for (std::size_t b = start; b < data_.size; ++b) {
+    for (std::size_t b : candidates) {
       if (here.blocked[b] != 0) continue;
-      const auto rate = rate_of(b, 0.0);
+      const auto rate = edges.rate(b, here.interference[b]);
       if (!rate) continue;
-      bool tolerated = true;
-      for (std::size_t j : members_)
-        if (!rate_of(j, cross(b, j))) {
-          tolerated = false;
-          break;
-        }
-      if (!tolerated) continue;
+      const double* row = &data_.cross[b * data_.size];
+      if (!std::all_of(members_.begin(), members_.end(), [&](std::size_t j) {
+            return edges.decodes(j, here.interference[j] + row[j]);
+          }))
+        continue;
       here.addable.push_back(b);
       here.bound.push_back(data_.weight[b] * rates[*rate].mbps);
     }
@@ -532,18 +537,20 @@ class PhysicalRootSearch {
     return here.bound.empty() ? padded(current) : here.bound.front();
   }
 
-  void visit(std::size_t start) {
+  void visit(Slots candidates) {
     const double w = member_weight();
-    scan(start, w);
+    scan(candidates, w);
     consider(w);
-    // Deeper levels never touch this one, so the reference stays valid.
+    // Deeper levels never touch this one, so the reference (and the
+    // addable tails handed to the children) stay valid.
     const Level& here = level();
     for (std::size_t i = 0; i < here.addable.size(); ++i) {
       // The bounds only fall along the list: once one cannot reach the
       // incumbent, no later child can either.
       if (chain_.best.prunes(here.bound[i])) break;
-      push(here.addable[i]);
-      visit(here.addable[i] + 1);
+      const Slots tail = Slots(here.addable).subspan(i + 1);
+      push(here.addable[i], tail);
+      visit(tail);
       members_.pop_back();
     }
   }
@@ -567,6 +574,7 @@ class PhysicalRootSearch {
   const PhysicalSearchData& data_;
   Chain<Set> chain_;
   std::vector<Level> levels_;         ///< by member count; never resized
+  std::vector<std::size_t> slots_;    ///< 0, 1, ..., data_.size - 1
   std::vector<std::size_t> members_;  ///< slots, ascending
   std::vector<phy::RateIndex> rates_scratch_;
   std::vector<double> clique_best_;   ///< scan() scratch, zero between scans
@@ -632,16 +640,14 @@ PhysicalSearchData build_physical_search_data(
   PhysicalSearchData data;
   data.pricer = &pricer;
   data.size = m;
-  data.signal.resize(m);
+  data.edges = phy::SinrEdgeTable(*ctx.phy);
   data.weight.resize(m);
-  data.rate_cap.resize(m);
   data.cross.assign(m * m, 0.0);
   data.shares.assign(m * m, 0);
   for (std::size_t a = 0; a < m; ++a) {
     const std::size_t u = pricer.order[a];
-    data.signal[a] = ctx.signal[u];
+    data.edges.add(ctx.signal[u], ctx.rate_cap[u]);
     data.weight[a] = pricer.link_weight[u];
-    data.rate_cap[a] = ctx.rate_cap[u];
     for (std::size_t b = 0; b < m; ++b) {
       if (b == a) continue;  // a link never interferes with itself
       data.cross[a * m + b] = ctx.cross_power[u * n + pricer.order[b]];
@@ -657,11 +663,10 @@ void add_clique_cover(PhysicalSearchData& data) {
   // two links conflict when they share a node or either one cannot decode
   // with only the other transmitting. Interference only grows with more
   // transmitters, so no feasible set holds two links of one clique.
-  const phy::PhyModel& phy = *data.pricer->ctx->phy;
   const auto conflict = [&](std::size_t a, std::size_t b) {
     return data.shares[a * m + b] != 0 ||
-           !phy.max_rate(data.signal[b], data.cross[a * m + b]) ||
-           !phy.max_rate(data.signal[a], data.cross[b * m + a]);
+           !data.edges.decodes(b, data.cross[a * m + b]) ||
+           !data.edges.decodes(a, data.cross[b * m + a]);
   };
   constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
   data.clique.assign(m, kUnassigned);
@@ -892,7 +897,7 @@ struct PhysicalStartOutcome {
 /// state, so a rejected one costs O(k); only an accepted one pays the
 /// O(|order|) interference update. A failed drop-one move is undone from a
 /// snapshot. Rate lookups go through a per-slot band cache (cached_rate,
-/// peek_rate), so most of them make no PhyModel::max_rate call. All state
+/// peek_rate) over the edge table, so most of them walk no edges. All state
 /// is by slot, so its cost follows the candidates, not the universe. One
 /// object runs many starts, reusing its arrays.
 class PhysicalHeuristicSearch {
@@ -903,7 +908,7 @@ class PhysicalHeuristicSearch {
     interference_.assign(m, 0.0);
     blocked_.assign(m, 0);
     in_set_.assign(m, 0);
-    bands_.assign(m, RateBand{});
+    bands_.assign(m, phy::RateBand{});
     saved_interference_.resize(m);
     saved_blocked_.resize(m);
     key_.resize(m);
@@ -925,19 +930,6 @@ class PhysicalHeuristicSearch {
 
  private:
   static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
-
-  /// An interference range [lo, hi] at one link's receiver over which
-  /// rate_of answers `rate` (nullopt: the link cannot decode). The empty
-  /// default range holds nothing.
-  struct RateBand {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    std::optional<phy::RateIndex> rate;
-
-    bool holds(double interference) const {
-      return interference >= lo && interference <= hi;
-    }
-  };
 
   /// Slots by descending jittered alone weight, ties by slot — the order a
   /// stable sort of data.pricer->order would give. The jitter hashes the
@@ -1003,71 +995,24 @@ class PhysicalHeuristicSearch {
   }
   double mbps(phy::RateIndex rate) const { return phy_.rates()[rate].mbps; }
 
-  /// The rate slot a decodes at under total interference `interference`,
-  /// with the same rate-cap clamp as PhysicalRootSearch::rate_of.
-  std::optional<phy::RateIndex> rate_of(std::size_t a,
-                                        double interference) const {
-    const auto rate = phy_.max_rate(data_.signal[a], interference);
-    if (!rate) return rate;
-    return std::max(*rate, data_.rate_cap[a]);
-  }
-
-  /// rate_of's answer, from a's cached band when `interference` falls
-  /// inside it; a miss asks rate_of and caches the band around its answer.
+  /// The edge table's rate for `a`, from a's cached band when
+  /// `interference` falls inside it; a miss asks the table and caches the
+  /// band around its answer.
   std::optional<phy::RateIndex> cached_rate(std::size_t a,
                                             double interference) {
-    RateBand& band = bands_[a];
-    if (!band.holds(interference)) band = rate_band(a, interference);
+    phy::RateBand& band = bands_[a];
+    if (!band.holds(interference)) band = data_.edges.band(a, interference);
     return band.rate;
   }
 
-  /// rate_of's answer, from a's band when it holds, without re-caching:
-  /// score()'s what-if lookups must not evict the band of a member's
-  /// actual rate.
+  /// The edge table's rate for `a`, from a's band when it holds, without
+  /// re-caching: score()'s what-if lookups must not evict the band of a
+  /// member's actual rate.
   std::optional<phy::RateIndex> peek_rate(std::size_t a,
                                           double interference) const {
-    const RateBand& band = bands_[a];
-    return band.holds(interference) ? band.rate : rate_of(a, interference);
-  }
-
-  /// The band around rate_of(a, interference). max_rate(S, I) picks the
-  /// fastest rate whose sensitivity S meets and whose SINR threshold
-  /// S / (N + I) meets, and thresholds and sensitivities only fall with
-  /// the rate. So the clamped answer `rate` holds while the SINR still
-  /// clears rate's threshold (hi) and misses the next faster one's (lo;
-  /// no lower end when the cap or the sensitivity rules the faster rates
-  /// out). An unusable link stays so while the SINR misses the slowest
-  /// threshold. Each end sits a relative kMargin inside the exact SINR
-  /// boundary — far more than the few ulps of rounding in it and in
-  /// PhyModel::sinr — so inside the band the answer is provably rate_of's.
-  RateBand rate_band(std::size_t a, double interference) const {
-    constexpr double kMargin = 1e-9;
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const phy::RateTable& rates = phy_.rates();
-    const double signal = data_.signal[a];
-    // Interference at which the SINR meets rate r's threshold, moved by
-    // a relative kMargin towards `side`.
-    const auto edge = [&](phy::RateIndex r, double side) {
-      return signal / rates[r].sinr_min_linear * (1.0 + side * kMargin) -
-             phy_.noise_watt();
-    };
-    RateBand band;
-    band.rate = rate_of(a, interference);
-    if (!band.rate) {
-      const phy::RateIndex slowest = rates.size() - 1;
-      band.lo = signal < rates[slowest].rx_sensitivity_watt
-                    ? -kInf
-                    : edge(slowest, +1.0);
-      band.hi = kInf;
-      return band;
-    }
-    const phy::RateIndex rate = *band.rate;
-    band.hi = edge(rate, -1.0);
-    band.lo = rate == data_.rate_cap[a] ||
-                      signal < rates[rate - 1].rx_sensitivity_watt
-                  ? -kInf
-                  : edge(rate - 1, +1.0);
-    return band;
+    const phy::RateBand& band = bands_[a];
+    return band.holds(interference) ? band.rate
+                                    : data_.edges.rate(a, interference);
   }
 
   /// Total member weight if `v` joined, or nullopt when v or a member
@@ -1154,7 +1099,7 @@ class PhysicalHeuristicSearch {
   std::vector<std::size_t> members_;  ///< slots, insertion order
   std::vector<phy::RateIndex> rates_;  ///< parallel to members_
   std::vector<phy::RateIndex> scored_rates_;  ///< the last score()'s rates
-  std::vector<RateBand> bands_;  ///< by slot; any start's
+  std::vector<phy::RateBand> bands_;  ///< by slot; any start's
 
   // Snapshot taken before each drop-one move.
   std::vector<double> saved_interference_;

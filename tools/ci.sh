@@ -25,7 +25,7 @@
 #      on one engine through commit(), through a cold solve per query, and
 #      through query() + add_background() as the admission controller
 #      drives it), and the pricing oracles BM_Pricing{Heuristic,Exact}
-#      (the 70 m chain args, plus Tier 1 on the scaled Fig. 4 universe),
+#      (the 70 m chain args, plus both tiers on the scaled Fig. 4 universe),
 #      and the full-enumeration Eq. 6 solves BM_FullEnumeration,
 #      BM_JointBandwidthLp and BM_ScenarioTwoPipeline, and the MAC
 #      simulators: BM_CsmaSimulatedSecond (the DCF model as one region on
@@ -56,7 +56,10 @@
 #      counts, tiered-pricing thread-count identity, the phase A
 #      certificate sweeps and the effort caps — and the physical Tier 1
 #      differential test against its mutate-and-revert oracle, whose
-#      rate shortcuts sit on SINR thresholds, and the joint-bandwidth
+#      rate shortcuts sit on SINR thresholds, the exact physical
+#      oracle's suite (brute-force optima, thread-count identity, and its
+#      optimum and beaten-best chain pinned on the 40-link chain and the
+#      scaled Fig. 4 union universe), and the joint-bandwidth
 #      suite, which pins single-path Eq. 6 to the joint LP bit for bit
 #      under both solve methods. Those pins count rounds of
 #      degenerate masters, so they must hold without -march=native
@@ -146,6 +149,7 @@ else
     --require BM_CommitLatency --require BM_BatchAdmissionWarm \
     --require BM_BatchAdmissionCold --require BM_BatchAdmissionSequential \
     --require BM_PricingHeuristic --require BM_PricingExact \
+    --require BM_PricingExact/fig4_seed4 \
     --require BM_FullEnumeration --require BM_JointBandwidthLp \
     --require BM_ScenarioTwoPipeline --require BM_CsmaSimulatedSecond \
     --require BM_CsmaParallel --require BM_TdmaSimulatedQuarterSecond \
@@ -171,6 +175,6 @@ echo "== ci stage 7: pinned column-generation tests, MRWSN_FAST_KERNELS=OFF =="
 NOFAST_BUILD="$REPO/build-nofast"
 cmake -B "$NOFAST_BUILD" -S "$REPO" -DMRWSN_FAST_KERNELS=OFF
 cmake --build "$NOFAST_BUILD" -j "$JOBS" --target test_core
-"$NOFAST_BUILD/tests/test_core" --gtest_filter='ColumnGenerationStabilization.*:TieredPricing.*:BackgroundCertificate.*:ColumnGenerationOptions.*:PhysicalHeuristic.*:JointBandwidth.*'
+"$NOFAST_BUILD/tests/test_core" --gtest_filter='ColumnGenerationStabilization.*:TieredPricing.*:BackgroundCertificate.*:ColumnGenerationOptions.*:PhysicalHeuristic.*:PhysicalPricing.*:JointBandwidth.*'
 
 echo "ci gate passed"
