@@ -345,6 +345,10 @@ struct PricingFixture {
   }
 };
 
+// The heuristic tier's starts per call, as the column-generation driver
+// runs it.
+const std::size_t kDriverStarts = core::ColumnGenOptions{}.heuristic_starts;
+
 void BM_PricingExact(benchmark::State& state) {
   const PricingFixture fixture(static_cast<std::size_t>(state.range(0)));
   // Warm the per-universe pricing context outside the timed loop, the way
@@ -359,11 +363,11 @@ BENCHMARK(BM_PricingExact)->Arg(24)->Arg(40);
 
 void BM_PricingHeuristic(benchmark::State& state) {
   const PricingFixture fixture(static_cast<std::size_t>(state.range(0)));
-  fixture.model.heuristic_max_weight_independent_set(fixture.universe,
-                                                     fixture.weights);
+  fixture.model.heuristic_max_weight_independent_set(
+      fixture.universe, fixture.weights, 0.0, kDriverStarts);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fixture.model.heuristic_max_weight_independent_set(
-        fixture.universe, fixture.weights));
+        fixture.universe, fixture.weights, 0.0, kDriverStarts));
   }
 }
 BENCHMARK(BM_PricingHeuristic)->Arg(24)->Arg(40);
@@ -382,10 +386,11 @@ void BM_PricingHeuristic(benchmark::State& state, ScaledFig4Universe) {
   std::vector<double> weights(universe.size());
   for (std::size_t k = 0; k < weights.size(); ++k)
     weights[k] = 0.2 + 0.05 * double(k % 7);
-  model.heuristic_max_weight_independent_set(universe, weights);
+  model.heuristic_max_weight_independent_set(universe, weights, 0.0,
+                                             kDriverStarts);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.heuristic_max_weight_independent_set(universe, weights));
+    benchmark::DoNotOptimize(model.heuristic_max_weight_independent_set(
+        universe, weights, 0.0, kDriverStarts));
   }
 }
 BENCHMARK_CAPTURE(BM_PricingHeuristic, fig4_seed4, ScaledFig4Universe{});

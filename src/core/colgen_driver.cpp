@@ -151,10 +151,8 @@ bool ColGenDriver::price(ColGenMaster& master,
   // duplicate-only heuristic round certifies nothing.
   const bool tiered = options_.pricing == PricingMode::kTiered;
   if (tiered && options_.heuristic_starts > 0) {
-    HeuristicPricingParams params;
-    params.starts = options_.heuristic_starts;
     MaxWeightSetResult h = model_.heuristic_max_weight_independent_set(
-        universe_, weights_, floor, params);
+        universe_, weights_, floor, options_.heuristic_starts);
     if (h.found()) {
       std::size_t fresh = master.add_column(std::move(h.set)) ? 1 : 0;
       for (IndependentSet& extra : h.extras)

@@ -1191,16 +1191,16 @@ MaxWeightSetResult max_weight_independent_set_physical(
 MaxWeightSetResult heuristic_weight_independent_set_protocol(
     const ConflictMatrix& matrix, const phy::RateTable& rates,
     std::span<const double> link_weight, double floor,
-    const HeuristicPricingParams& params) {
+    std::size_t starts) {
   const ProtocolPricerData data =
       build_protocol_data(matrix, rates, link_weight);
   MaxWeightSetResult result;
-  if (params.starts == 0 || data.roots.empty()) return result;
+  if (starts == 0 || data.roots.empty()) return result;
 
   // Starts are independent; each writes its own slot, so the fan-out
   // schedule cannot leak into the answer.
-  std::vector<ProtocolStartOutcome> outcomes(params.starts);
-  util::parallel_for(params.starts, [&](std::size_t s) {
+  std::vector<ProtocolStartOutcome> outcomes(starts);
+  util::parallel_for(starts, [&](std::size_t s) {
     outcomes[s] = protocol_heuristic_start(data, s);
   });
 
@@ -1219,20 +1219,20 @@ MaxWeightSetResult heuristic_weight_independent_set_protocol(
 
 MaxWeightSetResult heuristic_weight_independent_set_physical(
     const PricingContext& context, std::span<const double> link_weight,
-    double floor, const HeuristicPricingParams& params) {
+    double floor, std::size_t starts) {
   const PhysicalPricerData pricer = build_physical_data(context, link_weight);
   MaxWeightSetResult result;
-  if (params.starts == 0 || pricer.order.empty()) return result;
+  if (starts == 0 || pricer.order.empty()) return result;
   const PhysicalSearchData data = build_physical_search_data(pricer);
 
   // Each worker reuses one search for a fixed stride of starts; a start's
   // outcome depends only on its index, so the split cannot leak into it.
-  std::vector<PhysicalStartOutcome> outcomes(params.starts);
+  std::vector<PhysicalStartOutcome> outcomes(starts);
   const std::size_t workers =
-      std::min(util::configured_threads(), params.starts);
+      std::min(util::configured_threads(), starts);
   util::parallel_for(workers, [&](std::size_t w) {
     PhysicalHeuristicSearch search(data);
-    for (std::size_t s = w; s < params.starts; s += workers)
+    for (std::size_t s = w; s < starts; s += workers)
       outcomes[s] = search.run(s);
   });
 

@@ -74,15 +74,6 @@ struct MaxWeightSetResult {
   bool found() const { return !set.links.empty(); }
 };
 
-/// Knobs of the heuristic (Tier 1) pricing oracles below.
-struct HeuristicPricingParams {
-  /// Independent greedy + local-search starts per call. Start 0 orders
-  /// candidates by exact weight; later starts use deterministically
-  /// jittered weight orderings, so more starts buy diversity without
-  /// giving up reproducibility. 0 disables the heuristic tier entirely.
-  std::size_t starts = 8;
-};
-
 /// Exact max-weight rate-coupled independent set under the protocol model:
 /// a branch-and-bound search for the maximum-weight clique of the
 /// compatibility graph in `matrix` (whose vertices are usable (link, rate)
@@ -109,17 +100,19 @@ MaxWeightSetResult max_weight_independent_set_physical(
 
 /// Heuristic (Tier 1) pricing under the protocol model: a weight-ordered
 /// greedy clique constructor over the compatibility bits plus a (1,k)-swap
-/// local search, run as a deterministic multi-start (see
-/// HeuristicPricingParams) with a best-of reduction independent of
-/// MRWSN_THREADS. Never reports a set at or below `floor`; an empty result
+/// local search, run as a deterministic multi-start with a best-of
+/// reduction independent of MRWSN_THREADS. `starts` counts the independent
+/// greedy + local-search starts: start 0 orders candidates by exact weight,
+/// later starts use deterministically jittered weight orderings, so more
+/// starts buy diversity without giving up reproducibility; 0 returns an
+/// empty result. Never reports a set at or below `floor`; an empty result
 /// means the heuristic dried up, NOT that no improving set exists — callers
 /// needing optimality must escalate to the exact oracle above. Runner-up
 /// starts that also beat the floor come back in `extras` (weight
 /// descending, signature-distinct).
 MaxWeightSetResult heuristic_weight_independent_set_protocol(
     const ConflictMatrix& matrix, const phy::RateTable& rates,
-    std::span<const double> link_weight, double floor = 0.0,
-    const HeuristicPricingParams& params = {});
+    std::span<const double> link_weight, double floor, std::size_t starts);
 
 /// Heuristic (Tier 1) pricing under the physical (cumulative-SINR) model:
 /// greedy insertion in jittered alone-weight order with exact incremental
@@ -128,6 +121,6 @@ MaxWeightSetResult heuristic_weight_independent_set_protocol(
 /// determinism, floor, and extras contract as the protocol variant.
 MaxWeightSetResult heuristic_weight_independent_set_physical(
     const PricingContext& context, std::span<const double> link_weight,
-    double floor = 0.0, const HeuristicPricingParams& params = {});
+    double floor, std::size_t starts);
 
 }  // namespace mrwsn::core

@@ -491,7 +491,7 @@ MaxWeightSetResult PhysicalInterferenceModel::max_weight_independent_set(
 
 MaxWeightSetResult PhysicalInterferenceModel::heuristic_max_weight_independent_set(
     std::span<const net::LinkId> universe, std::span<const double> link_weight,
-    double floor, const HeuristicPricingParams& params) const {
+    double floor, std::size_t starts) const {
   MRWSN_REQUIRE(strictly_ascending(universe),
                 "pricing universe must be canonical (weights are positional)");
   // Shares the exact oracle's memoized pricing context, so mixing tiers on
@@ -505,7 +505,7 @@ MaxWeightSetResult PhysicalInterferenceModel::heuristic_max_weight_independent_s
     context = pricing_cache().get(*this, std::move(links));
   }
   return heuristic_weight_independent_set_physical(*context, link_weight, floor,
-                                                   params);
+                                                   starts);
 }
 
 std::vector<IndependentSet> PhysicalInterferenceModel::maximal_independent_sets(
@@ -674,12 +674,12 @@ MaxWeightSetResult ProtocolInterferenceModel::max_weight_independent_set(
 
 MaxWeightSetResult ProtocolInterferenceModel::heuristic_max_weight_independent_set(
     std::span<const net::LinkId> universe, std::span<const double> link_weight,
-    double floor, const HeuristicPricingParams& params) const {
+    double floor, std::size_t starts) const {
   MRWSN_REQUIRE(strictly_ascending(universe),
                 "pricing universe must be canonical (weights are positional)");
   const auto matrix = conflict_matrix(universe);
   return heuristic_weight_independent_set_protocol(*matrix, rates_, link_weight,
-                                                   floor, params);
+                                                   floor, starts);
 }
 
 }  // namespace mrwsn::core

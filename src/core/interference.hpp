@@ -92,12 +92,14 @@ class InterferenceModel {
   /// Heuristic (Tier 1) pricing oracle: same contract as
   /// max_weight_independent_set for inputs, but an empty result only means
   /// the heuristic dried up — callers needing an optimality certificate
-  /// must fall back to the exact oracle. Deterministic and independent of
-  /// MRWSN_THREADS; shares the exact oracle's per-universe memos.
+  /// must fall back to the exact oracle. `starts` is the multi-start count
+  /// (core::heuristic_weight_independent_set_protocol). Deterministic and
+  /// independent of MRWSN_THREADS; shares the exact oracle's per-universe
+  /// memos.
   virtual MaxWeightSetResult heuristic_max_weight_independent_set(
       std::span<const net::LinkId> universe,
-      std::span<const double> link_weight, double floor = 0.0,
-      const HeuristicPricingParams& params = {}) const = 0;
+      std::span<const double> link_weight, double floor,
+      std::size_t starts) const = 0;
 
   /// The memoized bitset conflict matrix over the canonical form of
   /// `universe`: the full pairwise "interferes" relation over its usable
@@ -195,8 +197,8 @@ class PhysicalInterferenceModel final : public InterferenceModel {
       std::span<const double> link_weight, double floor = 0.0) const override;
   MaxWeightSetResult heuristic_max_weight_independent_set(
       std::span<const net::LinkId> universe,
-      std::span<const double> link_weight, double floor = 0.0,
-      const HeuristicPricingParams& params = {}) const override;
+      std::span<const double> link_weight, double floor,
+      std::size_t starts) const override;
 
   /// The unique maximum supported rate vector when exactly `links`
   /// transmit concurrently (Propositions 1-2); nullopt when some member
@@ -258,8 +260,8 @@ class ProtocolInterferenceModel final : public InterferenceModel {
       std::span<const double> link_weight, double floor = 0.0) const override;
   MaxWeightSetResult heuristic_max_weight_independent_set(
       std::span<const net::LinkId> universe,
-      std::span<const double> link_weight, double floor = 0.0,
-      const HeuristicPricingParams& params = {}) const override;
+      std::span<const double> link_weight, double floor,
+      std::size_t starts) const override;
 
  private:
   std::size_t index(net::LinkId link, phy::RateIndex rate) const;

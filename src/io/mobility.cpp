@@ -4,46 +4,16 @@
 #include <fstream>
 #include <sstream>
 
+#include "io/text_tokens.hpp"
 #include "util/error.hpp"
 
 namespace mrwsn::io {
 
+using detail::parse_double;
+using detail::parse_u64;
+using detail::tokenize;
+
 namespace {
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (is >> token) tokens.push_back(token);
-  return tokens;
-}
-
-double parse_double(const std::string& token, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    MRWSN_REQUIRE(used == token.size(), std::string("trailing junk in ") + what);
-    return value;
-  } catch (const std::logic_error&) {
-    throw PreconditionError(std::string("cannot parse ") + what + ": '" + token +
-                            "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  try {
-    // std::stoull accepts "-1" by wrapping; ids are never negative.
-    MRWSN_REQUIRE(token.find('-') == std::string::npos,
-                  std::string(what) + " cannot be negative");
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(token, &used);
-    MRWSN_REQUIRE(used == token.size(), std::string("trailing junk in ") + what);
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::logic_error&) {
-    throw PreconditionError(std::string("cannot parse ") + what + ": '" + token +
-                            "'");
-  }
-}
 
 bool finite(geom::Point p) { return std::isfinite(p.x) && std::isfinite(p.y); }
 

@@ -5,47 +5,16 @@
 #include <sstream>
 
 #include "io/scenario_blob.hpp"
+#include "io/text_tokens.hpp"
 #include "phy/phy_model.hpp"
 #include "phy/shadowing.hpp"
 #include "util/error.hpp"
 
 namespace mrwsn::io {
 
-namespace {
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (is >> token) tokens.push_back(token);
-  return tokens;
-}
-
-double parse_double(const std::string& token, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    MRWSN_REQUIRE(used == token.size(), std::string("trailing junk in ") + what);
-    return value;
-  } catch (const std::logic_error&) {
-    throw PreconditionError(std::string("cannot parse ") + what + ": '" + token +
-                            "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(token, &used);
-    MRWSN_REQUIRE(used == token.size(), std::string("trailing junk in ") + what);
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::logic_error&) {
-    throw PreconditionError(std::string("cannot parse ") + what + ": '" + token +
-                            "'");
-  }
-}
-
-}  // namespace
+using detail::parse_double;
+using detail::parse_u64;
+using detail::tokenize;
 
 ScenarioFile parse_scenario(const std::string& text) {
   ScenarioFile scenario;
@@ -120,10 +89,26 @@ void check_scenario_values(const ScenarioFile& scenario) {
     if (!std::isfinite(demand) || demand < 0.0)
       fail(item, index, "demand", demand, "finite and >= 0");
   };
-  for (std::size_t i = 0; i < scenario.flows.size(); ++i)
+  const std::size_t node_count = scenario.positions.size();
+  const auto check_node = [&](const std::string& item, std::size_t index,
+                              const char* field, net::NodeId node) {
+    if (node >= node_count) {
+      std::ostringstream message;
+      message << "scenario " << item << ' ' << index << ": " << field
+              << " must be a node id below " << node_count << ", got " << node;
+      throw PreconditionError(message.str());
+    }
+  };
+  for (std::size_t i = 0; i < scenario.flows.size(); ++i) {
     check_demand("flow", i, scenario.flows[i].demand_mbps);
-  for (std::size_t i = 0; i < scenario.requests.size(); ++i)
+    for (const net::NodeId node : scenario.flows[i].nodes)
+      check_node("flow", i, "node", node);
+  }
+  for (std::size_t i = 0; i < scenario.requests.size(); ++i) {
     check_demand("request", i, scenario.requests[i].demand_mbps);
+    check_node("request", i, "src", scenario.requests[i].src);
+    check_node("request", i, "dst", scenario.requests[i].dst);
+  }
 }
 
 std::string serialize_scenario(const ScenarioFile& scenario) {

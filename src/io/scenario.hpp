@@ -43,7 +43,8 @@ ScenarioFile parse_scenario(const std::string& text);
 
 /// The numeric check every scenario encoding applies once decoded: the
 /// shadowing sigma must be finite and >= 0, node coordinates finite, flow
-/// and request demands finite and >= 0.
+/// and request demands finite and >= 0, and every flow node and request
+/// endpoint a declared node id.
 /// Throws PreconditionError naming the first offending field.
 void check_scenario_values(const ScenarioFile& scenario);
 

@@ -499,9 +499,10 @@ TEST(ColumnGenerationStabilization, NoMoreRoundsThanUnstabilizedOnSeedScenarios)
 TEST(ColumnGenerationStabilization, TailingOffBoundedOnLongChain) {
   // The 26-link chain is the tailing-off regression case: near the 36/5
   // optimum the master is heavily degenerate and unstabilized duals
-  // oscillate (144 pricing rounds measured). Smoothing must converge to
-  // the same optimum in strictly fewer rounds, bounded with headroom
-  // against future drift (117 measured at alpha = 0.3).
+  // oscillate. Smoothing must converge to the same optimum in strictly
+  // fewer rounds. Both counts are pinned exactly (alpha = 0.3): every
+  // build compiles without floating-point contraction, so they do not
+  // depend on the build.
   const net::Network net(geom::chain(27, 70.0), phy::PhyModel::paper_default());
   PhysicalInterferenceModel model(net);
   std::vector<net::LinkId> path;
@@ -512,8 +513,8 @@ TEST(ColumnGenerationStabilization, TailingOffBoundedOnLongChain) {
   }
   const std::vector<LinkFlow> background = {{{path[0]}, 1.0}};
 
-  // Exact-only pricing: the measured 117-vs-144 round counts are a
-  // property of the reference loop (tiered pricing changes both).
+  // Exact-only pricing: the pinned round counts are a property of the
+  // reference loop (tiered pricing changes both).
   ColumnGenOptions stabilized;
   stabilized.pricing = PricingMode::kExactOnly;
   const auto on = max_path_bandwidth(model, background, path,
@@ -529,7 +530,8 @@ TEST(ColumnGenerationStabilization, TailingOffBoundedOnLongChain) {
   EXPECT_NEAR(on.available_mbps, 36.0 / 5.0, 1e-3);
   EXPECT_NEAR(on.available_mbps, off.available_mbps, 1e-6);
   EXPECT_LT(on.colgen.rounds, off.colgen.rounds);
-  EXPECT_LE(on.colgen.rounds, 135u);
+  EXPECT_EQ(on.colgen.rounds, 130u);
+  EXPECT_EQ(off.colgen.rounds, 218u);
   EXPECT_GT(on.colgen.mispricings, 0u);  // smoothing actually engaged
 }
 
@@ -541,9 +543,8 @@ TEST(ColumnGenerationStabilization, DisabledMatchesLegacyRoundCounts) {
   // several equally optimal columns whose weights differ only by dual
   // round-off, which used to let the build's floating-point contraction
   // pick the winner (44/71, 45/72 or 47/74 depending on the flags). The
-  // exact oracle now breaks such ties canonically and the loop zeroes
-  // round-off weights, so the count is the same with and without
-  // MRWSN_FAST_KERNELS.
+  // exact oracle now breaks such ties canonically, the loop zeroes
+  // round-off weights, and every build compiles without contraction.
   GridScenario scenario = make_grid_scenario();
   PhysicalInterferenceModel model(scenario.net);
   ColumnGenOptions off;

@@ -325,15 +325,14 @@ void expect_matches_oracle(const Universe& u, std::uint64_t seed) {
   for (std::size_t f = 0; f < families.size(); ++f) {
     SCOPED_TRACE("weight family " + std::to_string(f));
     const auto& w = families[f];
-    HeuristicPricingParams params;
-    params.starts = kStarts;
     const auto want = oracle_heuristic(*u.ctx, w, 0.0, kStarts);
-    const auto got = heuristic_weight_independent_set_physical(*u.ctx, w, 0.0, params);
+    const auto got =
+        heuristic_weight_independent_set_physical(*u.ctx, w, 0.0, kStarts);
     ASSERT_FALSE(want.set.links.empty());
     expect_same_result(got, want);
     const double floor = 0.95 * want.weight;
     expect_same_result(
-        heuristic_weight_independent_set_physical(*u.ctx, w, floor, params),
+        heuristic_weight_independent_set_physical(*u.ctx, w, floor, kStarts),
         oracle_heuristic(*u.ctx, w, floor, kStarts));
   }
 }
@@ -448,13 +447,11 @@ TEST(PhysicalHeuristic, RandomSweepFeasibleScoredAndThreadIndependent) {
         "random", model, {background},
         {links.begin() + links.size() / 2, links.end()});
     for (const auto& w : dual_shaped_weights(u, seed)) {
-      HeuristicPricingParams params;
-      params.starts = kStarts;
       std::vector<MaxWeightSetResult> runs;
       for (const char* threads : {"1", "4"}) {
         ThreadEnvGuard env(threads);
         runs.push_back(
-            heuristic_weight_independent_set_physical(*u.ctx, w, 0.0, params));
+            heuristic_weight_independent_set_physical(*u.ctx, w, 0.0, kStarts));
       }
       expect_same_result(runs[1], runs[0]);
       expect_same_result(runs[0], oracle_heuristic(*u.ctx, w, 0.0, kStarts));

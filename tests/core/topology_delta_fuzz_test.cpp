@@ -157,8 +157,8 @@ void expect_physical_parity(const net::Network& network,
     expect_pricing_equal(patched.max_weight_independent_set(sub, weight),
                          fresh.max_weight_independent_set(sub, weight));
     expect_pricing_equal(
-        patched.heuristic_max_weight_independent_set(sub, weight),
-        fresh.heuristic_max_weight_independent_set(sub, weight));
+        patched.heuristic_max_weight_independent_set(sub, weight, 0.0, 8),
+        fresh.heuristic_max_weight_independent_set(sub, weight, 0.0, 8));
   }
 
   // Random candidate sets through supports()/max_rate_vector.

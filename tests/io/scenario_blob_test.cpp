@@ -140,8 +140,8 @@ TEST(ScenarioBlob, RejectsOversizedDeclaredCounts) {
 }
 
 TEST(ScenarioBlob, RejectsNonFiniteCoordinatesAndBadDemands) {
-  // The writer stores any double; the reader applies the same value check
-  // as the text loader, so a blob cannot smuggle in what text rejects.
+  // The writer stores any double or id; the reader applies the same value
+  // check as the text loader, so a blob cannot smuggle in what text rejects.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   ScenarioFile base;
@@ -178,6 +178,18 @@ TEST(ScenarioBlob, RejectsNonFiniteCoordinatesAndBadDemands) {
     ScenarioFile scenario = base;
     scenario.shadowing_sigma_db = bad;
     expect_rejected(scenario, "shadowing: sigma");
+  }
+  for (const net::NodeId bad : {net::NodeId{2}, net::NodeId{99},
+                                std::numeric_limits<net::NodeId>::max()}) {
+    ScenarioFile scenario = base;
+    scenario.flows[0].nodes[1] = bad;
+    expect_rejected(scenario, "flow 0: node");
+    scenario = base;
+    scenario.requests[0].src = bad;
+    expect_rejected(scenario, "request 0: src");
+    scenario = base;
+    scenario.requests[0].dst = bad;
+    expect_rejected(scenario, "request 0: dst");
   }
   expect_equal(base, read_scenario_blob(write_scenario_blob(base)));
 }

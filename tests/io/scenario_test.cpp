@@ -90,6 +90,17 @@ TEST(Scenario, RejectsNonFiniteCoordinatesAndBadDemands) {
   expect_rejected(two + "shadowing nan 7\n", "shadowing: sigma");
   expect_rejected(two + "shadowing -4 7\n", "shadowing: sigma");
   expect_rejected(two + "shadowing inf 7\n", "shadowing: sigma");
+  // Ids and seeds are never negative (std::stoull would wrap "-1" to
+  // 2^64 - 1), and flow nodes and request endpoints are declared nodes.
+  expect_rejected(two + "request 0 -1 1.0\n", "dst cannot be negative");
+  expect_rejected(two + "flow 1.0 0 -1\n", "flow node cannot be negative");
+  expect_rejected(two + "shadowing 4 -1\n", "seed cannot be negative");
+  expect_rejected(two + "flow 1.0 0 99\n",
+                  "flow 0: node must be a node id below 2, got 99");
+  expect_rejected(two + "flow 1.0 0 1\nflow 1.0 1 2\n", "flow 1: node");
+  expect_rejected(two + "request 0 1 1.0\nrequest 2 1 1.0\n",
+                  "request 1: src");
+  expect_rejected(two + "request 0 2 1.0\n", "request 0: dst");
   // Zero demands, zero sigma and negative (finite) coordinates are valid.
   const ScenarioFile ok = parse_scenario(
       "node 0 -5 0\nnode 1 65 0\nshadowing 0 7\nflow 0 0 1\nrequest 0 1 0\n");

@@ -3,7 +3,11 @@
 # before it merges, in the order that fails fastest.
 #
 #   1. tier-1: configure + build + full ctest suite (unit and example
-#      labels) in the standard build tree,
+#      labels) in the standard build tree. Every build compiles with
+#      -O3 -ffp-contract=off (top-level CMakeLists.txt), so the pinned
+#      column-generation round counts this suite checks hold in every
+#      build type and on every ISA; FloatingPointSemantics.* in test_util
+#      fails if multiply-adds are ever fused again,
 #   2. fuzz: the differential LP fuzz suites (ctest label "fuzz") at a
 #      deeper seed count than the smoke run the suite includes,
 #   3. sanitized: a separate ASan+UBSan build tree running the full
@@ -34,7 +38,9 @@
 #      the cold set-up BM_TopologyBuild/500 (net::Network plus the
 #      physical model's rx-power table on the scaled Fig. 4 positions),
 #      and the cold conflict-matrix builds BM_ConflictMatrixBuild/{8,12}
-#      (chains) and /fig4_seed4 (the scaled Fig. 4 union universe), with
+#      (chains) and /fig4_seed4 (the scaled Fig. 4 union universe), and
+#      the LP kernels BM_SimplexRandom/64 (a cold revised-simplex solve)
+#      and BM_MasterResolveRevised/40/10 (warm master re-solves), with
 #      --require coverage guards for every family.
 #   6. perfbench: the end-to-end benchmark's self-tests
 #      (perfbench/selftest.py: gate trips, metric names, short runs of
@@ -49,21 +55,6 @@
 #      (11,320 links) and at ~25 MiB without one; nothing in the set-up,
 #      the LP truth or the MAC run may grow with the square of the link
 #      count again.
-#   7. portable kernels: test_core (with the test-only tests/oracles
-#      library it links) built in a -DMRWSN_FAST_KERNELS=OFF
-#      tree (build-nofast, sibling of build/) running the pinned
-#      column-generation suites — the stabilization and exact-only round
-#      counts, tiered-pricing thread-count identity, the phase A
-#      certificate sweeps and the effort caps — and the physical Tier 1
-#      differential test against its mutate-and-revert oracle, whose
-#      rate shortcuts sit on SINR thresholds, the exact physical
-#      oracle's suite (brute-force optima, thread-count identity, and its
-#      optimum and beaten-best chain pinned on the 40-link chain and the
-#      scaled Fig. 4 union universe), and the joint-bandwidth
-#      suite, which pins single-path Eq. 6 to the joint LP bit for bit
-#      under both solve methods. Those pins count rounds of
-#      degenerate masters, so they must hold without -march=native
-#      floating-point contraction too, not just in the stage 1 tree.
 #
 # Stages 4 and 5 archive their median reports into BENCH_history/ (one
 # compact JSON per run, named by UTC stamp + git revision) so the perf
@@ -136,13 +127,13 @@ else
   # add_background(), publishing on every read), the Tier 1 / Tier 2
   # pricing oracles, the full-enumeration Eq. 6 solves, the one-region
   # and sharded DCF runs plus the TDMA executor, the 500-node cold
-  # topology and model build, and the cold conflict-matrix builds; the
-  # --require guards fail
+  # topology and model build, the cold conflict-matrix builds, and the
+  # cold and warm LP solves; the --require guards fail
   # the gate if any side of a comparison silently drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild|BM_ConflictMatrixBuild' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild|BM_ConflictMatrixBuild|BM_SimplexRandom/64$|BM_MasterResolveRevised/40/10$' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
@@ -153,7 +144,8 @@ else
     --require BM_FullEnumeration --require BM_JointBandwidthLp \
     --require BM_ScenarioTwoPipeline --require BM_CsmaSimulatedSecond \
     --require BM_CsmaParallel --require BM_TdmaSimulatedQuarterSecond \
-    --require BM_TopologyBuild/500 --require BM_ConflictMatrixBuild
+    --require BM_TopologyBuild/500 --require BM_ConflictMatrixBuild \
+    --require BM_SimplexRandom/64 --require BM_MasterResolveRevised/40/10
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi
@@ -170,11 +162,5 @@ peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 print(f"fig4 --nodes 1000: peak RSS {peak_mib:.1f} MiB (limit 128 MiB)")
 sys.exit(1 if peak_mib > 128.0 else 0)
 EOF
-
-echo "== ci stage 7: pinned column-generation tests, MRWSN_FAST_KERNELS=OFF =="
-NOFAST_BUILD="$REPO/build-nofast"
-cmake -B "$NOFAST_BUILD" -S "$REPO" -DMRWSN_FAST_KERNELS=OFF
-cmake --build "$NOFAST_BUILD" -j "$JOBS" --target test_core
-"$NOFAST_BUILD/tests/test_core" --gtest_filter='ColumnGenerationStabilization.*:TieredPricing.*:BackgroundCertificate.*:ColumnGenerationOptions.*:PhysicalHeuristic.*:PhysicalPricing.*:JointBandwidth.*'
 
 echo "ci gate passed"
