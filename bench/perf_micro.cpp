@@ -412,6 +412,34 @@ void BM_PricingExact(benchmark::State& state, ScaledFig4Universe) {
 }
 BENCHMARK_CAPTURE(BM_PricingExact, fig4_seed4, ScaledFig4Universe{});
 
+// Phase A on an undeliverable background: the scaled Fig. 4 study's flow 8
+// priced over flows 1-7 at their full 2 Mbps, which the network cannot
+// carry together, so the Eq. 6 answer is "no bandwidth" and all of the
+// solve is phase A proving it. The model stays warm across iterations (its
+// pricing context is built once), as it is for every flow after the first
+// in the study. `rounds` and `exact_calls` count the pricing rounds and
+// exact B&B calls phase A takes before its Lagrangian bound proves the
+// background undeliverable.
+void BM_PhaseAUndeliverable(benchmark::State& state) {
+  const ScaledFig4Bench& bench = scaled_fig4_bench();
+  const core::PhysicalInterferenceModel model(bench.setup.network);
+  std::vector<core::LinkFlow> background;
+  for (std::size_t f = 0; f + 1 < bench.paths.size(); ++f)
+    background.push_back({bench.paths[f], 2.0});
+  const std::vector<net::LinkId>& path = bench.paths.back();
+  core::ColumnGenStats last;
+  for (auto _ : state) {
+    const auto result = core::max_path_bandwidth(model, background, path);
+    if (result.background_feasible || !result.colgen.certified)
+      state.SkipWithError("flow 8's background must be proved undeliverable");
+    last = result.colgen;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["rounds"] = double(last.rounds);
+  state.counters["exact_calls"] = double(last.exact_rounds);
+}
+BENCHMARK(BM_PhaseAUndeliverable)->Unit(benchmark::kMicrosecond);
+
 // ---------------------------------------------------------------------------
 // Batched admission engine (the shared-cache scenario service tentpole):
 // replay the same 50-query admission sequence on a ~40-link random

@@ -249,8 +249,9 @@ class OneShot {
   /// (`rhs`, by universe position) alone be delivered? Minimizes the sum
   /// of per-demanded-link artificial slacks. A zero optimum means the pool
   /// now delivers the background; a positive lower bound on the optimum —
-  /// an exact round's Lagrangian bound (DESIGN.md §9, "Phase A
-  /// certificate") or convergence — proves it undeliverable. False (proven
+  /// a Lagrangian bound from the model's root bound on any round or from
+  /// an exact round (DESIGN.md §9, "Phase A certificate"), or convergence
+  /// — proves it undeliverable. False (proven
   /// or capped) means no passes; the stats' `converged` then says which.
   /// Enumeration has no phase A: its masters are infeasible exactly when
   /// the background is undeliverable.

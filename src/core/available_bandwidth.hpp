@@ -103,10 +103,13 @@ struct ColumnGenStats {
   std::size_t pool_hit_columns = 0;   ///< Tier 0: stored columns promoted
   std::size_t heuristic_columns = 0;  ///< Tier 1: heuristic columns added
   std::size_t exact_rounds = 0;       ///< Tier 2: exact B&B invocations
-  /// True when convergence was declared by an exact (Tier 2) round over the
-  /// incumbent duals — the optimality certificate. Always true when
-  /// `converged` is true; tracked separately so tests can assert the
-  /// certificate path executed rather than infer it.
+  /// True when a proof ended the run: an exact (Tier 2) round over the
+  /// incumbent duals found no improving column (the optimality
+  /// certificate), or phase A's Lagrangian bound — from the model's root
+  /// bound on any round, or from an exact round's maximum — proved the
+  /// background undeliverable. Always true when `converged` is true;
+  /// tracked separately so tests can assert the certificate path executed
+  /// rather than infer it.
   bool certified = false;
 };
 

@@ -112,16 +112,13 @@ std::vector<std::size_t> Tier0Ranking::best(std::size_t cap) {
   return picked;
 }
 
-bool ColGenDriver::price(ColGenMaster& master,
-                         const std::vector<double>& duals, double sign,
-                         bool exact_tier, ColumnGenStats* stats) {
-  ++stats->rounds;
-  exact_max_weight_ = kInf;
+double ColGenDriver::load_weights(const std::vector<double>& duals,
+                                  double sign) {
   // Reduced cost of a candidate column α (objective coefficient 0):
   //   rc = -(duals[0] + Σ_e duals[e] · R_α[e]).
   // An improving column (rc < 0 when minimizing, > 0 when maximizing)
   // therefore scores Σ_e w_e R_α[e] above the floor. The duals' sign
-  // constraints make both clamps no-ops up to round-off.
+  // constraints make the clamp a no-op up to round-off.
   double max_weight = 0.0;
   for (std::size_t k = 0; k < universe_.size(); ++k) {
     weights_[k] = std::max(0.0, sign * duals[1 + k]);
@@ -135,6 +132,15 @@ bool ColGenDriver::price(ColGenMaster& master,
       w = 0.0;
     }
   }
+  return zeroed_mass;
+}
+
+bool ColGenDriver::price(ColGenMaster& master,
+                         const std::vector<double>& duals, double sign,
+                         bool exact_tier, ColumnGenStats* stats) {
+  ++stats->rounds;
+  exact_max_weight_ = kInf;
+  const double zeroed_mass = load_weights(duals, sign);
   const double floor = std::max(0.0, -sign * duals[0]) + kReducedCostTol;
 
   // Tier 0: the master's store of already-priced columns — no search.
@@ -197,6 +203,26 @@ ColGenOutcome ColGenDriver::run(ColGenMaster& master, ColumnGenStats* stats,
         master.num_columns() >= options_.max_columns)
       break;
     master.duals(out.solution, incumbent);
+    // Lagrangian bound on the full master's optimum from an upper bound W
+    // on the incumbent duals' maximum column weight: every column's reduced
+    // cost is at least u − W, and Σλ <= 1 caps how much of it any solution
+    // collects (DESIGN.md §9, "Phase A certificate").
+    const auto lagrangian_bound = [&](double max_weight) {
+      const double u = std::max(0.0, -sign * incumbent[0]);
+      return out.solution.objective - sign * std::max(0.0, max_weight - u);
+    };
+    if (stop) {
+      // The oracle's root bound, with no search: when it already settles
+      // the run, no tier runs this round.
+      const double zeroed_mass = load_weights(incumbent, sign);
+      const double bound = lagrangian_bound(
+          model_.max_weight_upper_bound(universe_, weights_) + zeroed_mass);
+      if (stop(out.solution.objective, bound)) {
+        out.converged = true;
+        stats->certified = true;
+        break;
+      }
+    }
 
     // Stabilized rounds price against a convex combination of the
     // stability center and the incumbent duals, and never escalate to the
@@ -227,14 +253,8 @@ ColGenOutcome ColGenDriver::run(ColGenMaster& master, ColumnGenStats* stats,
       break;
     }
     if (stop && exact_max_weight_ < kInf) {
-      // Lagrangian bound of an exact round on the incumbent duals: every
-      // column's reduced cost is at least u − W*, and Σλ <= 1 caps how
-      // much of it any solution collects (DESIGN.md §9, "Phase A
-      // certificate").
-      const double u = std::max(0.0, -sign * incumbent[0]);
-      const double bound = out.solution.objective -
-                           sign * std::max(0.0, exact_max_weight_ - u);
-      if (stop(out.solution.objective, bound)) {
+      // An exact round on the incumbent duals proved W* itself.
+      if (stop(out.solution.objective, lagrangian_bound(exact_max_weight_))) {
         out.converged = true;
         stats->certified = true;
         break;

@@ -90,8 +90,12 @@ void require_distinct_links(std::span<const net::LinkId> path);
 
 /// Optional early stop, given the objective and a Lagrangian bound on the
 /// full master's optimum (below it when minimizing, above it when
-/// maximizing; infinite when the round proved none). True ends the run
-/// converged, and certified when the bound was finite.
+/// maximizing; infinite when the call proved none). The driver asks it
+/// after each master solve with an infinite bound, then on every round
+/// with the bound from the model's max_weight_upper_bound on the incumbent
+/// duals (before any pricing), and after an exact round on the incumbent
+/// duals with the bound from its W*. True ends the run converged, and
+/// certified when the bound was finite. Only phase A sets one.
 using ColGenStop = std::function<bool(double objective, double bound)>;
 
 struct ColGenOutcome {
@@ -115,8 +119,10 @@ struct ColGenOutcome {
 ///    after 8 rounds), falling back to the incumbent duals on a mispricing;
 ///  - the certificate: an exact round on the incumbent duals that gives
 ///    the master nothing new ends the run converged and certified;
-///  - the Lagrangian bound after such a round, for the stop predicate (it
-///    assumes a real Σλ <= 1 row 0);
+///  - the Lagrangian bound, for the stop predicate: every round from the
+///    model's root bound W_ub, before any tier runs, and after an exact
+///    round on the incumbent duals from its W* (both assume a real
+///    Σλ <= 1 row 0);
 ///  - the per-tier counters of ColumnGenStats.
 /// `universe` (strictly ascending) is what the oracles price over.
 class ColGenDriver {
@@ -129,6 +135,11 @@ class ColGenDriver {
                     const ColGenStop& stop = nullptr);
 
  private:
+  /// Fill weights_ from `duals`: clamped at zero, with round-off weights
+  /// zeroed. Returns the zeroed weights' mass at the table's fastest rate,
+  /// the most they could add to any column's weight.
+  double load_weights(const std::vector<double>& duals, double sign);
+
   /// One pricing round; true when the master gained a column.
   bool price(ColGenMaster& master, const std::vector<double>& duals,
              double sign, bool exact_tier, ColumnGenStats* stats);

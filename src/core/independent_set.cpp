@@ -125,13 +125,6 @@ double tie_band(double weight) {
   return kWeightTieTol * std::max(1.0, std::abs(weight));
 }
 
-/// Relative pad on the exact searches' optimistic bounds. A bound sums
-/// the same non-negative products as the weights it bounds, but in another
-/// order (and the physical search forms it by running updates), so
-/// round-off alone could put a set a few ulps above it. The pad dwarfs
-/// that round-off and stays far below the tie band.
-constexpr double kBoundPad = 1e-10;
-
 double padded(double bound) { return bound + bound * kBoundPad; }
 
 /// The canonical order among tied sets: the larger set first (it delivers
@@ -242,6 +235,28 @@ struct ProtocolPricerData {
   std::vector<std::size_t> roots;    ///< the pool's couples, ascending
 };
 
+/// Optimistic weight of any clique within candidate set `p`: couples are
+/// ordered by link, so one ascending scan picks the best couple of each
+/// link run (a clique can use at most one).
+double link_run_bound(const ProtocolPricerData& data, const util::BitWord* p) {
+  const auto& couples = data.matrix->couples();
+  double total = 0.0;
+  double run_max = 0.0;
+  net::LinkId run_link = 0;
+  bool in_run = false;
+  util::bits_for_each(p, data.words, [&](std::size_t v) {
+    const net::LinkId link = couples[v].link;
+    if (!in_run || link != run_link) {
+      total += run_max;
+      run_max = 0.0;
+      run_link = link;
+      in_run = true;
+    }
+    run_max = std::max(run_max, data.weight[v]);
+  });
+  return total + run_max;
+}
+
 /// Branch-and-bound search for the maximum-weight clique of the
 /// compatibility graph, i.e. the max-weight rate-coupled independent set
 /// under the protocol model. One instance serves one root (or, on the
@@ -263,7 +278,8 @@ class ProtocolRootSearch {
   /// Upper bound on every clique whose lowest couple is data_.roots[root].
   double root_bound(std::size_t root) {
     const std::size_t v0 = data_.roots[root];
-    return padded(data_.weight[v0] + bound(root_candidates(v0)));
+    return padded(data_.weight[v0] +
+                  link_run_bound(data_, root_candidates(v0)));
   }
 
   /// Explore every clique whose lowest couple is data_.roots[root].
@@ -288,31 +304,9 @@ class ProtocolRootSearch {
     return p.data();
   }
 
-  /// Optimistic completion weight of candidate set `p`: couples are ordered
-  /// by link, so one ascending scan picks the best couple of each link run
-  /// (a clique can use at most one).
-  double bound(const util::BitWord* p) const {
-    const auto& couples = data_.matrix->couples();
-    double total = 0.0;
-    double run_max = 0.0;
-    net::LinkId run_link = 0;
-    bool in_run = false;
-    util::bits_for_each(p, data_.words, [&](std::size_t v) {
-      const net::LinkId link = couples[v].link;
-      if (!in_run || link != run_link) {
-        total += run_max;
-        run_max = 0.0;
-        run_link = link;
-        in_run = true;
-      }
-      run_max = std::max(run_max, data_.weight[v]);
-    });
-    return total + run_max;
-  }
-
   void dfs(std::size_t depth, double current) {
     const util::BitWord* p = buffers_[depth - 1].data();
-    if (chain_.best.prunes(current + bound(p))) return;
+    if (chain_.best.prunes(current + link_run_bound(data_, p))) return;
     util::bits_for_each(p, data_.words, [&](std::size_t v) {
       const double w = current + data_.weight[v];
       members_.push_back(v);
@@ -1186,6 +1180,32 @@ MaxWeightSetResult max_weight_independent_set_physical(
     result.extras.push_back(
         physical_members_to_set(context, extra.members, extra.rates));
   return result;
+}
+
+double max_weight_upper_bound_protocol(const ConflictMatrix& matrix,
+                                       const phy::RateTable& rates,
+                                       std::span<const double> link_weight) {
+  const ProtocolPricerData data =
+      build_protocol_data(matrix, rates, link_weight);
+  return padded(link_run_bound(data, data.pool.data()));
+}
+
+double max_weight_upper_bound_physical(const PricingContext& context,
+                                       std::span<const double> link_weight) {
+  const PhysicalPricerData pricer = build_physical_data(context, link_weight);
+  PhysicalSearchData data = build_physical_search_data(pricer);
+  add_clique_cover(data);
+  // The cover numbers its cliques in the order of their first slots, and
+  // slots run in descending alone score, so a clique's first slot is its
+  // best.
+  double bound = 0.0;
+  std::size_t next = 0;
+  for (std::size_t slot = 0; slot < data.size; ++slot) {
+    if (data.clique[slot] != next) continue;
+    bound += pricer.w_alone[pricer.order[slot]];
+    ++next;
+  }
+  return padded(bound);
 }
 
 MaxWeightSetResult heuristic_weight_independent_set_protocol(

@@ -74,6 +74,14 @@ struct MaxWeightSetResult {
   bool found() const { return !set.links.empty(); }
 };
 
+/// Relative pad on the exact searches' optimistic bounds (and on
+/// InterferenceModel::max_weight_upper_bound). A bound sums the same
+/// non-negative products as the weights it bounds, but in another order
+/// (and the physical search forms it by running updates), so round-off
+/// alone could put a set a few ulps above it. The pad dwarfs that
+/// round-off and stays far below the exact searches' 1e-9 tie band.
+inline constexpr double kBoundPad = 1e-10;
+
 /// Exact max-weight rate-coupled independent set under the protocol model:
 /// a branch-and-bound search for the maximum-weight clique of the
 /// compatibility graph in `matrix` (whose vertices are usable (link, rate)
@@ -97,6 +105,24 @@ MaxWeightSetResult max_weight_independent_set_protocol(
 MaxWeightSetResult max_weight_independent_set_physical(
     const PricingContext& context, std::span<const double> link_weight,
     double floor = 0.0);
+
+/// The protocol search's bound before it branches: each universe link's
+/// best positive-weight couple, summed (a clique holds at most one couple
+/// per link), padded by kBoundPad. At least the exact search's
+/// `max_weight` for the same inputs.
+double max_weight_upper_bound_protocol(const ConflictMatrix& matrix,
+                                       const phy::RateTable& rates,
+                                       std::span<const double> link_weight);
+
+/// The physical search's root bound: over a greedy clique cover of the
+/// pairwise conflicts among the positive-weight links (shared node, or
+/// either one cannot decode with only the other on air), the sum of each
+/// clique's best alone score (link weight * alone mbps), padded by
+/// kBoundPad. A feasible set holds at most one link per clique and no
+/// member beats its alone rate, so this is at least the exact search's
+/// `max_weight` for the same inputs.
+double max_weight_upper_bound_physical(const PricingContext& context,
+                                       std::span<const double> link_weight);
 
 /// Heuristic (Tier 1) pricing under the protocol model: a weight-ordered
 /// greedy clique constructor over the compatibility bits plus a (1,k)-swap

@@ -37,6 +37,17 @@ std::optional<IndependentSet> singleton_column(const InterferenceModel& model,
   return set;
 }
 
+double InterferenceModel::max_weight_upper_bound(
+    std::span<const net::LinkId> universe,
+    std::span<const double> link_weight) const {
+  MRWSN_REQUIRE(link_weight.size() == universe.size(),
+                "one weight per universe link required");
+  // No set delivers more than the fastest rate on any of its links.
+  double bound = 0.0;
+  for (const double w : link_weight) bound += w * rate_table().max_mbps();
+  return bound + bound * kBoundPad;
+}
+
 std::shared_ptr<const ConflictMatrix> InterferenceModel::conflict_matrix(
     std::span<const net::LinkId> universe) const {
   return caches_.conflict.get(*this, canonical_universe(universe));
@@ -471,41 +482,41 @@ void PricingCache::clear() {
   entries_.clear();
 }
 
-MaxWeightSetResult PhysicalInterferenceModel::max_weight_independent_set(
-    std::span<const net::LinkId> universe, std::span<const double> link_weight,
-    double floor) const {
+std::shared_ptr<const PricingContext>
+PhysicalInterferenceModel::pricing_context(
+    std::span<const net::LinkId> universe) const {
   MRWSN_REQUIRE(strictly_ascending(universe),
                 "pricing universe must be canonical (weights are positional)");
   // A cached key was range-checked when it was inserted, so a hit skips
-  // both the id checks and the universe copy.
-  auto context = pricing_cache().find(universe);
-  if (!context) {
-    std::vector<net::LinkId> links(universe.begin(), universe.end());
-    for (net::LinkId link : links)
-      MRWSN_REQUIRE(link < network_->num_links(),
-                    "universe link id out of range");
-    context = pricing_cache().get(*this, std::move(links));
-  }
-  return max_weight_independent_set_physical(*context, link_weight, floor);
+  // both the id checks and the universe copy. Every oracle on one universe
+  // shares the context, so mixing tiers warms it exactly once.
+  if (auto context = pricing_cache().find(universe)) return context;
+  std::vector<net::LinkId> links(universe.begin(), universe.end());
+  for (net::LinkId link : links)
+    MRWSN_REQUIRE(link < network_->num_links(),
+                  "universe link id out of range");
+  return pricing_cache().get(*this, std::move(links));
+}
+
+MaxWeightSetResult PhysicalInterferenceModel::max_weight_independent_set(
+    std::span<const net::LinkId> universe, std::span<const double> link_weight,
+    double floor) const {
+  return max_weight_independent_set_physical(*pricing_context(universe),
+                                             link_weight, floor);
 }
 
 MaxWeightSetResult PhysicalInterferenceModel::heuristic_max_weight_independent_set(
     std::span<const net::LinkId> universe, std::span<const double> link_weight,
     double floor, std::size_t starts) const {
-  MRWSN_REQUIRE(strictly_ascending(universe),
-                "pricing universe must be canonical (weights are positional)");
-  // Shares the exact oracle's memoized pricing context, so mixing tiers on
-  // one universe warms it exactly once.
-  auto context = pricing_cache().find(universe);
-  if (!context) {
-    std::vector<net::LinkId> links(universe.begin(), universe.end());
-    for (net::LinkId link : links)
-      MRWSN_REQUIRE(link < network_->num_links(),
-                    "universe link id out of range");
-    context = pricing_cache().get(*this, std::move(links));
-  }
-  return heuristic_weight_independent_set_physical(*context, link_weight, floor,
-                                                   starts);
+  return heuristic_weight_independent_set_physical(*pricing_context(universe),
+                                                   link_weight, floor, starts);
+}
+
+double PhysicalInterferenceModel::max_weight_upper_bound(
+    std::span<const net::LinkId> universe,
+    std::span<const double> link_weight) const {
+  return max_weight_upper_bound_physical(*pricing_context(universe),
+                                         link_weight);
 }
 
 std::vector<IndependentSet> PhysicalInterferenceModel::maximal_independent_sets(
@@ -680,6 +691,15 @@ MaxWeightSetResult ProtocolInterferenceModel::heuristic_max_weight_independent_s
   const auto matrix = conflict_matrix(universe);
   return heuristic_weight_independent_set_protocol(*matrix, rates_, link_weight,
                                                    floor, starts);
+}
+
+double ProtocolInterferenceModel::max_weight_upper_bound(
+    std::span<const net::LinkId> universe,
+    std::span<const double> link_weight) const {
+  MRWSN_REQUIRE(strictly_ascending(universe),
+                "pricing universe must be canonical (weights are positional)");
+  const auto matrix = conflict_matrix(universe);
+  return max_weight_upper_bound_protocol(*matrix, rates_, link_weight);
 }
 
 }  // namespace mrwsn::core

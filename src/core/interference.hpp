@@ -101,6 +101,16 @@ class InterferenceModel {
       std::span<const double> link_weight, double floor,
       std::size_t starts) const = 0;
 
+  /// An admissible upper bound on max_weight_independent_set's `max_weight`
+  /// over the same `universe` (canonical) and `link_weight` (parallel,
+  /// non-negative), found with no search: column generation certifies a
+  /// round with it when the bound alone settles the question. The default
+  /// scores every link at the table's fastest rate; the concrete models
+  /// return their exact search's root bound.
+  virtual double max_weight_upper_bound(
+      std::span<const net::LinkId> universe,
+      std::span<const double> link_weight) const;
+
   /// The memoized bitset conflict matrix over the canonical form of
   /// `universe`: the full pairwise "interferes" relation over its usable
   /// (link, rate) couples, built once per (model, universe) and shared by
@@ -199,6 +209,9 @@ class PhysicalInterferenceModel final : public InterferenceModel {
       std::span<const net::LinkId> universe,
       std::span<const double> link_weight, double floor,
       std::size_t starts) const override;
+  double max_weight_upper_bound(
+      std::span<const net::LinkId> universe,
+      std::span<const double> link_weight) const override;
 
   /// The unique maximum supported rate vector when exactly `links`
   /// transmit concurrently (Propositions 1-2); nullopt when some member
@@ -219,6 +232,10 @@ class PhysicalInterferenceModel final : public InterferenceModel {
 
  private:
   bool shares_node(net::LinkId a, net::LinkId b) const;
+
+  /// The memoized pricing context of `universe`, which must be canonical.
+  std::shared_ptr<const PricingContext> pricing_context(
+      std::span<const net::LinkId> universe) const;
 
   const net::Network* network_;  // non-owning; outlives the model
   std::size_t num_nodes_ = 0;
@@ -262,6 +279,9 @@ class ProtocolInterferenceModel final : public InterferenceModel {
       std::span<const net::LinkId> universe,
       std::span<const double> link_weight, double floor,
       std::size_t starts) const override;
+  double max_weight_upper_bound(
+      std::span<const net::LinkId> universe,
+      std::span<const double> link_weight) const override;
 
  private:
   std::size_t index(net::LinkId link, phy::RateIndex rate) const;

@@ -40,7 +40,9 @@
 #      and the cold conflict-matrix builds BM_ConflictMatrixBuild/{8,12}
 #      (chains) and /fig4_seed4 (the scaled Fig. 4 union universe), and
 #      the LP kernels BM_SimplexRandom/64 (a cold revised-simplex solve)
-#      and BM_MasterResolveRevised/40/10 (warm master re-solves), with
+#      and BM_MasterResolveRevised/40/10 (warm master re-solves), and
+#      BM_PhaseAUndeliverable (phase A proving the scaled Fig. 4 study's
+#      flow-8 background undeliverable on a warm model), with
 #      --require coverage guards for every family.
 #   6. perfbench: the end-to-end benchmark's self-tests
 #      (perfbench/selftest.py: gate trips, metric names, short runs of
@@ -128,12 +130,13 @@ else
   # pricing oracles, the full-enumeration Eq. 6 solves, the one-region
   # and sharded DCF runs plus the TDMA executor, the 500-node cold
   # topology and model build, the cold conflict-matrix builds, and the
-  # cold and warm LP solves; the --require guards fail
+  # cold and warm LP solves, and phase A on an undeliverable background;
+  # the --require guards fail
   # the gate if any side of a comparison silently drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild|BM_ConflictMatrixBuild|BM_SimplexRandom/64$|BM_MasterResolveRevised/40/10$' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild|BM_ConflictMatrixBuild|BM_SimplexRandom/64$|BM_MasterResolveRevised/40/10$|BM_PhaseAUndeliverable' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
@@ -145,7 +148,8 @@ else
     --require BM_ScenarioTwoPipeline --require BM_CsmaSimulatedSecond \
     --require BM_CsmaParallel --require BM_TdmaSimulatedQuarterSecond \
     --require BM_TopologyBuild/500 --require BM_ConflictMatrixBuild \
-    --require BM_SimplexRandom/64 --require BM_MasterResolveRevised/40/10
+    --require BM_SimplexRandom/64 --require BM_MasterResolveRevised/40/10 \
+    --require BM_PhaseAUndeliverable
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi
