@@ -813,8 +813,9 @@ CommitRig& commit_rig(std::size_t target_columns) {
   auto rig = std::make_unique<CommitRig>(std::move(replay));
   rig->model =
       std::make_unique<core::PhysicalInterferenceModel>(rig->replay.network);
-  core::ColumnGenOptions options;
-  options.max_columns = std::max<std::size_t>(32768, 4 * target_columns);
+  core::AdmissionEngineOptions options;
+  options.colgen.max_columns =
+      std::max<std::size_t>(32768, 4 * target_columns);
   rig->engine = std::make_unique<core::AdmissionEngine>(*rig->model, options);
 
   // Preload the pool, then put (varied) background demand on every

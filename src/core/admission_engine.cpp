@@ -220,10 +220,6 @@ class AdmissionEngine::BackgroundMaster final : public ColGenMaster {
 };
 
 AdmissionEngine::AdmissionEngine(const InterferenceModel& model,
-                                 ColumnGenOptions options)
-    : AdmissionEngine(model, AdmissionEngineOptions{options}) {}
-
-AdmissionEngine::AdmissionEngine(const InterferenceModel& model,
                                  AdmissionEngineOptions options)
     : model_(&model),
       options_(options.colgen),

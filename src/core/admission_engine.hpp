@@ -152,7 +152,7 @@ struct AdmissionEngineOptions {
 /// Column generation: both masters — the background refresh and each
 /// query — are ColGenMaster adapters run by the shared ColGenDriver, so
 /// every ColumnGenOptions knob applies with the one-shot solver's
-/// semantics (effort caps, tiers, stabilize). Tier 0 is a per-round pool
+/// semantics (effort caps, tiers, smoothing). Tier 0 is a per-round pool
 /// scan: the live persistent columns that fit the master's rows and price
 /// above the floor under its duals, best first, at most 64 per round. A
 /// query master starts from the background's basic columns plus
@@ -206,9 +206,7 @@ class AdmissionEngine {
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
   explicit AdmissionEngine(const InterferenceModel& model,
-                           ColumnGenOptions options = {});
-  AdmissionEngine(const InterferenceModel& model,
-                  AdmissionEngineOptions options);
+                           AdmissionEngineOptions options = {});
 
   /// snapshot() then evaluate(): one read that sees every staged write.
   AdmissionAnswer query(std::span<const net::LinkId> path,

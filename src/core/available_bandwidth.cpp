@@ -162,10 +162,10 @@ class PoolMaster final : public ColGenMaster {
   }
 
   /// Runner-ups price below the optimum now but often price positive
-  /// under later duals: stashed for Tier 0 under kTiered, dropped under
-  /// kExactOnly (the reference loop).
+  /// under later duals: stashed for Tier 0, or dropped with no heuristic
+  /// starts (the exact-only reference loop).
   void exact_extras(std::vector<IndependentSet> extras) override {
-    if (options_.pricing != PricingMode::kTiered) return;
+    if (options_.heuristic_starts == 0) return;
     for (IndependentSet& extra : extras) pool_->stash(std::move(extra));
   }
 

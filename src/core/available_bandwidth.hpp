@@ -40,27 +40,19 @@ enum class SolveMethod {
   kColumnGeneration,  ///< restricted master + pricing oracle
 };
 
-/// How each column-generation pricing round finds improving columns.
-///
-/// kTiered runs a three-tier pipeline: Tier 0 re-scores previously priced
-/// columns (the one-shot solver's stash of exact-round runner-ups,
-/// AdmissionEngine's persistent pool) against the current duals; Tier 1
-/// runs the deterministic multi-start greedy + local-search heuristics;
-/// Tier 2 — the exact branch-and-bound — fires only when the cheap tiers
-/// find nothing. Exactness is preserved: convergence is only ever declared
-/// from a Tier 2 round that proved no improving column exists, so the
-/// terminal round always carries the exact certificate. kExactOnly skips
-/// Tier 1 and calls the exact oracle every round Tier 0 comes back empty
-/// (the one-shot solver stashes nothing then, so there it is the legacy
-/// exact-every-round loop).
-enum class PricingMode {
-  kTiered,
-  kExactOnly,
-};
-
 /// Knobs of the column-generation solver. The defaults are far above what
 /// any converging instance needs; they exist so degenerate inputs terminate
 /// with `converged == false` instead of looping.
+///
+/// Each pricing round runs a three-tier pipeline: Tier 0 re-scores
+/// previously priced columns (the one-shot solver's stash of exact-round
+/// runner-ups, AdmissionEngine's persistent pool) against the current
+/// duals; Tier 1 runs the deterministic multi-start greedy + local-search
+/// heuristics; Tier 2 — the exact branch-and-bound — fires only when the
+/// cheap tiers find nothing. Exactness is preserved: convergence is only
+/// ever declared from a Tier 2 round that proved no improving column
+/// exists, so the terminal round always carries the exact certificate.
+/// Every solve applies Wentges (in-out) dual smoothing (see ColGenDriver).
 struct ColumnGenOptions {
   /// Total pricing rounds per solve. Tiered pricing takes more (much
   /// cheaper) rounds than exact-only — a 40-link chain converges around
@@ -69,23 +61,15 @@ struct ColumnGenOptions {
   std::size_t max_rounds = 2048;
   std::size_t max_columns = 4096;  ///< column-pool size cap
 
-  /// Pricing pipeline (see PricingMode). Tiered by default; exact-only is
-  /// the reference path and the right choice for tiny universes where the
-  /// exact oracle is already microseconds.
-  PricingMode pricing = PricingMode::kTiered;
-  /// Multi-start count of the Tier 1 heuristics (0 disables Tier 1, making
-  /// every non-pool round exact). 12 measured best end-to-end on the
-  /// 40-link chain: more starts find better columns per round (fewer
-  /// exact-certificate calls), but each round pays for every start.
+  /// Multi-start count of the Tier 1 heuristics. 12 measured best
+  /// end-to-end on the 40-link chain: more starts find better columns per
+  /// round (fewer exact-certificate calls), but each round pays for every
+  /// start. 0 is the exact-only reference loop: no Tier 1, the exact
+  /// oracle on every round Tier 0 comes back empty, smoothed rounds
+  /// included (the one-shot solver stashes no runner-ups then, so there it
+  /// is the exact-every-round loop) — the right choice for tiny universes
+  /// where the exact oracle is already microseconds.
   std::size_t heuristic_starts = 12;
-
-  /// Wentges (in-out) dual smoothing: price against a convex combination
-  /// of the stability center and the incumbent master duals (center
-  /// weight 0.3, after 8 pricing rounds; see ColGenDriver). Damps the
-  /// dual oscillation that makes degenerate masters tail off near the
-  /// optimum. Convergence stays exact — optimality is only ever declared
-  /// from a pricing round that used the exact incumbent duals.
-  bool stabilize = true;
 };
 
 /// Diagnostics of one column-generation solve.
@@ -97,9 +81,9 @@ struct ColumnGenStats {
   std::size_t warm_starts = 0;  ///< master re-solves started from a basis
   std::size_t mispricings = 0;  ///< smoothed rounds that fell back to exact duals
 
-  /// Per-tier pricing telemetry (one-shot solves under kExactOnly: all
-  /// zero except exact_rounds, which then equals the oracle invocation
-  /// count).
+  /// Per-tier pricing telemetry (one-shot solves with heuristic_starts =
+  /// 0: all zero except exact_rounds, which then equals the oracle
+  /// invocation count).
   std::size_t pool_hit_columns = 0;   ///< Tier 0: stored columns promoted
   std::size_t heuristic_columns = 0;  ///< Tier 1: heuristic columns added
   std::size_t exact_rounds = 0;       ///< Tier 2: exact B&B invocations

@@ -20,10 +20,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kDualNoiseTol = 1e-12;
 
 /// Wentges smoothing: the stability center's weight (0.3 measured best on
-/// the long-chain tailing-off instances — 26-link chain: 117 pricing
-/// rounds vs 144 unstabilized — and neutral on grid universes), and the
-/// pricing rounds before it activates (every seed scenario converges
-/// within them, unstabilized).
+/// the long-chain tailing-off instances — 26-link chain, exact-only
+/// pricing: 130 pricing rounds vs 218 unstabilized — and neutral on grid
+/// universes), and the pricing rounds before it activates (every seed
+/// scenario converges within them, unstabilized).
 constexpr double kSmoothingAlpha = 0.3;
 constexpr std::size_t kSmoothingWarmup = 8;
 
@@ -154,9 +154,9 @@ bool ColGenDriver::price(ColGenMaster& master,
 
   // Tier 1: deterministic multi-start heuristics; the winner and every
   // signature-distinct runner-up join the master at once. A dry or
-  // duplicate-only heuristic round certifies nothing.
-  const bool tiered = options_.pricing == PricingMode::kTiered;
-  if (tiered && options_.heuristic_starts > 0) {
+  // duplicate-only heuristic round certifies nothing, and a smoothed round
+  // stops there. With no starts every round is exact, smoothed ones too.
+  if (options_.heuristic_starts > 0) {
     MaxWeightSetResult h = model_.heuristic_max_weight_independent_set(
         universe_, weights_, floor, options_.heuristic_starts);
     if (h.found()) {
@@ -166,10 +166,10 @@ bool ColGenDriver::price(ColGenMaster& master,
       stats->heuristic_columns += fresh;
       if (fresh > 0) return true;
     }
+    if (!exact_tier) return false;
   }
-  if (tiered && !exact_tier) return false;
 
-  // Tier 2 / exact-only: the exact branch-and-bound, the certificate tier.
+  // Tier 2: the exact branch-and-bound, the certificate tier.
   ++stats->exact_rounds;
   MaxWeightSetResult priced =
       model_.max_weight_independent_set(universe_, weights_, floor);
@@ -225,13 +225,12 @@ ColGenOutcome ColGenDriver::run(ColGenMaster& master, ColumnGenStats* stats,
     }
 
     // Stabilized rounds price against a convex combination of the
-    // stability center and the incumbent duals, and never escalate to the
-    // exact oracle under kTiered. A mispricing — no new column — falls
-    // back to the incumbent duals within the same round, so convergence
-    // is only ever declared from exact pricing.
+    // stability center and the incumbent duals, and escalate to the exact
+    // oracle only when there is no Tier 1. A mispricing — no new column —
+    // falls back to the incumbent duals within the same round, so
+    // convergence is only ever declared from exact pricing.
     bool added = false;
-    if (options_.stabilize && !center.empty() &&
-        stats->rounds >= kSmoothingWarmup) {
+    if (!center.empty() && stats->rounds >= kSmoothingWarmup) {
       std::vector<double> smoothed(incumbent.size());
       for (std::size_t i = 0; i < smoothed.size(); ++i)
         smoothed[i] = kSmoothingAlpha * center[i] +

@@ -112,11 +112,11 @@ struct ColGenOutcome {
 ///    master holding max_columns columns ends the run unconverged;
 ///  - duals → weights and floor, zeroing weights at or below 1e-12 of the
 ///    round's largest (dual round-off);
-///  - the tiers: Tier 0 (the master's store), Tier 1 (heuristics, under
-///    PricingMode::kTiered), Tier 2 (the exact oracle, when the cheap tiers
-///    come back empty);
-///  - Wentges smoothing (ColumnGenOptions::stabilize; center weight 0.3
-///    after 8 rounds), falling back to the incumbent duals on a mispricing;
+///  - the tiers: Tier 0 (the master's store), Tier 1 (heuristics, when
+///    ColumnGenOptions::heuristic_starts > 0), Tier 2 (the exact oracle,
+///    when the cheap tiers come back empty);
+///  - Wentges smoothing (center weight 0.3 after 8 rounds), falling back
+///    to the incumbent duals on a mispricing;
 ///  - the certificate: an exact round on the incumbent duals that gives
 ///    the master nothing new ends the run converged and certified;
 ///  - the Lagrangian bound, for the stop predicate: every round from the

@@ -9,6 +9,15 @@
 
 namespace mrwsn::lp {
 
+namespace {
+
+/// Feasibility/optimality tolerance of every solve: suited to the
+/// well-scaled problems this library produces (coefficients within a few
+/// orders of magnitude of 1).
+constexpr double kEps = 1e-9;
+
+}  // namespace
+
 VarId Problem::add_variable(double objective_coeff, std::string name) {
   MRWSN_REQUIRE(std::isfinite(objective_coeff),
                 "objective coefficient must be finite (got NaN or infinity)");
@@ -171,7 +180,7 @@ std::size_t RevisedContext::rows() const {
 /// previous optimum, in which case pivoting-in is skipped entirely).
 class RevisedSimplex {
  public:
-  RevisedSimplex(const Problem& p, double eps) : eps_(eps) {
+  explicit RevisedSimplex(const Problem& p) {
     const std::size_t n = p.num_variables();
     const std::size_t m = p.num_constraints();
 
@@ -288,7 +297,7 @@ class RevisedSimplex {
       double phase1_value = 0.0;
       for (std::size_t k = 0; k < rows_; ++k)
         if (head_[k] >= art_begin_) phase1_value -= x_[k];
-      if (phase1_value < -eps_) return Solution{};
+      if (phase1_value < -kEps) return Solution{};
       drive_out_artificials();
       if (numerical_failure_) return Solution{};
     }
@@ -637,7 +646,7 @@ class RevisedSimplex {
       btran(&y);
 
       std::size_t entering = cols_;
-      double best_reduced = eps_;
+      double best_reduced = kEps;
       if (bland) {
         for (std::size_t j = 0; j < limit; ++j) {
           if (in_basis_[j]) continue;
@@ -682,10 +691,10 @@ class RevisedSimplex {
       std::size_t leaving = rows_;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t k = 0; k < rows_; ++k) {
-        if (w[k] > eps_) {
+        if (w[k] > kEps) {
           const double ratio = x_[k] / w[k];
-          if (ratio < best_ratio - eps_ ||
-              (ratio < best_ratio + eps_ &&
+          if (ratio < best_ratio - kEps ||
+              (ratio < best_ratio + kEps &&
                (leaving == rows_ || head_[k] < head_[leaving]))) {
             best_ratio = ratio;
             leaving = k;
@@ -770,13 +779,13 @@ class RevisedSimplex {
       for (std::size_t j = 0; j < art_begin_; ++j) {
         if (in_basis_[j]) continue;
         const double alpha = column_dot(j, rho);
-        if (alpha >= -eps_) continue;
+        if (alpha >= -kEps) continue;
         double reduced = obj_[j] - column_dot(j, y);
         if (reduced > 0.0) reduced = 0.0;  // dual feasible up to round-off
         const double ratio = reduced / alpha;  // >= 0
         const bool better =
-            ratio < best_ratio - eps_ ||
-            (ratio < best_ratio + eps_ &&
+            ratio < best_ratio - kEps ||
+            (ratio < best_ratio + kEps &&
              (entering == cols_ ||
               (bland ? j < entering : -alpha > best_alpha)));
         if (better) {
@@ -789,7 +798,7 @@ class RevisedSimplex {
 
       scatter_column(entering, &w);
       ftran(&w);
-      if (w[leaving] >= -eps_) {
+      if (w[leaving] >= -kEps) {
         // The eta file and rho disagree on the pivot element's sign:
         // refactorize once and retry the iteration; a repeat is a genuine
         // numerical failure.
@@ -890,10 +899,10 @@ class RevisedSimplex {
       btran(&rho);  // row k of B^{-1}
       for (std::size_t j = 0; j < art_begin_; ++j) {
         if (in_basis_[j]) continue;
-        if (std::abs(column_dot(j, rho)) <= eps_) continue;
+        if (std::abs(column_dot(j, rho)) <= kEps) continue;
         scatter_column(j, &w);
         ftran(&w);
-        if (std::abs(w[k]) <= eps_) continue;  // eta round-off disagreed
+        if (std::abs(w[k]) <= kEps) continue;  // eta round-off disagreed
         const double theta = x_[k] / w[k];
         for (std::size_t i = 0; i < rows_; ++i) x_[i] -= theta * w[i];
         x_[k] = theta;
@@ -928,7 +937,6 @@ class RevisedSimplex {
   // the basis was carried across an unsupported change.
   static constexpr double kDualAuditTol = 1e-6;
 
-  double eps_;
   double obj_sign_ = 1.0;
   std::size_t n_ = 0;           // original variables
   std::size_t slack_begin_ = 0;
@@ -964,16 +972,17 @@ class RevisedSimplex {
 
 namespace {
 
-Solution solve_trivial(const Problem& problem, double eps) {
+Solution solve_trivial(const Problem& problem) {
   // Degenerate but well-defined: feasible iff every constraint already
   // holds with an all-zero left-hand side.
   Solution s;
   s.status = Status::kOptimal;
   s.duals.assign(problem.num_constraints(), 0.0);
   for (const auto& row : problem.rows()) {
-    const bool ok = (row.sense == Sense::kLessEqual && 0.0 <= row.rhs + eps) ||
-                    (row.sense == Sense::kGreaterEqual && 0.0 >= row.rhs - eps) ||
-                    (row.sense == Sense::kEqual && std::abs(row.rhs) <= eps);
+    const bool ok =
+        (row.sense == Sense::kLessEqual && 0.0 <= row.rhs + kEps) ||
+        (row.sense == Sense::kGreaterEqual && 0.0 >= row.rhs - kEps) ||
+        (row.sense == Sense::kEqual && std::abs(row.rhs) <= kEps);
     if (!ok) {
       s.status = Status::kInfeasible;
       break;
@@ -1034,7 +1043,7 @@ Solution solve_equilibrated(const Problem& problem, const SolveOptions& options)
       coeff = scale(coeff, row_exp[i] + col_exp[static_cast<std::size_t>(var)]);
     scaled.add_constraint(terms, row.sense, scale(row.rhs, row_exp[i]));
   }
-  RevisedSimplex simplex(scaled, options.eps);
+  RevisedSimplex simplex(scaled);
   Solution solution = simplex.run(options.max_pivots);
   if (options.stats != nullptr)
     options.stats->pivots += simplex.pivots_spent(options.max_pivots);
@@ -1050,14 +1059,9 @@ Solution solve_equilibrated(const Problem& problem, const SolveOptions& options)
 
 }  // namespace
 
-Solution solve(const Problem& problem, double eps) {
-  SolveOptions options;
-  options.eps = eps;
-  return solve(problem, options);
-}
+Solution solve(const Problem& problem) { return solve(problem, {}); }
 
 Solution solve(const Problem& problem, const SolveOptions& options) {
-  MRWSN_REQUIRE(options.eps > 0.0, "tolerance must be positive");
   SolveStats* const stats = options.stats;
   if (stats != nullptr) *stats = SolveStats{};
   // First cause wins: a later, coarser fallback never masks the reason the
@@ -1068,7 +1072,7 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
   };
   if (problem.num_variables() == 0) {
     if (stats != nullptr) stats->cold = true;
-    return solve_trivial(problem, options.eps);
+    return solve_trivial(problem);
   }
 
   // A factorization cached for a different row count can never be reused;
@@ -1087,7 +1091,7 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
   // attempt that hits it restarts cold, and a cold run that hits it runs
   // once more on an equilibrated copy rather than surfacing an artifact.
   if (options.warm_start != nullptr && !options.warm_start->empty()) {
-    RevisedSimplex simplex(problem, options.eps);
+    RevisedSimplex simplex(problem);
     Solution solution;
     const bool claimed =
         options.dual_resolve
@@ -1110,7 +1114,7 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
       note(options.dual_resolve ? Fallback::kDualRejected
                                 : Fallback::kWarmRejected);
   }
-  RevisedSimplex simplex(problem, options.eps);
+  RevisedSimplex simplex(problem);
   Solution solution = simplex.run(options.max_pivots);
   if (stats != nullptr) {
     stats->cold = true;

@@ -217,8 +217,6 @@ struct SolveStats {
 
 /// Knobs for solve().
 struct SolveOptions {
-  /// Feasibility/optimality tolerance.
-  double eps = 1e-9;
   /// Total pivot budget across both phases; exhausted => kIterationLimit.
   std::size_t max_pivots = 400000;
   /// Optional starting basis, typically Solution::basis from a previous
@@ -278,15 +276,14 @@ struct Solution {
   double dual(std::size_t constraint) const { return duals.at(constraint); }
 };
 
-/// Solve with the revised two-phase primal simplex.
-///
-/// `eps` is the feasibility/optimality tolerance. The default is suited to
-/// the well-scaled problems this library produces (coefficients within a
-/// few orders of magnitude of 1). Throws InvariantError when the engine
-/// fails numerically on the problem and on its equilibrated copy.
-Solution solve(const Problem& problem, double eps = 1e-9);
+/// Solve with the revised two-phase primal simplex, at a fixed
+/// feasibility/optimality tolerance of 1e-9 suited to the well-scaled
+/// problems this library produces (coefficients within a few orders of
+/// magnitude of 1). Throws InvariantError when the engine fails
+/// numerically on the problem and on its equilibrated copy.
+Solution solve(const Problem& problem);
 
-/// Solve with explicit options (tolerance, pivot budget, warm-start basis).
+/// Solve with explicit options (pivot budget, warm-start basis).
 Solution solve(const Problem& problem, const SolveOptions& options);
 
 }  // namespace mrwsn::lp

@@ -247,10 +247,10 @@ TEST(AdmissionEngine, TieredTelemetryAndExactOnlyParity) {
   const net::Network net = chain_network(7, 70.0);
   PhysicalInterferenceModel model(net);
 
-  AdmissionEngine tiered(model);  // default options: PricingMode::kTiered
+  AdmissionEngine tiered(model);  // default options: tiered pricing
   ColumnGenOptions exact_options;
-  exact_options.pricing = PricingMode::kExactOnly;
-  AdmissionEngine exact(model, exact_options);
+  exact_options.heuristic_starts = 0;  // the exact-only reference loop
+  AdmissionEngine exact(model, {exact_options});
 
   const struct {
     std::size_t first, hops;

@@ -26,6 +26,14 @@ namespace {
 
 constexpr double kParityTol = 1e-6;
 
+/// The exact-only reference loop: no Tier 1, so every round that Tier 0
+/// leaves empty calls the exact oracle.
+ColumnGenOptions exact_only_options() {
+  ColumnGenOptions options;
+  options.heuristic_starts = 0;
+  return options;
+}
+
 class ThreadEnvGuard {
  public:
   explicit ThreadEnvGuard(const char* value) {
@@ -128,11 +136,9 @@ TEST(ColumnGenerationParity, ScenarioTwoInfeasibleBackgroundAgrees) {
   // phase A optimum positive, so phase A stops there. Under exact-only
   // pricing that round still found an improving column: convergence
   // alone needed a second exact round.
-  ColumnGenOptions exact;
-  exact.pricing = PricingMode::kExactOnly;
   const auto exact_run = max_path_bandwidth(
       scenario.model, background, new_path, SolveMethod::kColumnGeneration,
-      exact);
+      exact_only_options());
   EXPECT_FALSE(exact_run.background_feasible);
   EXPECT_TRUE(exact_run.colgen.certified);
   EXPECT_EQ(exact_run.colgen.exact_rounds, 1u);
@@ -335,11 +341,9 @@ struct BoundaryCase {
 AvailableBandwidthResult exact_only(const InterferenceModel& model,
                                     std::span<const LinkFlow> background,
                                     std::span<const net::LinkId> new_path) {
-  ColumnGenOptions options;
-  options.pricing = PricingMode::kExactOnly;
   const auto result = max_path_bandwidth(model, background, new_path,
                                          SolveMethod::kColumnGeneration,
-                                         options);
+                                         exact_only_options());
   EXPECT_TRUE(result.colgen.converged);
   EXPECT_TRUE(result.colgen.certified);
   return result;
@@ -461,48 +465,41 @@ TEST(BackgroundCertificate, JointBandwidthUndeliverableBackground) {
 
 ColumnGenStats colgen_stats(const InterferenceModel& model,
                             std::span<const LinkFlow> background,
-                            std::span<const net::LinkId> new_path,
-                            bool stabilize) {
-  // Pinned to exact-only pricing: these stabilization tests compare round
+                            std::span<const net::LinkId> new_path) {
+  // Pinned to exact-only pricing: these stabilization tests pin round
   // counts of the reference pricing loop, which tiered pricing reshapes.
-  ColumnGenOptions options;
-  options.pricing = PricingMode::kExactOnly;
-  options.stabilize = stabilize;
-  const auto result = max_path_bandwidth(
-      model, background, new_path, SolveMethod::kColumnGeneration, options);
+  const auto result =
+      max_path_bandwidth(model, background, new_path,
+                         SolveMethod::kColumnGeneration, exact_only_options());
   EXPECT_TRUE(result.colgen.converged);
   return result.colgen;
 }
 
 TEST(ColumnGenerationStabilization, NoMoreRoundsThanUnstabilizedOnSeedScenarios) {
-  // The smoothing warm-up keeps short solves on the exact-pricing path, so
-  // on every seed scenario the stabilized solver must take exactly the
-  // rounds the unstabilized one takes — and never more.
+  // The smoothing warm-up keeps short solves on the exact-pricing path:
+  // every seed scenario converges before a smoothed round runs, so none
+  // can misprice.
   {
     ScenarioOne scenario = make_scenario_one(0.25);
-    const auto on = colgen_stats(scenario.model, scenario.background,
-                                 scenario.new_path, true);
-    const auto off = colgen_stats(scenario.model, scenario.background,
-                                  scenario.new_path, false);
-    EXPECT_LE(on.rounds, off.rounds);
-    EXPECT_EQ(on.mispricings, 0u);
+    EXPECT_EQ(colgen_stats(scenario.model, scenario.background,
+                           scenario.new_path)
+                  .mispricings,
+              0u);
   }
   {
     ScenarioTwo scenario = make_scenario_two();
-    const auto on = colgen_stats(scenario.model, {}, scenario.chain, true);
-    const auto off = colgen_stats(scenario.model, {}, scenario.chain, false);
-    EXPECT_LE(on.rounds, off.rounds);
-    EXPECT_EQ(on.mispricings, 0u);
+    EXPECT_EQ(colgen_stats(scenario.model, {}, scenario.chain).mispricings,
+              0u);
   }
 }
 
 TEST(ColumnGenerationStabilization, TailingOffBoundedOnLongChain) {
   // The 26-link chain is the tailing-off regression case: near the 36/5
   // optimum the master is heavily degenerate and unstabilized duals
-  // oscillate. Smoothing must converge to the same optimum in strictly
-  // fewer rounds. Both counts are pinned exactly (alpha = 0.3): every
-  // build compiles without floating-point contraction, so they do not
-  // depend on the build.
+  // oscillate (218 exact-only rounds, last measured when smoothing could
+  // still be switched off). The round count is pinned exactly (alpha =
+  // 0.3): every build compiles without floating-point contraction, so it
+  // does not depend on the build.
   const net::Network net(geom::chain(27, 70.0), phy::PhyModel::paper_default());
   PhysicalInterferenceModel model(net);
   std::vector<net::LinkId> path;
@@ -513,50 +510,36 @@ TEST(ColumnGenerationStabilization, TailingOffBoundedOnLongChain) {
   }
   const std::vector<LinkFlow> background = {{{path[0]}, 1.0}};
 
-  // Exact-only pricing: the pinned round counts are a property of the
-  // reference loop (tiered pricing changes both).
-  ColumnGenOptions stabilized;
-  stabilized.pricing = PricingMode::kExactOnly;
-  const auto on = max_path_bandwidth(model, background, path,
-                                     SolveMethod::kColumnGeneration, stabilized);
-  ColumnGenOptions unstabilized;
-  unstabilized.pricing = PricingMode::kExactOnly;
-  unstabilized.stabilize = false;
-  const auto off = max_path_bandwidth(
-      model, background, path, SolveMethod::kColumnGeneration, unstabilized);
+  // Exact-only pricing: the pinned round count is a property of the
+  // reference loop (tiered pricing changes it).
+  const auto on =
+      max_path_bandwidth(model, background, path,
+                         SolveMethod::kColumnGeneration, exact_only_options());
 
   ASSERT_TRUE(on.colgen.converged);
-  ASSERT_TRUE(off.colgen.converged);
   EXPECT_NEAR(on.available_mbps, 36.0 / 5.0, 1e-3);
-  EXPECT_NEAR(on.available_mbps, off.available_mbps, 1e-6);
-  EXPECT_LT(on.colgen.rounds, off.colgen.rounds);
   EXPECT_EQ(on.colgen.rounds, 130u);
-  EXPECT_EQ(off.colgen.rounds, 218u);
   EXPECT_GT(on.colgen.mispricings, 0u);  // smoothing actually engaged
 }
 
-TEST(ColumnGenerationStabilization, DisabledMatchesLegacyRoundCounts) {
-  // stabilize=false + exact-only pricing runs the plain reference loop:
-  // exact duals every round, no mispricing fallbacks, and a deterministic
-  // round/column count for this scenario (pinned so pricing-loop changes
-  // are a conscious edit). This master is degenerate: each round offers
-  // several equally optimal columns whose weights differ only by dual
-  // round-off, which used to let the build's floating-point contraction
-  // pick the winner (44/71, 45/72 or 47/74 depending on the flags). The
-  // exact oracle now breaks such ties canonically, the loop zeroes
+TEST(ColumnGenerationStabilization, ExactOnlyRoundCountsOnGrid) {
+  // Exact-only pricing on the grid: exact duals or smoothed ones every
+  // round, each priced by the exact oracle, and a deterministic
+  // round/column count (pinned so pricing-loop changes are a conscious
+  // edit). This master is degenerate: each round offers several equally
+  // optimal columns whose weights differ only by dual round-off, which
+  // used to let the build's floating-point contraction pick the winner.
+  // The exact oracle now breaks such ties canonically, the loop zeroes
   // round-off weights, and every build compiles without contraction.
   GridScenario scenario = make_grid_scenario();
   PhysicalInterferenceModel model(scenario.net);
-  ColumnGenOptions off;
-  off.pricing = PricingMode::kExactOnly;
-  off.stabilize = false;
   const auto result =
       max_path_bandwidth(model, scenario.background, scenario.snake,
-                         SolveMethod::kColumnGeneration, off);
+                         SolveMethod::kColumnGeneration, exact_only_options());
   EXPECT_TRUE(result.colgen.converged);
-  EXPECT_EQ(result.colgen.mispricings, 0u);
-  EXPECT_EQ(result.colgen.rounds, 42u);
+  EXPECT_EQ(result.colgen.rounds, 43u);
   EXPECT_EQ(result.colgen.columns, 69u);
+  EXPECT_EQ(result.colgen.mispricings, 1u);
   // Exact-only rounds are all Tier 2 and the cheap tiers never fire.
   EXPECT_EQ(result.colgen.exact_rounds, result.colgen.rounds);
   EXPECT_EQ(result.colgen.pool_hit_columns, 0u);
@@ -567,16 +550,14 @@ TEST(ColumnGenerationStabilization, DisabledMatchesLegacyRoundCounts) {
 // Tiered pricing (pool-first + heuristic multi-start + exact certificate)
 // ---------------------------------------------------------------------------
 
-/// Solve with the given pricing mode, assert convergence carried the exact
+/// Solve with the given options, assert convergence carried the exact
 /// certificate, and return the optimum (-1 for infeasible backgrounds so
 /// parity on the flag is still checked by the caller's EXPECT_NEAR).
 double optimum_with_pricing(const InterferenceModel& model,
                             std::span<const LinkFlow> background,
                             std::span<const net::LinkId> new_path,
-                            PricingMode pricing,
+                            const ColumnGenOptions& options,
                             ColumnGenStats* stats = nullptr) {
-  ColumnGenOptions options;
-  options.pricing = pricing;
   const auto result = max_path_bandwidth(
       model, background, new_path, SolveMethod::kColumnGeneration, options);
   EXPECT_TRUE(result.colgen.converged);
@@ -592,22 +573,22 @@ TEST(TieredPricing, MatchesExactOnlyOnSeedScenarios) {
   for (double lambda : {0.1, 0.25, 0.4}) {
     ScenarioOne scenario = make_scenario_one(lambda);
     EXPECT_NEAR(optimum_with_pricing(scenario.model, scenario.background,
-                                     scenario.new_path, PricingMode::kTiered),
+                                     scenario.new_path, ColumnGenOptions{}),
                 optimum_with_pricing(scenario.model, scenario.background,
                                      scenario.new_path,
-                                     PricingMode::kExactOnly),
+                                     exact_only_options()),
                 kParityTol);
   }
   ScenarioTwo chain = make_scenario_two();
   EXPECT_NEAR(optimum_with_pricing(chain.model, {}, chain.chain,
-                                   PricingMode::kTiered),
+                                   ColumnGenOptions{}),
               ScenarioTwo::kOptimalMbps, kParityTol);
   const std::vector<LinkFlow> chain_bg = {{{0, 1}, 2.0}};
   const std::vector<net::LinkId> chain_path = {2, 3};
   EXPECT_NEAR(optimum_with_pricing(chain.model, chain_bg, chain_path,
-                                   PricingMode::kTiered),
+                                   ColumnGenOptions{}),
               optimum_with_pricing(chain.model, chain_bg, chain_path,
-                                   PricingMode::kExactOnly),
+                                   exact_only_options()),
               kParityTol);
 
   const net::Network net(geom::chain(6, 70.0), phy::PhyModel::paper_default());
@@ -616,9 +597,9 @@ TEST(TieredPricing, MatchesExactOnlyOnSeedScenarios) {
   const std::vector<LinkFlow> background = {{{path[0], path[1]}, 3.0}};
   const std::vector<net::LinkId> new_path(path.begin() + 2, path.end());
   EXPECT_NEAR(optimum_with_pricing(model, background, new_path,
-                                   PricingMode::kTiered),
+                                   ColumnGenOptions{}),
               optimum_with_pricing(model, background, new_path,
-                                   PricingMode::kExactOnly),
+                                   exact_only_options()),
               kParityTol);
 }
 
@@ -628,10 +609,10 @@ TEST(TieredPricing, MatchesExactOnlyBeyondEnumerationReach) {
     PhysicalInterferenceModel model(scenario.net);
     ColumnGenStats tiered;
     EXPECT_NEAR(optimum_with_pricing(model, scenario.background,
-                                     scenario.snake, PricingMode::kTiered,
+                                     scenario.snake, ColumnGenOptions{},
                                      &tiered),
                 optimum_with_pricing(model, scenario.background,
-                                     scenario.snake, PricingMode::kExactOnly),
+                                     scenario.snake, exact_only_options()),
                 kParityTol);
     // The cheap tiers actually carry rounds on this universe: the exact
     // oracle runs strictly fewer times than the round count.
@@ -646,32 +627,51 @@ TEST(TieredPricing, MatchesExactOnlyBeyondEnumerationReach) {
     const std::vector<LinkFlow> background = {{{path[0]}, 1.0}};
     ColumnGenStats tiered;
     const double opt = optimum_with_pricing(
-        model, background, path, PricingMode::kTiered, &tiered);
+        model, background, path, ColumnGenOptions{}, &tiered);
     EXPECT_NEAR(opt, 36.0 / 5.0, 1e-3);
     EXPECT_LT(tiered.exact_rounds, tiered.rounds);
   }
 }
 
-TEST(TieredPricing, DisabledHeuristicForcesExactTier) {
-  // heuristic_starts = 0 turns every searching round into a Tier 2 round
-  // (Tier 0 can still promote stashed runner-ups). The answer and the
-  // certificate must be unaffected.
-  GridScenario scenario = make_grid_scenario();
-  PhysicalInterferenceModel model(scenario.net);
-  ColumnGenOptions options;
-  options.pricing = PricingMode::kTiered;
-  options.heuristic_starts = 0;
-  const auto result =
-      max_path_bandwidth(model, scenario.background, scenario.snake,
-                         SolveMethod::kColumnGeneration, options);
-  ASSERT_TRUE(result.background_feasible);
+/// Counters of one default-options (tiered) solve, pinned so that edits
+/// to the pricing loop that move them are conscious.
+struct DefaultLoopPin {
+  std::size_t rounds, exact_rounds, columns, heuristic_columns,
+      pool_hit_columns, mispricings;
+  double available_mbps;
+};
+
+void expect_default_loop(const InterferenceModel& model,
+                         std::span<const LinkFlow> background,
+                         std::span<const net::LinkId> new_path,
+                         const DefaultLoopPin& pin) {
+  const auto result = max_path_bandwidth(model, background, new_path,
+                                         SolveMethod::kColumnGeneration);
   EXPECT_TRUE(result.colgen.converged);
   EXPECT_TRUE(result.colgen.certified);
-  EXPECT_EQ(result.colgen.heuristic_columns, 0u);
-  EXPECT_GE(result.colgen.exact_rounds, 1u);
-  const double reference = optimum_with_pricing(
-      model, scenario.background, scenario.snake, PricingMode::kExactOnly);
-  EXPECT_NEAR(result.available_mbps, reference, kParityTol);
+  EXPECT_EQ(result.colgen.rounds, pin.rounds);
+  EXPECT_EQ(result.colgen.exact_rounds, pin.exact_rounds);
+  EXPECT_EQ(result.colgen.columns, pin.columns);
+  EXPECT_EQ(result.colgen.heuristic_columns, pin.heuristic_columns);
+  EXPECT_EQ(result.colgen.pool_hit_columns, pin.pool_hit_columns);
+  EXPECT_EQ(result.colgen.mispricings, pin.mispricings);
+  EXPECT_EQ(result.available_mbps, pin.available_mbps);
+}
+
+TEST(TieredPricing, PinnedDefaultLoopGrid) {
+  GridScenario scenario = make_grid_scenario();
+  PhysicalInterferenceModel model(scenario.net);
+  expect_default_loop(model, scenario.background, scenario.snake,
+                      {27, 5, 86, 53, 1, 6, 2.5095541401273875});
+}
+
+TEST(TieredPricing, PinnedDefaultLoopLongChain) {
+  const net::Network net(geom::chain(27, 70.0), phy::PhyModel::paper_default());
+  PhysicalInterferenceModel model(net);
+  const std::vector<net::LinkId> path = chain_links(net, 26);
+  const std::vector<LinkFlow> background = {{{path[0]}, 1.0}};
+  expect_default_loop(model, background, path,
+                      {125, 30, 234, 161, 18, 31, 7.2000227091755216});
 }
 
 void expect_identical(const AvailableBandwidthResult& a,
@@ -713,11 +713,11 @@ TEST(TieredPricing, IdenticalAcrossThreadCounts) {
     const net::Network* net;
     std::vector<LinkFlow> background;
     std::vector<net::LinkId> new_path;
-    PricingMode pricing;
+    ColumnGenOptions options;
     bool feasible;
   };
   std::vector<Case> cases = {
-      {"grid", &grid.net, grid.background, grid.snake, PricingMode::kTiered,
+      {"grid", &grid.net, grid.background, grid.snake, ColumnGenOptions{},
        true}};
   {
     // Just past the boundary: flow 0 at 1.01x its largest deliverable rate.
@@ -728,9 +728,9 @@ TEST(TieredPricing, IdenticalAcrossThreadCounts) {
     std::vector<LinkFlow> overloaded = grid.background;
     overloaded[0].demand_mbps = 1.01 * capacity.available_mbps;
     cases.push_back({"grid, undeliverable", &grid.net, overloaded, grid.snake,
-                     PricingMode::kTiered, false});
+                     ColumnGenOptions{}, false});
     cases.push_back({"grid, undeliverable, exact-only", &grid.net, overloaded,
-                     grid.snake, PricingMode::kExactOnly, false});
+                     grid.snake, exact_only_options(), false});
   }
   {
     PhysicalInterferenceModel model(chain_net);
@@ -740,21 +740,19 @@ TEST(TieredPricing, IdenticalAcrossThreadCounts) {
                      &chain_net,
                      {{head, 1.01 * capacity.available_mbps}},
                      chain,
-                     PricingMode::kTiered,
+                     ColumnGenOptions{},
                      false});
   }
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    ColumnGenOptions options;
-    options.pricing = c.pricing;
     std::vector<AvailableBandwidthResult> results;
     for (const char* threads : {"1", "4", "8"}) {
       ThreadEnvGuard env(threads);
       PhysicalInterferenceModel model(*c.net);
       results.push_back(max_path_bandwidth(model, c.background, c.new_path,
                                            SolveMethod::kColumnGeneration,
-                                           options));
+                                           c.options));
     }
     EXPECT_EQ(results[0].background_feasible, c.feasible);
     EXPECT_TRUE(results[0].colgen.certified);
@@ -800,7 +798,7 @@ TEST(ColumnGenerationOptions, EffortCapsReportNonConvergence) {
       EXPECT_FALSE(one_shot.colgen.converged);
       EXPECT_LE(one_shot.colgen.rounds, max_rounds);
 
-      AdmissionEngine engine(model, options);
+      AdmissionEngine engine(model, {options});
       for (const LinkFlow& flow : background) engine.add_background(flow);
       engine.snapshot();
       for (const AdmissionAnswer& answer :

@@ -59,9 +59,7 @@ struct Solved {
 };
 
 Solved solve(const DecisionCase& c, SolveMethod method,
-             PricingMode pricing = PricingMode::kTiered) {
-  ColumnGenOptions options;
-  options.pricing = pricing;
+             const ColumnGenOptions& options = {}) {
   if (c.paths.size() == 1) {
     const auto r = max_path_bandwidth(*c.model, c.background, c.paths[0],
                                       method, options);
@@ -79,8 +77,9 @@ void expect_decision(const DecisionCase& c) {
   EXPECT_TRUE(tiered.colgen.certified);
   EXPECT_EQ(tiered.feasible, c.deliverable);
 
-  const Solved exact =
-      solve(c, SolveMethod::kColumnGeneration, PricingMode::kExactOnly);
+  ColumnGenOptions exact_only;
+  exact_only.heuristic_starts = 0;
+  const Solved exact = solve(c, SolveMethod::kColumnGeneration, exact_only);
   EXPECT_TRUE(exact.colgen.certified);
   EXPECT_EQ(exact.feasible, tiered.feasible);
   if (universe_size(c) <= 16) {

@@ -10,10 +10,13 @@ namespace mrwsn::lp {
 
 namespace {
 
+/// lp::solve's feasibility/optimality tolerance.
+constexpr double kEps = 1e-9;
+
 /// The full tableau as one vector<double> per row.
 class ReferenceTableau {
  public:
-  ReferenceTableau(const Problem& p, double eps) : eps_(eps) {
+  explicit ReferenceTableau(const Problem& p) {
     const std::size_t n = p.num_variables();
     const std::size_t m = p.num_constraints();
 
@@ -82,7 +85,7 @@ class ReferenceTableau {
       std::vector<double> phase1(cols_, 0.0);
       for (std::size_t j = art_begin_; j < cols_; ++j) phase1[j] = -1.0;
       const double phase1_value = optimize(phase1, /*allow_artificials=*/true);
-      if (phase1_value < -eps_) return Solution{};
+      if (phase1_value < -kEps) return Solution{};
       drive_out_artificials();
     }
 
@@ -132,7 +135,7 @@ class ReferenceTableau {
     for (std::size_t iter = 0; iter < kMaxIters; ++iter) {
       const bool bland = iter >= kDantzigIters;
       std::size_t entering = cols_;
-      double best_reduced = eps_;
+      double best_reduced = kEps;
       const std::size_t limit = allow_artificials ? cols_ : art_begin_;
       for (std::size_t j = 0; j < limit; ++j) {
         if (red_[j] > best_reduced && !is_basic(j)) {
@@ -146,10 +149,10 @@ class ReferenceTableau {
       std::size_t leaving = rows_;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < rows_; ++i) {
-        if (a_[i][entering] > eps_) {
+        if (a_[i][entering] > kEps) {
           const double ratio = a_[i][cols_] / a_[i][entering];
-          if (ratio < best_ratio - eps_ ||
-              (ratio < best_ratio + eps_ &&
+          if (ratio < best_ratio - kEps ||
+              (ratio < best_ratio + kEps &&
                (leaving == rows_ || basis_[i] < basis_[leaving]))) {
             best_ratio = ratio;
             leaving = i;
@@ -190,7 +193,7 @@ class ReferenceTableau {
       MRWSN_ASSERT(std::abs(a_[i][cols_]) <= 1e-6,
                    "basic artificial with nonzero value after feasible phase 1");
       for (std::size_t j = 0; j < art_begin_; ++j) {
-        if (std::abs(a_[i][j]) > eps_ && !is_basic(j)) {
+        if (std::abs(a_[i][j]) > kEps && !is_basic(j)) {
           pivot(i, j);
           break;
         }
@@ -201,7 +204,6 @@ class ReferenceTableau {
   static constexpr std::size_t kDantzigIters = 20000;
   static constexpr std::size_t kMaxIters = 400000;
 
-  double eps_;
   double obj_sign_ = 1.0;
   std::size_t n_ = 0;
   std::size_t art_begin_ = 0;
@@ -218,11 +220,10 @@ class ReferenceTableau {
 
 }  // namespace
 
-Solution solve_reference(const Problem& problem, double eps) {
-  MRWSN_REQUIRE(eps > 0.0, "tolerance must be positive");
+Solution solve_reference(const Problem& problem) {
   // A problem without variables is the shipping solver's trivial case.
-  if (problem.num_variables() == 0) return solve(problem, eps);
-  ReferenceTableau tableau(problem, eps);
+  if (problem.num_variables() == 0) return solve(problem);
+  ReferenceTableau tableau(problem);
   return tableau.run();
 }
 

@@ -153,44 +153,53 @@ TEST(Cli, AvailableListsEveryEstimator) {
   }
 }
 
-TEST(Cli, AvailableAcceptsStabilizeAndStartsFlags) {
+TEST(Cli, AvailableTakesStartsAndRejectsRemovedPricingFlags) {
+  // There is no pricing mode or smoothing switch: --starts 0 is the
+  // exact-only loop and smoothing always runs. Both flags fail like any
+  // flag the command does not take.
   TempScenario file(kChain);
-  const CliResult stabilized =
-      run({"available", file.path(), "2", "3", "--method", "colgen"});
-  ASSERT_EQ(stabilized.code, 0) << stabilized.err;
-  const CliResult unstabilized =
-      run({"available", file.path(), "2", "3", "--method", "colgen",
-           "--stabilize", "off"});
-  ASSERT_EQ(unstabilized.code, 0) << unstabilized.err;
-  // Too few pricing rounds here for smoothing to engage: same report.
-  EXPECT_EQ(stabilized.out, unstabilized.out);
-  // Without --starts the CLI runs the library's pricing default.
-  const CliResult default_starts =
-      run({"available", file.path(), "2", "3", "--method", "colgen",
-           "--starts", "12"});
-  ASSERT_EQ(default_starts.code, 0) << default_starts.err;
-  EXPECT_EQ(stabilized.out, default_starts.out);
-  // The chain is too small for the start count to show; on this path of
-  // a generated 40-node scenario 8 starts cost one pricing round more
-  // than 12, so a default other than 12 changes the report.
+  for (const char* removed : {"pricing", "stabilize"}) {
+    const std::string flag = std::string("--") + removed;
+    const CliResult r =
+        run({"available", file.path(), "2", "3", flag, "off"});
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_EQ(r.err, "error: unknown option " + flag + " for available\n");
+  }
+
+  // Without --starts the CLI runs the library's pricing default. On this
+  // path of a generated 40-node scenario 8 starts cost one pricing round
+  // more than 12, so a default other than 12 changes the report.
   const CliResult generated =
       run({"generate", "--nodes", "40", "--seed", "1", "--flows", "6"});
   ASSERT_EQ(generated.code, 0) << generated.err;
   TempScenario larger(generated.out);
-  const CliResult by_default = run(
-      {"available", larger.path(), "2", "20", "--method", "colgen"});
-  const CliResult twelve = run({"available", larger.path(), "2", "20",
-                                "--method", "colgen", "--starts", "12"});
-  const CliResult eight = run({"available", larger.path(), "2", "20",
-                               "--method", "colgen", "--starts", "8"});
-  ASSERT_EQ(by_default.code, 0) << by_default.err;
-  EXPECT_EQ(by_default.out, twelve.out);
-  EXPECT_NE(by_default.out, eight.out);
-
-  const CliResult bad_stabilize =
-      run({"available", file.path(), "2", "3", "--stabilize", "maybe"});
-  EXPECT_EQ(bad_stabilize.code, 1);
-  EXPECT_NE(bad_stabilize.err.find("unknown --stabilize"), std::string::npos);
+  const std::vector<std::string> colgen = {"available", larger.path(), "2",
+                                           "20", "--method", "colgen"};
+  const auto with = [&](std::initializer_list<std::string> extra) {
+    std::vector<std::string> args = colgen;
+    args.insert(args.end(), extra);
+    return run(args);
+  };
+  const CliResult generated_default = with({});
+  ASSERT_EQ(generated_default.code, 0) << generated_default.err;
+  EXPECT_EQ(generated_default.out, with({"--starts", "12"}).out);
+  EXPECT_NE(generated_default.out, with({"--starts", "8"}).out);
+  // --starts 0 prints, byte for byte, what the exact-only pricing mode
+  // printed before the mode was folded into the start count.
+  const CliResult exact = with({"--starts", "0"});
+  ASSERT_EQ(exact.code, 0) << exact.err;
+  EXPECT_EQ(exact.out, R"(path (average-e2eD): 2->27->8->9->32->35->37->20
+solver: column generation, 12 columns
+pricing: 6 rounds (pool 0, heuristic 0 columns, exact 6 calls), certified optimal
+| method                      | Mbps  |
+|-----------------------------|-------|
+| Eq. 6 LP (truth)            | 6     |
+| Eq. 10 bottleneck node      | 18    |
+| Eq. 11 clique constraint    | 4.696 |
+| Eq. 12 min of both          | 4.696 |
+| Eq. 13 conservative clique  | 4.696 |
+| Eq. 15 expected clique time | 4.696 |
+)");
 }
 
 TEST(Cli, ParseUnsignedIsStrictAndBounded) {
@@ -311,6 +320,32 @@ TEST(Cli, RejectsMalformedAndOverBoundCounts) {
       "--starts");
   expect_rejected(run({"generate", "--nodes", "12abc"}), "--nodes");
   expect_rejected(run({"available", file.path(), "2abc", "3"}), "node id");
+}
+
+TEST(Cli, CapacityAndAvailableCheckNodeIds) {
+  // Node ids are checked against the scenario before any routing: the
+  // message names the argument and the bound, never the router's
+  // internals.
+  TempScenario file(kChain);
+  for (const char* command : {"capacity", "available"}) {
+    SCOPED_TRACE(command);
+    const std::string name(command);
+    const struct {
+      const char* src;
+      const char* dst;
+      std::string err;
+    } cases[] = {
+        {"0", "999", name + ": <dst> must be a node id below 4, got 999"},
+        {"4", "1", name + ": <src> must be a node id below 4, got 4"},
+        {"3", "3", name + ": <src> and <dst> must differ, got 3 for both"},
+    };
+    for (const auto& c : cases) {
+      const CliResult r = run({command, file.path(), c.src, c.dst});
+      EXPECT_EQ(r.code, 1);
+      EXPECT_TRUE(r.out.empty()) << r.out;
+      EXPECT_EQ(r.err, "error: " + c.err + "\n");
+    }
+  }
 }
 
 TEST(Cli, AdmitProcessesRequestsWithPreloadedBackground) {

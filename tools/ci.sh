@@ -46,10 +46,16 @@
 #      --require coverage guards for every family.
 #   6. perfbench: the end-to-end benchmark's self-tests
 #      (perfbench/selftest.py: gate trips, metric names, short runs of
-#      every workload), then the scaled Fig. 4 study on seed 3 under a
-#      120 s timeout. Seed 3 is the study's heavy tail: its LP truth prices
-#      seven flows against an undeliverable background, which took minutes
-#      of CPU before phase A stopped at the first exact round proving it.
+#      every workload), then the scaled Fig. 4 study on seeds 3 and 4,
+#      each under a 120 s timeout. Seed 3 is the study's heavy tail: its
+#      LP truth prices seven flows against an undeliverable background,
+#      which took minutes of CPU before phase A stopped at the first exact
+#      round proving it. Both tables must match tests/golden/fig4_seed{3,4}
+#      .txt byte for byte once the timing text is masked (`X s to draw and
+#      route`, `LP ground truth ... in X s`, `in X s wall (N threads)`; the
+#      thread count depends on the host): a solver or simulator change
+#      that moves an LP truth, an estimate or a MAC counter fails here. A
+#      change meant to move them re-records the goldens with the same sed.
 #      Last, a memory guard: `mrwsn fig4 --nodes 1000 --seconds 0.05 --rts
 #      off` must peak below 128 MiB of resident memory (the child's
 #      ru_maxrss, read through python3's resource module). It peaked at
@@ -154,9 +160,16 @@ else
     --history "$REPO/BENCH_history" --label churn
 fi
 
-echo "== ci stage 6: perfbench self-tests + Fig. 4 heavy-tail and memory guards =="
+echo "== ci stage 6: perfbench self-tests + Fig. 4 golden tables, heavy-tail and memory guards =="
 python3 "$REPO/perfbench/selftest.py"
-timeout 120 "$BUILD/tools/mrwsn" fig4 --seed 3
+for SEED in 3 4; do
+  timeout 120 "$BUILD/tools/mrwsn" fig4 --seed "$SEED" > "$BUILD/fig4_seed$SEED.txt"
+  sed -E 's/\([0-9.]+ s to draw and route\)/(X s to draw and route)/
+          s/^(LP ground truth for [0-9]+ flows in )[0-9.]+ s$/\1X s/
+          s/in [0-9.]+ s wall \([0-9]+ threads?\)/in X s wall (N threads)/' \
+    "$BUILD/fig4_seed$SEED.txt" |
+    diff -u "$REPO/tests/golden/fig4_seed$SEED.txt" -
+done
 python3 - "$BUILD/tools/mrwsn" <<'EOF'
 import resource, subprocess, sys
 subprocess.run([sys.argv[1], "fig4", "--nodes", "1000", "--seconds", "0.05",

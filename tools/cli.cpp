@@ -240,8 +240,7 @@ int cmd_capacity(const io::ScenarioFile& scenario, net::NodeId src,
 int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
                   net::NodeId dst, const Options& options, std::ostream& out,
                   std::ostream& err) {
-  options.only("available",
-               {"--metric", "--method", "--stabilize", "--pricing", "--starts"});
+  options.only("available", {"--metric", "--method", "--starts"});
   const net::Network network = io::build_network(scenario);
   core::PhysicalInterferenceModel model(network);
   const auto background = background_of(scenario, network);
@@ -269,20 +268,6 @@ int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
     return 1;
   }
   core::ColumnGenOptions colgen_options;
-  const std::string stabilize_name = options.get("--stabilize", "on");
-  if (stabilize_name == "off") {
-    colgen_options.stabilize = false;
-  } else if (stabilize_name != "on") {
-    err << "unknown --stabilize '" << stabilize_name << "' (on|off)\n";
-    return 1;
-  }
-  const std::string pricing_name = options.get("--pricing", "tiered");
-  if (pricing_name == "exact") {
-    colgen_options.pricing = core::PricingMode::kExactOnly;
-  } else if (pricing_name != "tiered") {
-    err << "unknown --pricing '" << pricing_name << "' (tiered|exact)\n";
-    return 1;
-  }
   colgen_options.heuristic_starts = static_cast<std::size_t>(options.get_u64(
       "--starts", colgen_options.heuristic_starts, kMaxStarts));
   const auto lp = core::max_path_bandwidth(model, background, path->links(),
@@ -986,10 +971,9 @@ void usage(std::ostream& os) {
          "  mrwsn scenario unpack scenario.mrwb scenario.txt\n"
          "  mrwsn capacity scenario.txt <src> <dst>\n"
          "  mrwsn available scenario.txt <src> <dst> [--metric hop|td|avg]\n"
-         "                 [--method auto|enum|colgen] [--stabilize on|off]\n"
-         "                 [--pricing tiered|exact]\n"
+         "                 [--method auto|enum|colgen]\n"
          "                 [--starts N (default "
-     << core::ColumnGenOptions{}.heuristic_starts << ")]\n"
+     << core::ColumnGenOptions{}.heuristic_starts << "; 0: exact only)]\n"
          "  mrwsn admit scenario.txt [--metric avg] [--policy lp|eq13|...]\n"
          "  mrwsn admit scenario.txt --batch queries.csv [--metric hop]\n"
          "  mrwsn admit scenario.txt --serve [--metric hop] [--readers N]\n"
@@ -1044,6 +1028,17 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       MRWSN_REQUIRE(args.size() >= 4, command + " needs <src> <dst>");
       const net::NodeId src = parse_node(args[2]);
       const net::NodeId dst = parse_node(args[3]);
+      const std::size_t nodes = scenario.positions.size();
+      for (const auto& [name, node] :
+           {std::pair{"<src>", src}, std::pair{"<dst>", dst}})
+        if (node >= nodes)
+          throw PreconditionError(command + ": " + name +
+                                  " must be a node id below " +
+                                  std::to_string(nodes) + ", got " +
+                                  std::to_string(node));
+      if (src == dst)
+        throw PreconditionError(command + ": <src> and <dst> must differ, got " +
+                                std::to_string(src) + " for both");
       if (command == "capacity") {
         Options(args, 4).only("capacity", {});
         return cmd_capacity(scenario, src, dst, out, err);
