@@ -89,29 +89,11 @@ void BM_PhysicalMisCold(benchmark::State& state) {
 }
 BENCHMARK(BM_PhysicalMisCold)->Arg(5)->Arg(8)->Arg(12);
 
-// Eq. 6 solved end to end on a physical chain of `hops` links, full-MIS
-// enumeration vs column generation (a fresh model per iteration, so
-// neither solver hides behind the per-model memo). The chain's
-// maximal-set count grows exponentially with length: ~1.1k sets at 20
-// links, ~4.7k at 24, and past ~26 links the enumeration LP blows
-// through the pivot budget entirely, so enumeration only runs at sizes
-// it can finish while column generation also runs at 28 links, beyond
-// enumeration's reach.
-void BM_FullEnumeration(benchmark::State& state) {
-  const std::size_t hops = static_cast<std::size_t>(state.range(0));
-  const net::Network network(geom::chain(hops + 1, 70.0), phy::PhyModel::paper_default());
-  std::vector<net::LinkId> path;
-  for (std::size_t i = 0; i < hops; ++i)
-    path.push_back(*network.find_link(i, i + 1));
-  const std::vector<core::LinkFlow> background = {{{path[0]}, 1.0}};
-  for (auto _ : state) {
-    core::PhysicalInterferenceModel model(network);
-    benchmark::DoNotOptimize(core::max_path_bandwidth(
-        model, background, path, core::SolveMethod::kFullEnumeration));
-  }
-}
-BENCHMARK(BM_FullEnumeration)->Arg(12)->Arg(20)->Arg(24);
-
+// Eq. 6 solved end to end by column generation on a physical chain of
+// `hops` links (a fresh model per iteration, so the solve does not hide
+// behind the per-model memo). The chain's maximal-set count grows
+// exponentially with length (~1.1k sets at 20 links, ~4.7k at 24), which
+// is why no Eq. 6 solve enumerates them.
 void BM_ColumnGen(benchmark::State& state) {
   const std::size_t hops = static_cast<std::size_t>(state.range(0));
   const net::Network network(geom::chain(hops + 1, 70.0), phy::PhyModel::paper_default());
@@ -122,8 +104,7 @@ void BM_ColumnGen(benchmark::State& state) {
   core::ColumnGenStats last;
   for (auto _ : state) {
     core::PhysicalInterferenceModel model(network);
-    const auto result = core::max_path_bandwidth(
-        model, background, path, core::SolveMethod::kColumnGeneration);
+    const auto result = core::max_path_bandwidth(model, background, path);
     last = result.colgen;
     benchmark::DoNotOptimize(result);
   }
@@ -241,9 +222,8 @@ void BM_ColumnGenRevised(benchmark::State& state) {
   core::ColumnGenStats last;
   for (auto _ : state) {
     core::PhysicalInterferenceModel model(network);
-    const auto result = core::max_path_bandwidth(
-        model, background, path, core::SolveMethod::kColumnGeneration,
-        options);
+    const auto result =
+        core::max_path_bandwidth(model, background, path, options);
     last = result.colgen;
     benchmark::DoNotOptimize(result);
   }

@@ -15,9 +15,10 @@ namespace mrwsn::core {
 
 namespace {
 
-/// Background feasibility threshold on total airtime; matches
-/// flows_feasible().
+/// Background feasibility threshold on total airtime.
 constexpr double kAirtimeTol = 1e-9;
+/// Time shares at or below this are round-off, not scheduled slots.
+constexpr double kTimeShareFloor = 1e-9;
 /// Tier-0 cap: at most this many pool columns enter a master per pricing
 /// round. The scored scan already orders candidates best-first, so the cap
 /// bounds master growth (and LP size) without losing any column the duals
@@ -288,6 +289,7 @@ void AdmissionEngine::add_background(LinkFlow flow) {
 }
 
 void AdmissionEngine::add_background_locked(LinkFlow flow) {
+  MRWSN_REQUIRE(flow.demand_mbps >= 0.0, "flow demand cannot be negative");
   for (const net::LinkId link : flow.links) {
     MRWSN_REQUIRE(link < bg_demand_.size(),
                   "background flow references an unknown link");
@@ -350,6 +352,7 @@ void AdmissionEngine::refresh_background() {
     bg_basis_.clear();
     bg_basis_snap_.reset();
     bg_context_.reset();
+    bg_lambda_.clear();
     return;
   }
 
@@ -376,6 +379,12 @@ void AdmissionEngine::refresh_background() {
   // A capped run's restricted optimum is still a schedule: when it fits in
   // unit airtime the background is feasible, converged or not.
   bg_feasible_ = bg_airtime_ <= 1.0 + kAirtimeTol;
+  bg_lambda_.clear();
+  if (outcome.solved) {
+    bg_lambda_.resize(bg_master_cols_.size());
+    for (std::size_t pos = 0; pos < bg_lambda_.size(); ++pos)
+      bg_lambda_[pos] = outcome.solution.value(static_cast<lp::VarId>(pos));
+  }
   // Freeze the refreshed basis once; every publish until the next
   // re-solve aliases this copy instead of copying the basis again.
   bg_basis_snap_ = std::make_shared<const lp::Basis>(bg_basis_);
@@ -391,6 +400,19 @@ bool AdmissionEngine::background_feasible() {
   const std::lock_guard<std::mutex> lock(commit_mu_);
   refresh_background();
   return bg_feasible_;
+}
+
+AirtimeSchedule AdmissionEngine::background_schedule() {
+  const std::lock_guard<std::mutex> lock(commit_mu_);
+  refresh_background();
+  AirtimeSchedule schedule;
+  schedule.total_airtime = bg_airtime_;
+  for (std::size_t pos = 0; pos < bg_lambda_.size(); ++pos) {
+    const std::size_t idx = bg_master_cols_[pos];
+    if (bg_lambda_[pos] > kTimeShareFloor && idx != kRetiredColumn)
+      schedule.entries.push_back({pool_[idx], bg_lambda_[pos]});
+  }
+  return schedule;
 }
 
 AdmissionAnswer AdmissionEngine::solve_query(
@@ -822,6 +844,7 @@ void AdmissionEngine::evict() {
   bg_basis_snap_.reset();
   bg_context_.reset();
   bg_airtime_ = 0.0;
+  bg_lambda_.clear();
   bg_feasible_ = true;
   bg_converged_ = true;
   bg_dirty_ = false;

@@ -240,6 +240,14 @@ class AdmissionEngine {
   double background_airtime();
   bool background_feasible();
 
+  /// The minimum-airtime schedule of the background (Eqs. 2/4) from the
+  /// same refresh: the master's columns at positive time share, in master
+  /// order, and background_airtime() as total_airtime. Empty entries when
+  /// there is no background, or when a demanded link carries no rate
+  /// (total_airtime is then infinite). Built on each call from the λ the
+  /// refresh kept, so commits copy no schedule.
+  AirtimeSchedule background_schedule();
+
   /// Lifetime telemetry, by value: `shelf_dropped` is folded in from the
   /// read side's atomic counter, which has no home in the unguarded
   /// writer-side struct.
@@ -414,6 +422,9 @@ class AdmissionEngine {
   std::shared_ptr<const lp::Basis> bg_basis_snap_;
   lp::RevisedContext bg_context_;
   double bg_airtime_ = 0.0;
+  // The refreshed master's λ by master position (empty when the refresh
+  // solved no master); background_schedule() reads it.
+  std::vector<double> bg_lambda_;
   bool bg_feasible_ = true;
   bool bg_converged_ = true;  // the last refresh was not effort-capped
   bool bg_dirty_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -16,11 +15,6 @@ namespace mrwsn::core {
 namespace {
 
 constexpr double kTimeShareFloor = 1e-9;
-
-/// kAuto switches to column generation above this many universe links:
-/// below it the handful of maximal sets is cheaper to materialize than to
-/// price, and the seed scenarios stay on the (reference) enumeration path.
-constexpr std::size_t kAutoColumnGenThreshold = 16;
 
 /// Phase A optimum below this is "the background is deliverable" (the
 /// artificial slacks are zero up to simplex round-off, in Mbps).
@@ -62,8 +56,7 @@ std::vector<ScheduledSet> extract_schedule(const std::vector<IndependentSet>& se
 /// a signature guard so numerically stalled pricing (regenerating an
 /// existing column off dual round-off) is detected instead of looping,
 /// plus the Tier 0 stash of priced-but-unpromoted candidates (the exact
-/// oracle's runner-up extras). Under full enumeration the pool is every
-/// maximal set, distinct by construction, and neither guard runs.
+/// oracle's runner-up extras).
 struct ColumnPool {
   std::vector<IndependentSet> sets;
   std::set<std::vector<std::uint64_t>> signatures;
@@ -194,39 +187,19 @@ class PoolMaster final : public ColGenMaster {
   lp::RevisedContext context_;
 };
 
-/// Resolve kAuto: enumeration for small universes, column generation once
-/// materializing every maximal set would dominate the solve.
-bool use_column_generation(SolveMethod method, std::size_t universe_size) {
-  switch (method) {
-    case SolveMethod::kFullEnumeration:
-      return false;
-    case SolveMethod::kColumnGeneration:
-      return true;
-    case SolveMethod::kAuto:
-      return universe_size > kAutoColumnGenThreshold;
-  }
-  return false;
-}
-
-/// One Eq. 6 solve's column pool and how its masters are solved. Column
-/// generation seeds the pool with one singleton column per universe link
-/// that can carry traffic at all, a cheap cover that makes every later
-/// master feasible, and runs each master through the driver, whose stats
-/// accumulate over the solve (so the effort caps span it). Full
-/// enumeration seeds the pool with every maximal independent set of the
-/// universe and solves each master once, with no pricing.
+/// One Eq. 6 solve's column pool and its driver. The pool starts with one
+/// singleton column per universe link that can carry traffic at all, a
+/// cheap cover that makes every later master feasible; each master runs
+/// through the driver, whose stats accumulate over the solve (so the
+/// effort caps span it).
 class OneShot {
  public:
   OneShot(const InterferenceModel& model, std::span<const net::LinkId> universe,
-          bool column_generation, const ColumnGenOptions& options,
-          ColumnGenStats* stats)
-      : universe_(universe), options_(options), stats_(stats) {
-    if (!column_generation) {
-      pool_.sets = model.maximal_independent_sets(universe);
-      return;
-    }
-    stats->used = true;
-    driver_.emplace(model, universe, options);
+          const ColumnGenOptions& options, ColumnGenStats* stats)
+      : universe_(universe),
+        options_(options),
+        stats_(stats),
+        driver_(model, universe, options) {
     for (net::LinkId link : universe)
       if (auto set = singleton_column(model, link)) pool_.add(std::move(*set));
   }
@@ -238,11 +211,7 @@ class OneShot {
                     const ColGenStop& stop = nullptr) {
     PoolMaster master(std::move(fixed), row0, universe_, &pool_, options_,
                       stats_);
-    if (driver_) return driver_->run(master, stats_, stop);
-    ColGenOutcome out;
-    out.solution = master.solve();
-    out.solved = out.converged = out.solution.optimal();
-    return out;
+    return driver_.run(master, stats_, stop);
   }
 
   /// Phase A of a two-phase column generation: can the background demands
@@ -253,10 +222,7 @@ class OneShot {
   /// an exact round (DESIGN.md §9, "Phase A certificate"), or convergence
   /// — proves it undeliverable. False (proven
   /// or capped) means no passes; the stats' `converged` then says which.
-  /// Enumeration has no phase A: its masters are infeasible exactly when
-  /// the background is undeliverable.
   bool phase_a(std::span<const double> rhs) {
-    if (!driver_) return true;
     // One artificial slack per demanded link, ahead of the λ columns.
     lp::Problem problem(lp::Objective::kMinimize);
     for (const double demand : rhs)
@@ -285,7 +251,7 @@ class OneShot {
   const ColumnGenOptions& options_;
   ColumnGenStats* stats_;
   ColumnPool pool_;
-  std::optional<ColGenDriver> driver_;
+  ColGenDriver driver_;
 };
 
 struct Eq6Solve {
@@ -299,13 +265,11 @@ struct Eq6Solve {
 /// kMaxSum is one pass; kMaxMin is the lexicographic floor pass, then the
 /// sum pass with the floor pinned. Every pass builds its fixed part with
 /// eq6_master and solves it over the one pool, with a warm chain per pass
-/// under column generation (the passes' row structures differ, so a basis
-/// never crosses passes).
+/// (the passes' row structures differ, so a basis never crosses passes).
 Eq6Solve solve_eq6(const InterferenceModel& model,
                    std::span<const LinkFlow> background,
                    std::span<const std::span<const net::LinkId>> paths,
-                   JointObjective objective, SolveMethod method,
-                   const ColumnGenOptions& options) {
+                   JointObjective objective, const ColumnGenOptions& options) {
   for (const std::span<const net::LinkId> path : paths) {
     MRWSN_REQUIRE(!path.empty(), "every new path needs at least one link");
     require_distinct_links(path);
@@ -319,17 +283,15 @@ Eq6Solve solve_eq6(const InterferenceModel& model,
   for (const net::LinkId link : universe) rhs.push_back(bg_demand[link]);
 
   JointBandwidthResult& result = out.result;
-  OneShot solve(model, universe, use_column_generation(method, universe.size()),
-                options, &result.colgen);
+  OneShot solve(model, universe, options, &result.colgen);
   const bool feasible = solve.phase_a(rhs);
   result.num_independent_sets = solve.columns().size();
   if (!feasible) return out;
 
-  // After phase A every column-generation master is feasible (the pool
-  // delivers the background with every f_j = 0) and bounded (Σλ <= 1 caps
-  // each f_j through its path's rows), so a run either converges or hits
-  // the effort caps. An enumeration master is infeasible exactly when the
-  // background demands alone are unschedulable.
+  // After phase A every master is feasible (the pool delivers the
+  // background with every f_j = 0) and bounded (Σλ <= 1 caps each f_j
+  // through its path's rows), so a run either converges or hits the
+  // effort caps.
   std::vector<Eq6Pass> passes{Eq6Pass::kSum};
   if (objective == JointObjective::kMaxMin)
     passes = {Eq6Pass::kFloor, Eq6Pass::kSumAtFloor};
@@ -339,16 +301,7 @@ Eq6Solve solve_eq6(const InterferenceModel& model,
     Eq6Master fixed = eq6_master(universe, paths, rhs, pass, floor);
     const std::size_t first_lambda = fixed.problem.num_variables();
     ColGenOutcome run = solve.run(std::move(fixed.problem), fixed.row0);
-    if (!run.solved) {
-      MRWSN_ASSERT(!result.colgen.used,
-                   "a column-generation Eq. 6 master cannot be infeasible");
-      MRWSN_REQUIRE(run.solution.status != lp::Status::kIterationLimit,
-                    "enumeration LP exceeded the pivot budget; solve "
-                    "universes this large with SolveMethod::kColumnGeneration");
-      MRWSN_ASSERT(run.solution.status == lp::Status::kInfeasible,
-                   "Eq. 6 LP cannot be unbounded");
-      return out;
-    }
+    MRWSN_ASSERT(run.solved, "an Eq. 6 master after phase A cannot fail");
     converged = converged && run.converged;
     if (pass == Eq6Pass::kFloor) {
       // t is the variable right after the f_j block.
@@ -365,7 +318,6 @@ Eq6Solve solve_eq6(const InterferenceModel& model,
         extract_schedule(solve.columns(), run.solution, first_lambda);
     out.last = std::move(run.solution);
   }
-  // Under enumeration `converged` starts false and stays false.
   result.colgen.converged = converged;
   result.num_independent_sets = solve.columns().size();
   return out;
@@ -389,11 +341,10 @@ std::vector<double> accumulate_link_demands(const InterferenceModel& model,
 AvailableBandwidthResult max_path_bandwidth(const InterferenceModel& model,
                                             std::span<const LinkFlow> background,
                                             std::span<const net::LinkId> new_path,
-                                            SolveMethod method,
                                             const ColumnGenOptions& options) {
   const std::span<const net::LinkId> paths[] = {new_path};
-  Eq6Solve solve = solve_eq6(model, background, paths, JointObjective::kMaxSum,
-                             method, options);
+  Eq6Solve solve =
+      solve_eq6(model, background, paths, JointObjective::kMaxSum, options);
   AvailableBandwidthResult result;
   result.background_feasible = solve.result.background_feasible;
   result.schedule = std::move(solve.result.schedule);
@@ -418,13 +369,11 @@ AvailableBandwidthResult max_path_bandwidth(const InterferenceModel& model,
 JointBandwidthResult max_joint_bandwidth(
     const InterferenceModel& model, std::span<const LinkFlow> background,
     std::span<const std::vector<net::LinkId>> new_paths,
-    JointObjective objective, SolveMethod method,
-    const ColumnGenOptions& options) {
+    JointObjective objective, const ColumnGenOptions& options) {
   MRWSN_REQUIRE(!new_paths.empty(), "need at least one new path");
   const std::vector<std::span<const net::LinkId>> paths(new_paths.begin(),
                                                         new_paths.end());
-  return solve_eq6(model, background, paths, objective, method, options)
-      .result;
+  return solve_eq6(model, background, paths, objective, options).result;
 }
 
 double path_capacity(const InterferenceModel& model,
@@ -433,54 +382,6 @@ double path_capacity(const InterferenceModel& model,
   MRWSN_ASSERT(result.background_feasible,
                "path capacity with no background cannot be infeasible");
   return result.available_mbps;
-}
-
-std::optional<AirtimeSchedule> min_airtime_schedule(
-    const InterferenceModel& model, std::span<const net::LinkId> universe,
-    std::span<const double> link_demand_mbps) {
-  MRWSN_REQUIRE(link_demand_mbps.size() == model.num_links(),
-                "demand vector must be indexed by link id over all links");
-  const std::vector<IndependentSet> sets = model.maximal_independent_sets(universe);
-
-  // minimize Σλ  s.t.  Σ_α λ_α R*_α[e] >= demand[e]  ∀ e ∈ universe.
-  lp::Problem problem(lp::Objective::kMinimize);
-  std::vector<lp::VarId> lambda;
-  lambda.reserve(sets.size());
-  for (std::size_t i = 0; i < sets.size(); ++i)
-    lambda.push_back(problem.add_variable(1.0, "lambda" + std::to_string(i)));
-
-  std::vector<net::LinkId> links(universe.begin(), universe.end());
-  std::sort(links.begin(), links.end());
-  links.erase(std::unique(links.begin(), links.end()), links.end());
-  for (net::LinkId link : links) {
-    MRWSN_REQUIRE(link < model.num_links(), "universe link id out of range");
-    if (link_demand_mbps[link] <= 0.0) continue;
-    std::vector<std::pair<lp::VarId, double>> row;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      const double mbps = sets[i].mbps_on(link);
-      if (mbps > 0.0) row.emplace_back(lambda[i], mbps);
-    }
-    problem.add_constraint(row, lp::Sense::kGreaterEqual, link_demand_mbps[link]);
-  }
-
-  const lp::Solution solution = lp::solve(problem);
-  if (solution.status != lp::Status::kOptimal) return std::nullopt;
-
-  AirtimeSchedule schedule;
-  schedule.total_airtime = solution.objective;
-  schedule.entries = extract_schedule(sets, solution, 0);
-  return schedule;
-}
-
-bool flows_feasible(const InterferenceModel& model,
-                    std::span<const LinkFlow> flows) {
-  std::vector<net::LinkId> universe;
-  for (const LinkFlow& flow : flows)
-    universe.insert(universe.end(), flow.links.begin(), flow.links.end());
-  if (universe.empty()) return true;
-  const std::vector<double> demand = accumulate_link_demands(model, flows);
-  const auto schedule = min_airtime_schedule(model, universe, demand);
-  return schedule.has_value() && schedule->total_airtime <= 1.0 + 1e-9;
 }
 
 }  // namespace mrwsn::core

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -21,23 +20,6 @@ struct LinkFlow {
 struct ScheduledSet {
   IndependentSet set;
   double time_share = 0.0;
-};
-
-/// How the Eq. 6 LP is solved.
-///
-/// Full enumeration materializes every maximal independent set of the link
-/// universe up front — exact, but exponential in the universe size. Column
-/// generation solves a restricted master over a small column pool and asks
-/// the max-weight independent-set pricing oracle (the model's
-/// max_weight_independent_set) for an improving column each round,
-/// terminating when none exists; it reaches the same optimum (the LP over
-/// all feasible sets equals the LP over the maximal ones, and the oracle is
-/// exact over all feasible sets) while touching only the columns the optimum
-/// needs.
-enum class SolveMethod {
-  kAuto,              ///< column generation above a universe-size threshold
-  kFullEnumeration,   ///< materialize every maximal independent set
-  kColumnGeneration,  ///< restricted master + pricing oracle
 };
 
 /// Knobs of the column-generation solver. The defaults are far above what
@@ -74,7 +56,9 @@ struct ColumnGenOptions {
 
 /// Diagnostics of one column-generation solve.
 struct ColumnGenStats {
-  bool used = false;       ///< false when full enumeration solved the LP
+  /// Always true: every Eq. 6 solve runs column generation. Kept for
+  /// readers that predate the single solver.
+  bool used = true;
   bool converged = false;  ///< pricing proved optimality (no improving column)
   std::size_t rounds = 0;       ///< pricing rounds (any tier)
   std::size_t columns = 0;      ///< final column-pool size
@@ -111,11 +95,11 @@ struct AvailableBandwidthResult {
   /// time share > 1e-9 only). Σ time_share <= 1.
   std::vector<ScheduledSet> schedule;
 
-  /// Number of columns the LP was built from: |M-hat| under full
-  /// enumeration, the generated-column count under column generation.
+  /// Number of columns the LP was built from: the generated-column count
+  /// of the column-generation solve, not |M-hat|.
   std::size_t num_independent_sets = 0;
 
-  /// Column-generation diagnostics (`used == false` under enumeration).
+  /// Column-generation diagnostics.
   ColumnGenStats colgen;
 
   /// Bottleneck analysis from the LP duals: for each link of the problem's
@@ -133,16 +117,16 @@ struct AvailableBandwidthResult {
 /// scheduling over the maximal rate-coupled independent sets of
 /// P = union of all involved paths, maximize the new path's throughput
 /// subject to delivering every background demand.
-/// `method` picks the solver: kAuto uses column generation once the link
-/// universe outgrows a small threshold (full MIS enumeration is exponential
-/// in it) and enumeration below, where materializing the few sets is
-/// cheaper than iterating. Both solvers reach the same optimum. The answer
-/// is max_joint_bandwidth's for {new_path} under kMaxSum, bit for bit,
-/// plus the shadow prices. A path that lists a link twice is rejected.
+/// Solved by column generation: a restricted master over a small column
+/// pool, grown by the max-weight independent-set pricing oracle until it
+/// proves no improving column exists. That is the LP over every maximal
+/// set (the LP over all feasible sets has the same optimum, and the
+/// oracle is exact over them) without enumerating them. The answer is
+/// max_joint_bandwidth's for {new_path} under kMaxSum, bit for bit, plus
+/// the shadow prices. A path that lists a link twice is rejected.
 AvailableBandwidthResult max_path_bandwidth(
     const InterferenceModel& model, std::span<const LinkFlow> background,
     std::span<const net::LinkId> new_path,
-    SolveMethod method = SolveMethod::kAuto,
     const ColumnGenOptions& options = {});
 
 /// Path capacity with no background traffic — the model of the authors'
@@ -167,7 +151,7 @@ struct JointBandwidthResult {
   std::vector<ScheduledSet> schedule;
   /// Column count, as in AvailableBandwidthResult::num_independent_sets.
   std::size_t num_independent_sets = 0;
-  /// Column-generation diagnostics (`used == false` under enumeration).
+  /// Column-generation diagnostics.
   ColumnGenStats colgen;
 };
 
@@ -180,28 +164,17 @@ JointBandwidthResult max_joint_bandwidth(
     const InterferenceModel& model, std::span<const LinkFlow> background,
     std::span<const std::vector<net::LinkId>> new_paths,
     JointObjective objective = JointObjective::kMaxMin,
-    SolveMethod method = SolveMethod::kAuto,
     const ColumnGenOptions& options = {});
 
-/// A schedule delivering fixed per-link demands with minimum total airtime.
+/// A schedule delivering fixed per-link demands with minimum total airtime
+/// (the feasibility condition of Eqs. 2/4: the demands are jointly
+/// schedulable iff total_airtime <= 1). AdmissionEngine::background_schedule
+/// returns the one for its background flows.
 struct AirtimeSchedule {
-  double total_airtime = 0.0;  ///< Σλ; demands are feasible iff <= 1
+  double total_airtime = 0.0;  ///< Σλ; infinite when a demanded link
+                               ///< carries no rate
   std::vector<ScheduledSet> entries;
 };
-
-/// Minimize Σλ subject to delivering `link_demand_mbps` (indexed by link
-/// id) over links in `universe`. Returns nullopt when the demands cannot
-/// be delivered even with unlimited airtime (a link with demand but no
-/// usable rate). The demands are jointly schedulable iff
-/// total_airtime <= 1 (the feasibility condition Eq. 2/4).
-std::optional<AirtimeSchedule> min_airtime_schedule(
-    const InterferenceModel& model, std::span<const net::LinkId> universe,
-    std::span<const double> link_demand_mbps);
-
-/// Feasibility of a set of flows (Eq. 2/4): is there a schedule delivering
-/// every flow's demand within one unit of time?
-bool flows_feasible(const InterferenceModel& model,
-                    std::span<const LinkFlow> flows);
 
 /// Per-link accumulated demand vector (indexed by link id, sized
 /// model.num_links()) of a set of flows.

@@ -2,33 +2,18 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
+#include "core/admission_engine.hpp"
 
 namespace mrwsn::core {
 
-IdleResult schedule_idle_ratios(const net::Network& network,
-                                const InterferenceModel& model,
-                                std::span<const LinkFlow> background) {
+IdleResult idle_ratios(const net::Network& network,
+                       const AirtimeSchedule& schedule) {
   IdleResult result;
-  result.node_idle.assign(network.num_nodes(), 1.0);
-
-  std::vector<net::LinkId> universe;
-  for (const LinkFlow& flow : background)
-    universe.insert(universe.end(), flow.links.begin(), flow.links.end());
-  if (universe.empty()) {
-    result.feasible = true;
-    return result;
-  }
-
-  const std::vector<double> demand = accumulate_link_demands(model, background);
-  const auto schedule = min_airtime_schedule(model, universe, demand);
-  if (!schedule) return result;  // some demanded link cannot carry traffic
-
-  result.total_airtime = schedule->total_airtime;
-  result.feasible = schedule->total_airtime <= 1.0 + 1e-9;
+  result.total_airtime = schedule.total_airtime;
+  result.feasible = schedule.total_airtime <= 1.0 + 1e-9;
 
   std::vector<double> busy(network.num_nodes(), 0.0);
-  for (const ScheduledSet& entry : schedule->entries) {
+  for (const ScheduledSet& entry : schedule.entries) {
     // Which nodes sense this slot as busy?
     for (net::NodeId n = 0; n < network.num_nodes(); ++n) {
       bool is_busy = false;
@@ -46,9 +31,18 @@ IdleResult schedule_idle_ratios(const net::Network& network,
     }
   }
 
+  result.node_idle.resize(network.num_nodes());
   for (net::NodeId n = 0; n < network.num_nodes(); ++n)
     result.node_idle[n] = std::max(0.0, 1.0 - std::min(busy[n], 1.0));
   return result;
+}
+
+IdleResult schedule_idle_ratios(const net::Network& network,
+                                const InterferenceModel& model,
+                                std::span<const LinkFlow> background) {
+  AdmissionEngine engine(model);
+  for (const LinkFlow& flow : background) engine.add_background(flow);
+  return idle_ratios(network, engine.background_schedule());
 }
 
 }  // namespace mrwsn::core

@@ -19,11 +19,17 @@ struct IdleResult {
   std::vector<double> node_idle;
 };
 
-/// Compute λ_idle for every node under a minimum-airtime optimal schedule
-/// of the background flows: during a scheduled slot a node senses busy
-/// when it transmits or receives itself, or when the cumulative power it
-/// receives from all concurrently scheduled transmitters reaches the
-/// carrier-sense threshold.
+/// λ_idle for every node under `schedule`: during a scheduled slot a node
+/// senses busy when it transmits or receives itself, or when the
+/// cumulative power it receives from all concurrently scheduled
+/// transmitters reaches the carrier-sense threshold. Feasible iff the
+/// schedule's total airtime is at most 1.
+IdleResult idle_ratios(const net::Network& network,
+                       const AirtimeSchedule& schedule);
+
+/// idle_ratios() under the minimum-airtime schedule of the background
+/// flows, solved by a throwaway AdmissionEngine. A long-lived caller reads
+/// its own engine's background_schedule() instead.
 ///
 /// This is the "oracle" counterpart of the carrier-sensing measurement the
 /// paper's distributed nodes perform; mac::ParallelCsmaSimulator provides

@@ -29,13 +29,14 @@ std::string admission_policy_name(AdmissionPolicy policy) {
 AdmissionController::AdmissionController(const net::Network& network,
                                          const core::InterferenceModel& model,
                                          Metric metric)
-    : AdmissionController(
-          network, model,
-          RouteStrategy([router = QosRouter(network, model), metric](
-                            const FlowRequest& request,
-                            std::span<const core::LinkFlow> background) {
-            return router.find_path(request.src, request.dst, metric, background);
-          })) {}
+    : network_(&network), model_(&model), engine_(model) {
+  // The controller is neither copied nor moved, so the strategy may keep
+  // `this`.
+  strategy_ = [this, router = QosRouter(network, model), metric](
+                  const FlowRequest& request, std::span<const core::LinkFlow>) {
+    return router.find_path(request.src, request.dst, metric, node_idle());
+  };
+}
 
 AdmissionController::AdmissionController(const net::Network& network,
                                          const core::InterferenceModel& model,
@@ -60,6 +61,7 @@ AdmissionController::AdmissionController(const net::Network& network,
 void AdmissionController::commit(core::LinkFlow flow) {
   engine_.add_background(flow);
   admitted_.push_back(std::move(flow));
+  idle_current_ = false;
 }
 
 void AdmissionController::preload_background(std::vector<core::LinkFlow> flows) {
@@ -69,13 +71,21 @@ void AdmissionController::preload_background(std::vector<core::LinkFlow> flows) 
 void AdmissionController::clear() {
   admitted_.clear();
   engine_.evict();
+  idle_current_ = false;
 }
 
-double AdmissionController::estimate_for_policy(const net::Path& path) const {
-  const core::IdleResult idle =
-      core::schedule_idle_ratios(*network_, *model_, admitted_);
+const std::vector<double>& AdmissionController::node_idle() {
+  if (!idle_current_) {
+    node_idle_ =
+        core::idle_ratios(*network_, engine_.background_schedule()).node_idle;
+    idle_current_ = true;
+  }
+  return node_idle_;
+}
+
+double AdmissionController::estimate_for_policy(const net::Path& path) {
   const core::PathEstimateInput input = core::make_path_estimate_input(
-      *network_, *model_, path.links(), idle.node_idle);
+      *network_, *model_, path.links(), node_idle());
   switch (policy_) {
     case AdmissionPolicy::kBottleneckNode:
       return core::estimate_bottleneck_node(input);

@@ -63,9 +63,10 @@ struct AdmissionOutcome {
 
 /// The paper's Section 5.2 experiment driver: flows join the network one
 /// by one; each is routed under the chosen metric (with idle ratios from
-/// the optimal schedule of already-admitted flows), then admitted iff the
-/// Eq. 6 available bandwidth of its path covers its demand. The paper
-/// stops at the first unsatisfied flow (`stop_at_first_failure = true`).
+/// the minimum-airtime schedule of the already-admitted flows, the one the
+/// controller's engine holds), then admitted iff the Eq. 6 available
+/// bandwidth of its path covers its demand. The paper stops at the first
+/// unsatisfied flow (`stop_at_first_failure = true`).
 class AdmissionController {
  public:
   /// How a new request's path is chosen given the admitted background.
@@ -73,7 +74,7 @@ class AdmissionController {
       const FlowRequest&, std::span<const core::LinkFlow>)>;
 
   /// Route with one of the Section-4 distributed metrics (idle ratios come
-  /// from the optimal schedule of the admitted flows).
+  /// from the engine's background schedule of the admitted flows).
   AdmissionController(const net::Network& network,
                       const core::InterferenceModel& model, Metric metric);
 
@@ -86,6 +87,10 @@ class AdmissionController {
   AdmissionController(const net::Network& network,
                       const core::InterferenceModel& model,
                       RouteStrategy strategy);
+
+  /// The metric strategy keeps `this`, and the engine holds locks.
+  AdmissionController(const AdmissionController&) = delete;
+  AdmissionController& operator=(const AdmissionController&) = delete;
 
   /// Decide admissions with `policy` (default: the LP oracle).
   void set_policy(AdmissionPolicy policy) { policy_ = policy; }
@@ -105,8 +110,11 @@ class AdmissionController {
   void clear();
 
  private:
-  double estimate_for_policy(const net::Path& path) const;
+  double estimate_for_policy(const net::Path& path);
   void commit(core::LinkFlow flow);
+  /// λ_idle per node under engine_.background_schedule(), recomputed only
+  /// after the admitted set changed.
+  const std::vector<double>& node_idle();
 
   const net::Network* network_;
   const core::InterferenceModel* model_;
@@ -116,8 +124,12 @@ class AdmissionController {
   /// Long-lived Eq. 6 truth oracle: shares the model's caches and its own
   /// column pool across the whole request sequence, and re-solves the
   /// background master with the dual simplex after every commit instead of
-  /// starting each request from scratch. Kept in lockstep with admitted_.
+  /// starting each request from scratch. Kept in lockstep with admitted_;
+  /// its background schedule is also where routing and the estimator
+  /// policies read idle ratios from.
   core::AdmissionEngine engine_;
+  std::vector<double> node_idle_;
+  bool idle_current_ = false;
 };
 
 }  // namespace mrwsn::routing

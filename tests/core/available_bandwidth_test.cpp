@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/admission_engine.hpp"
 #include "core/scenarios.hpp"
 #include "geom/topology.hpp"
+#include "oracles/reference_eq6.hpp"
 #include "util/error.hpp"
 
 namespace mrwsn::core {
@@ -181,17 +183,40 @@ TEST(MaxPathBandwidth, RejectsEmptyNewPath) {
   EXPECT_THROW(max_path_bandwidth(model, {}, {}), PreconditionError);
 }
 
+/// The minimum-airtime schedule of `flows` from an engine holding them as
+/// background, held to the enumeration oracle's minimum.
+AirtimeSchedule min_airtime(const InterferenceModel& model,
+                            const std::vector<LinkFlow>& flows) {
+  AdmissionEngine engine(model);
+  for (const LinkFlow& flow : flows) engine.add_background(flow);
+  AirtimeSchedule schedule = engine.background_schedule();
+  std::vector<net::LinkId> universe;
+  for (const LinkFlow& flow : flows)
+    universe.insert(universe.end(), flow.links.begin(), flow.links.end());
+  const auto reference = reference_min_airtime_schedule(
+      model, universe, accumulate_link_demands(model, flows));
+  EXPECT_TRUE(reference.has_value());
+  if (reference) {
+    EXPECT_NEAR(schedule.total_airtime, reference->total_airtime, kTol);
+  }
+  return schedule;
+}
+
+/// Feasibility of `flows` (Eqs. 2/4) as an engine holding them decides it.
+bool flows_schedulable(const InterferenceModel& model,
+                       const std::vector<LinkFlow>& flows) {
+  AdmissionEngine engine(model);
+  for (const LinkFlow& flow : flows) engine.add_background(flow);
+  return engine.background_feasible();
+}
+
 TEST(MinAirtime, MatchesHandComputedShare) {
   // One 36 Mbps link with demand 9 -> needs exactly 0.25 of the time.
   const net::Network net = chain_network(2, 70.0);
   PhysicalInterferenceModel model(net);
-  std::vector<double> demand(net.num_links(), 0.0);
   const auto link = *net.find_link(0, 1);
-  demand[link] = 9.0;
-  const auto schedule =
-      min_airtime_schedule(model, std::vector<net::LinkId>{link}, demand);
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_NEAR(schedule->total_airtime, 0.25, kTol);
+  const AirtimeSchedule schedule = min_airtime(model, {LinkFlow{{link}, 9.0}});
+  EXPECT_NEAR(schedule.total_airtime, 0.25, kTol);
 }
 
 TEST(MinAirtime, ExploitsConcurrency) {
@@ -203,13 +228,9 @@ TEST(MinAirtime, ExploitsConcurrency) {
   PhysicalInterferenceModel model(net);
   const auto l0 = *net.find_link(0, 1);
   const auto l3 = *net.find_link(3, 4);
-  std::vector<double> demand(net.num_links(), 0.0);
-  demand[l0] = 9.0;
-  demand[l3] = 9.0;
-  const auto schedule =
-      min_airtime_schedule(model, std::vector<net::LinkId>{l0, l3}, demand);
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_NEAR(schedule->total_airtime, 0.375, kTol);
+  const AirtimeSchedule schedule =
+      min_airtime(model, {LinkFlow{{l0}, 9.0}, LinkFlow{{l3}, 9.0}});
+  EXPECT_NEAR(schedule.total_airtime, 0.375, kTol);
 }
 
 TEST(FlowsFeasible, DetectsOverAndUnderLoad) {
@@ -217,14 +238,14 @@ TEST(FlowsFeasible, DetectsOverAndUnderLoad) {
   PhysicalInterferenceModel model(net);
   const auto path = chain_path(net, 2);
   // Capacity of the 2-hop path is 18.
-  EXPECT_TRUE(flows_feasible(model, std::vector<LinkFlow>{LinkFlow{path, 17.9}}));
-  EXPECT_FALSE(flows_feasible(model, std::vector<LinkFlow>{LinkFlow{path, 18.1}}));
+  EXPECT_TRUE(flows_schedulable(model, {LinkFlow{path, 17.9}}));
+  EXPECT_FALSE(flows_schedulable(model, {LinkFlow{path, 18.1}}));
 }
 
 TEST(FlowsFeasible, EmptySetIsFeasible) {
   const net::Network net = chain_network(2, 70.0);
   PhysicalInterferenceModel model(net);
-  EXPECT_TRUE(flows_feasible(model, {}));
+  EXPECT_TRUE(flows_schedulable(model, {}));
 }
 
 TEST(AccumulateLinkDemands, SumsOverlappingFlows) {

@@ -11,6 +11,7 @@
 #include "core/scenarios.hpp"
 #include "geom/topology.hpp"
 #include "grid_scenario.hpp"
+#include "oracles/reference_eq6.hpp"
 #include "routing/qos_router.hpp"
 #include "util/error.hpp"
 
@@ -175,18 +176,17 @@ TEST(LowerBound, TooFewSetsForBackgroundReportsInfeasible) {
 }
 
 /// Single-path Eq. 6 is the joint LP with one path under max-sum, solved
-/// by the same routine: the two entry points must agree bit for bit.
+/// by the same routine: the two entry points must agree bit for bit, and
+/// reach the enumeration oracle's optimum.
 void expect_single_path_is_joint(const InterferenceModel& model,
                                  const std::vector<LinkFlow>& background,
                                  const std::vector<net::LinkId>& path,
-                                 SolveMethod method, const std::string& what) {
-  SCOPED_TRACE(what + (method == SolveMethod::kFullEnumeration
-                           ? ", enumeration"
-                           : ", column generation"));
-  const auto single = max_path_bandwidth(model, background, path, method);
+                                 const std::string& what) {
+  SCOPED_TRACE(what);
+  const auto single = max_path_bandwidth(model, background, path);
   const std::vector<std::vector<net::LinkId>> paths{path};
   const auto joint = max_joint_bandwidth(model, background, paths,
-                                         JointObjective::kMaxSum, method);
+                                         JointObjective::kMaxSum);
   ASSERT_TRUE(single.background_feasible);
   ASSERT_TRUE(joint.background_feasible);
   ASSERT_EQ(joint.per_path_mbps.size(), 1u);
@@ -203,8 +203,6 @@ void expect_single_path_is_joint(const InterferenceModel& model,
   EXPECT_EQ(single.num_independent_sets, joint.num_independent_sets);
   const ColumnGenStats& a = single.colgen;
   const ColumnGenStats& b = joint.colgen;
-  EXPECT_EQ(a.used, method == SolveMethod::kColumnGeneration);
-  EXPECT_EQ(a.used, b.used);
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.columns, b.columns);
@@ -214,6 +212,9 @@ void expect_single_path_is_joint(const InterferenceModel& model,
   EXPECT_EQ(a.heuristic_columns, b.heuristic_columns);
   EXPECT_EQ(a.exact_rounds, b.exact_rounds);
   EXPECT_EQ(a.certified, b.certified);
+  const auto reference = reference_path_bandwidth(model, background, path);
+  ASSERT_TRUE(reference.background_feasible);
+  EXPECT_NEAR(single.available_mbps, reference.available_mbps, 1e-6);
 }
 
 TEST(JointBandwidth, SinglePathMatchesEqSix) {
@@ -226,14 +227,9 @@ TEST(JointBandwidth, SinglePathMatchesEqSix) {
 
   const GridScenario grid = make_grid_scenario();
   const PhysicalInterferenceModel grid_model(grid.net);
-  constexpr SolveMethod kMethods[] = {SolveMethod::kFullEnumeration,
-                                      SolveMethod::kColumnGeneration};
-  for (const SolveMethod method : kMethods) {
-    expect_single_path_is_joint(scenario.model, {}, scenario.chain, method,
-                                "Scenario II");
-    expect_single_path_is_joint(grid_model, grid.background, grid.snake,
-                                method, "grid");
-  }
+  expect_single_path_is_joint(scenario.model, {}, scenario.chain,
+                              "Scenario II");
+  expect_single_path_is_joint(grid_model, grid.background, grid.snake, "grid");
   // The first flow of the scaled Fig. 4 study: no flow is routed before
   // it, so its background is empty.
   for (const std::uint64_t seed : {3u, 4u}) {
@@ -245,9 +241,8 @@ TEST(JointBandwidth, SinglePathMatchesEqSix) {
     const auto path = router.find_path(request.src, request.dst,
                                        routing::Metric::kHopCount, all_idle);
     ASSERT_TRUE(path.has_value());
-    for (const SolveMethod method : kMethods)
-      expect_single_path_is_joint(model, {}, path->links(), method,
-                                  "scaled Fig. 4, seed " + std::to_string(seed));
+    expect_single_path_is_joint(model, {}, path->links(),
+                                "scaled Fig. 4, seed " + std::to_string(seed));
   }
 }
 

@@ -12,12 +12,14 @@
 #include "geom/topology.hpp"
 #include "grid_scenario.hpp"
 #include "net/network.hpp"
+#include "oracles/reference_eq6.hpp"
 #include "util/rng.hpp"
 
-/// Column generation vs. full enumeration: both solve the same LP (the
-/// optimum over all feasible independent sets equals the optimum over the
-/// maximal ones, and the pricing oracle is exact), so on every scenario
-/// small enough to enumerate the two methods must agree to tight tolerance.
+/// Column generation vs. the enumeration oracle (tests/oracles): both solve
+/// the same LP (the optimum over all feasible independent sets equals the
+/// optimum over the maximal ones, and the pricing oracle is exact), so on
+/// every scenario small enough to enumerate the two must agree to tight
+/// tolerance.
 /// The large-topology tests then exercise universes where enumeration is
 /// not an option and validate the column-generation schedule end to end
 /// with verify_schedule.
@@ -45,12 +47,8 @@ class ThreadEnvGuard {
 void expect_path_parity(const InterferenceModel& model,
                         std::span<const LinkFlow> background,
                         std::span<const net::LinkId> new_path) {
-  const auto enumerated = max_path_bandwidth(model, background, new_path,
-                                             SolveMethod::kFullEnumeration);
-  const auto colgen = max_path_bandwidth(model, background, new_path,
-                                         SolveMethod::kColumnGeneration);
-  EXPECT_FALSE(enumerated.colgen.used);
-  EXPECT_TRUE(colgen.colgen.used);
+  const auto enumerated = reference_path_bandwidth(model, background, new_path);
+  const auto colgen = max_path_bandwidth(model, background, new_path);
   EXPECT_TRUE(colgen.colgen.converged);
   ASSERT_EQ(colgen.background_feasible, enumerated.background_feasible);
   if (!enumerated.background_feasible) return;
@@ -64,11 +62,9 @@ void expect_joint_parity(const InterferenceModel& model,
                          std::span<const LinkFlow> background,
                          std::span<const std::vector<net::LinkId>> paths,
                          JointObjective objective) {
-  const auto enumerated = max_joint_bandwidth(
-      model, background, paths, objective, SolveMethod::kFullEnumeration);
-  const auto colgen = max_joint_bandwidth(model, background, paths, objective,
-                                          SolveMethod::kColumnGeneration);
-  EXPECT_TRUE(colgen.colgen.used);
+  const auto enumerated =
+      reference_joint_bandwidth(model, background, paths, objective);
+  const auto colgen = max_joint_bandwidth(model, background, paths, objective);
   EXPECT_TRUE(colgen.colgen.converged);
   ASSERT_EQ(colgen.background_feasible, enumerated.background_feasible);
   if (!enumerated.background_feasible) return;
@@ -96,9 +92,8 @@ TEST(ColumnGenerationParity, ScenarioOneAcrossLoads) {
   for (double lambda : {0.1, 0.25, 0.4}) {
     ScenarioOne scenario = make_scenario_one(lambda);
     expect_path_parity(scenario.model, scenario.background, scenario.new_path);
-    const auto colgen =
-        max_path_bandwidth(scenario.model, scenario.background,
-                           scenario.new_path, SolveMethod::kColumnGeneration);
+    const auto colgen = max_path_bandwidth(scenario.model, scenario.background,
+                                           scenario.new_path);
     EXPECT_NEAR(colgen.available_mbps, scenario.expected_optimal_mbps(),
                 kParityTol);
   }
@@ -107,8 +102,7 @@ TEST(ColumnGenerationParity, ScenarioOneAcrossLoads) {
 TEST(ColumnGenerationParity, ScenarioTwoChain) {
   ScenarioTwo scenario = make_scenario_two();
   expect_path_parity(scenario.model, {}, scenario.chain);
-  const auto colgen = max_path_bandwidth(scenario.model, {}, scenario.chain,
-                                         SolveMethod::kColumnGeneration);
+  const auto colgen = max_path_bandwidth(scenario.model, {}, scenario.chain);
   EXPECT_NEAR(colgen.available_mbps, ScenarioTwo::kOptimalMbps, kParityTol);
 }
 
@@ -126,8 +120,7 @@ TEST(ColumnGenerationParity, ScenarioTwoInfeasibleBackgroundAgrees) {
   const std::vector<LinkFlow> background = {{{0, 1, 2, 3}, 54.0}};
   const std::vector<net::LinkId> new_path = {0};
   expect_path_parity(scenario.model, background, new_path);
-  const auto colgen = max_path_bandwidth(scenario.model, background, new_path,
-                                         SolveMethod::kColumnGeneration);
+  const auto colgen = max_path_bandwidth(scenario.model, background, new_path);
   EXPECT_FALSE(colgen.background_feasible);
   EXPECT_TRUE(colgen.colgen.converged);
   EXPECT_TRUE(colgen.colgen.certified);
@@ -136,9 +129,8 @@ TEST(ColumnGenerationParity, ScenarioTwoInfeasibleBackgroundAgrees) {
   // phase A optimum positive, so phase A stops there. Under exact-only
   // pricing that round still found an improving column: convergence
   // alone needed a second exact round.
-  const auto exact_run = max_path_bandwidth(
-      scenario.model, background, new_path, SolveMethod::kColumnGeneration,
-      exact_only_options());
+  const auto exact_run = max_path_bandwidth(scenario.model, background,
+                                            new_path, exact_only_options());
   EXPECT_FALSE(exact_run.background_feasible);
   EXPECT_TRUE(exact_run.colgen.certified);
   EXPECT_EQ(exact_run.colgen.exact_rounds, 1u);
@@ -234,9 +226,7 @@ TEST(ColumnGenerationLargeTopology, ChainBeyondEnumerationReach) {
   const std::vector<net::LinkId> path = chain_links(net, 26);
   ASSERT_GE(path.size(), 25u);
   const std::vector<LinkFlow> background = {{{path[0]}, 1.0}};
-  const auto result = max_path_bandwidth(model, background, path,
-                                         SolveMethod::kColumnGeneration);
-  EXPECT_TRUE(result.colgen.used);
+  const auto result = max_path_bandwidth(model, background, path);
   EXPECT_TRUE(result.colgen.converged);
   ASSERT_TRUE(result.background_feasible);
   EXPECT_NEAR(result.available_mbps, 36.0 / 5.0, 1e-3);
@@ -253,9 +243,7 @@ TEST(ColumnGenerationLargeTopology, GridUniverseEndToEndAudit) {
   ASSERT_GE(scenario.snake.size() + 4, 25u);
 
   const auto result =
-      max_path_bandwidth(model, scenario.background, scenario.snake,
-                         SolveMethod::kColumnGeneration);
-  EXPECT_TRUE(result.colgen.used);
+      max_path_bandwidth(model, scenario.background, scenario.snake);
   EXPECT_TRUE(result.colgen.converged);
   ASSERT_TRUE(result.background_feasible);
   EXPECT_GT(result.available_mbps, 0.0);
@@ -273,25 +261,11 @@ TEST(ColumnGenerationLargeTopology, GridUniverseEndToEndAudit) {
   EXPECT_TRUE(check.valid) << check.issue;
 }
 
-TEST(ColumnGenerationLargeTopology, AutoPicksColumnGeneration) {
-  GridScenario scenario = make_grid_scenario();
-  PhysicalInterferenceModel model(scenario.net);
-  const auto result = max_path_bandwidth(model, scenario.background,
-                                         scenario.snake, SolveMethod::kAuto);
-  EXPECT_TRUE(result.colgen.used);
-  // And the seed scenarios stay on the enumeration path under kAuto.
-  ScenarioOne small = make_scenario_one(0.25);
-  const auto seed_result =
-      max_path_bandwidth(small.model, small.background, small.new_path);
-  EXPECT_FALSE(seed_result.colgen.used);
-}
-
 TEST(ColumnGenerationLargeTopology, WarmStartsAreExercised) {
   GridScenario scenario = make_grid_scenario();
   PhysicalInterferenceModel model(scenario.net);
   const auto result =
-      max_path_bandwidth(model, scenario.background, scenario.snake,
-                         SolveMethod::kColumnGeneration);
+      max_path_bandwidth(model, scenario.background, scenario.snake);
   EXPECT_GT(result.colgen.rounds, 0u);
   EXPECT_GT(result.colgen.warm_starts, 0u);
   EXPECT_EQ(result.num_independent_sets, result.colgen.columns);
@@ -303,14 +277,12 @@ TEST(ColumnGenerationLargeTopology, IdenticalAcrossThreadCounts) {
   {
     ThreadEnvGuard env("1");
     PhysicalInterferenceModel model(scenario.net);
-    single = max_path_bandwidth(model, scenario.background, scenario.snake,
-                                SolveMethod::kColumnGeneration);
+    single = max_path_bandwidth(model, scenario.background, scenario.snake);
   }
   {
     ThreadEnvGuard env("4");
     PhysicalInterferenceModel model(scenario.net);
-    threaded = max_path_bandwidth(model, scenario.background, scenario.snake,
-                                  SolveMethod::kColumnGeneration);
+    threaded = max_path_bandwidth(model, scenario.background, scenario.snake);
   }
   EXPECT_DOUBLE_EQ(single.available_mbps, threaded.available_mbps);
   EXPECT_EQ(single.num_independent_sets, threaded.num_independent_sets);
@@ -335,15 +307,14 @@ struct BoundaryCase {
   const InterferenceModel* model;
   std::vector<LinkFlow> background;
   std::vector<net::LinkId> new_path;
-  bool enumerable;  ///< full enumeration fits the universe
+  bool enumerable;  ///< the enumeration oracle fits the universe
 };
 
 AvailableBandwidthResult exact_only(const InterferenceModel& model,
                                     std::span<const LinkFlow> background,
                                     std::span<const net::LinkId> new_path) {
-  const auto result = max_path_bandwidth(model, background, new_path,
-                                         SolveMethod::kColumnGeneration,
-                                         exact_only_options());
+  const auto result =
+      max_path_bandwidth(model, background, new_path, exact_only_options());
   EXPECT_TRUE(result.colgen.converged);
   EXPECT_TRUE(result.colgen.certified);
   return result;
@@ -351,17 +322,16 @@ AvailableBandwidthResult exact_only(const InterferenceModel& model,
 
 /// Scale flow 0 to 0.5, 0.99, 1.01 and 2 times its largest deliverable rate
 /// (given the other flows): the tiered solver must call the background
-/// deliverable exactly below 1, agree with the reference solver (full
-/// enumeration where it fits, a converged exact-only run elsewhere), and
-/// carry the certificate either way.
+/// deliverable exactly below 1, agree with the reference solver (the
+/// enumeration oracle where it fits, a converged exact-only run
+/// elsewhere), and carry the certificate either way.
 void sweep_background_boundary(const BoundaryCase& c) {
   SCOPED_TRACE(c.name);
   const std::vector<LinkFlow> others(c.background.begin() + 1,
                                      c.background.end());
   const auto capacity =
       c.enumerable
-          ? max_path_bandwidth(*c.model, others, c.background[0].links,
-                               SolveMethod::kFullEnumeration)
+          ? reference_path_bandwidth(*c.model, others, c.background[0].links)
           : exact_only(*c.model, others, c.background[0].links);
   ASSERT_TRUE(capacity.background_feasible);
   ASSERT_GT(capacity.available_mbps, 0.0);
@@ -369,15 +339,13 @@ void sweep_background_boundary(const BoundaryCase& c) {
     SCOPED_TRACE(factor);
     std::vector<LinkFlow> background = c.background;
     background[0].demand_mbps = factor * capacity.available_mbps;
-    const auto tiered = max_path_bandwidth(*c.model, background, c.new_path,
-                                           SolveMethod::kColumnGeneration);
+    const auto tiered = max_path_bandwidth(*c.model, background, c.new_path);
     EXPECT_TRUE(tiered.colgen.converged);
     EXPECT_TRUE(tiered.colgen.certified);
     EXPECT_EQ(tiered.background_feasible, factor < 1.0);
     const auto reference =
         c.enumerable
-            ? max_path_bandwidth(*c.model, background, c.new_path,
-                                 SolveMethod::kFullEnumeration)
+            ? reference_path_bandwidth(*c.model, background, c.new_path)
             : exact_only(*c.model, background, c.new_path);
     ASSERT_EQ(tiered.background_feasible, reference.background_feasible);
     if (reference.background_feasible) {
@@ -430,9 +398,8 @@ TEST(BackgroundCertificate, JointBandwidthUndeliverableBackground) {
   for (JointObjective objective :
        {JointObjective::kMaxMin, JointObjective::kMaxSum}) {
     expect_joint_parity(scenario.model, background, paths, objective);
-    const auto colgen = max_joint_bandwidth(scenario.model, background, paths,
-                                            objective,
-                                            SolveMethod::kColumnGeneration);
+    const auto colgen =
+        max_joint_bandwidth(scenario.model, background, paths, objective);
     EXPECT_FALSE(colgen.background_feasible);
     EXPECT_TRUE(colgen.colgen.converged);
     EXPECT_TRUE(colgen.colgen.certified);
@@ -452,8 +419,7 @@ TEST(BackgroundCertificate, JointBandwidthUndeliverableBackground) {
       {grid.snake.begin(), grid.snake.begin() + 12},
       {grid.snake.begin() + 12, grid.snake.end()}};
   const auto joint =
-      max_joint_bandwidth(model, overloaded, halves, JointObjective::kMaxMin,
-                          SolveMethod::kColumnGeneration);
+      max_joint_bandwidth(model, overloaded, halves, JointObjective::kMaxMin);
   EXPECT_FALSE(joint.background_feasible);
   EXPECT_TRUE(joint.colgen.converged);
   EXPECT_TRUE(joint.colgen.certified);
@@ -469,8 +435,7 @@ ColumnGenStats colgen_stats(const InterferenceModel& model,
   // Pinned to exact-only pricing: these stabilization tests pin round
   // counts of the reference pricing loop, which tiered pricing reshapes.
   const auto result =
-      max_path_bandwidth(model, background, new_path,
-                         SolveMethod::kColumnGeneration, exact_only_options());
+      max_path_bandwidth(model, background, new_path, exact_only_options());
   EXPECT_TRUE(result.colgen.converged);
   return result.colgen;
 }
@@ -513,8 +478,7 @@ TEST(ColumnGenerationStabilization, TailingOffBoundedOnLongChain) {
   // Exact-only pricing: the pinned round count is a property of the
   // reference loop (tiered pricing changes it).
   const auto on =
-      max_path_bandwidth(model, background, path,
-                         SolveMethod::kColumnGeneration, exact_only_options());
+      max_path_bandwidth(model, background, path, exact_only_options());
 
   ASSERT_TRUE(on.colgen.converged);
   EXPECT_NEAR(on.available_mbps, 36.0 / 5.0, 1e-3);
@@ -533,9 +497,8 @@ TEST(ColumnGenerationStabilization, ExactOnlyRoundCountsOnGrid) {
   // round-off weights, and every build compiles without contraction.
   GridScenario scenario = make_grid_scenario();
   PhysicalInterferenceModel model(scenario.net);
-  const auto result =
-      max_path_bandwidth(model, scenario.background, scenario.snake,
-                         SolveMethod::kColumnGeneration, exact_only_options());
+  const auto result = max_path_bandwidth(model, scenario.background,
+                                         scenario.snake, exact_only_options());
   EXPECT_TRUE(result.colgen.converged);
   EXPECT_EQ(result.colgen.rounds, 43u);
   EXPECT_EQ(result.colgen.columns, 69u);
@@ -558,8 +521,7 @@ double optimum_with_pricing(const InterferenceModel& model,
                             std::span<const net::LinkId> new_path,
                             const ColumnGenOptions& options,
                             ColumnGenStats* stats = nullptr) {
-  const auto result = max_path_bandwidth(
-      model, background, new_path, SolveMethod::kColumnGeneration, options);
+  const auto result = max_path_bandwidth(model, background, new_path, options);
   EXPECT_TRUE(result.colgen.converged);
   // The optimality certificate: convergence was declared by an exact
   // (Tier 2) pricing round over the incumbent duals.
@@ -645,8 +607,7 @@ void expect_default_loop(const InterferenceModel& model,
                          std::span<const LinkFlow> background,
                          std::span<const net::LinkId> new_path,
                          const DefaultLoopPin& pin) {
-  const auto result = max_path_bandwidth(model, background, new_path,
-                                         SolveMethod::kColumnGeneration);
+  const auto result = max_path_bandwidth(model, background, new_path);
   EXPECT_TRUE(result.colgen.converged);
   EXPECT_TRUE(result.colgen.certified);
   EXPECT_EQ(result.colgen.rounds, pin.rounds);
@@ -750,9 +711,8 @@ TEST(TieredPricing, IdenticalAcrossThreadCounts) {
     for (const char* threads : {"1", "4", "8"}) {
       ThreadEnvGuard env(threads);
       PhysicalInterferenceModel model(*c.net);
-      results.push_back(max_path_bandwidth(model, c.background, c.new_path,
-                                           SolveMethod::kColumnGeneration,
-                                           c.options));
+      results.push_back(
+          max_path_bandwidth(model, c.background, c.new_path, c.options));
     }
     EXPECT_EQ(results[0].background_feasible, c.feasible);
     EXPECT_TRUE(results[0].colgen.certified);
@@ -766,10 +726,8 @@ TEST(ColumnGenerationOptions, EffortCapsReportNonConvergence) {
   PhysicalInterferenceModel grid_model(scenario.net);
   ColumnGenOptions grid_options;
   grid_options.max_rounds = 1;
-  const auto result =
-      max_path_bandwidth(grid_model, scenario.background, scenario.snake,
-                         SolveMethod::kColumnGeneration, grid_options);
-  EXPECT_TRUE(result.colgen.used);
+  const auto result = max_path_bandwidth(grid_model, scenario.background,
+                                         scenario.snake, grid_options);
   EXPECT_FALSE(result.colgen.converged);
   EXPECT_LE(result.colgen.rounds, 1u);
 
@@ -785,16 +743,15 @@ TEST(ColumnGenerationOptions, EffortCapsReportNonConvergence) {
   for (const double bg_mbps : {0.0, 1.0}) {
     std::vector<LinkFlow> background;
     if (bg_mbps > 0.0) background.push_back({path, bg_mbps});
-    const double exact = max_path_bandwidth(model, background, path,
-                                            SolveMethod::kColumnGeneration)
-                             .available_mbps;
+    const double exact =
+        max_path_bandwidth(model, background, path).available_mbps;
     for (const std::size_t max_rounds : {0u, 1u, 2u}) {
       SCOPED_TRACE("background " + std::to_string(bg_mbps) + " Mbps, " +
                    std::to_string(max_rounds) + " rounds");
       ColumnGenOptions options;
       options.max_rounds = max_rounds;
-      const auto one_shot = max_path_bandwidth(
-          model, background, path, SolveMethod::kColumnGeneration, options);
+      const auto one_shot =
+          max_path_bandwidth(model, background, path, options);
       EXPECT_FALSE(one_shot.colgen.converged);
       EXPECT_LE(one_shot.colgen.rounds, max_rounds);
 

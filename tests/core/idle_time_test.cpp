@@ -74,6 +74,34 @@ TEST(IdleOracle, ConcurrentSlotsBusyBothNeighborhoods) {
   EXPECT_NEAR(result.node_idle[0], 1.0 - 0.375, kTol);
 }
 
+TEST(IdleOracle, IdleRatiosReadTheGivenSchedule) {
+  // Two slots on the 5-chain: L(0->1) alone for 0.25, then L(3->4) alone
+  // for 0.5. Every node lies within carrier-sense range (281 m) of both
+  // transmitters, nodes 0 and 3, so each is busy for 0.75. A schedule over
+  // unit airtime is reported infeasible.
+  const net::Network net(geom::chain(5, 70.0), phy::PhyModel::paper_default());
+  PhysicalInterferenceModel model(net);
+  const auto l0 = *net.find_link(0, 1);
+  const auto l3 = *net.find_link(3, 4);
+  AirtimeSchedule schedule;
+  schedule.total_airtime = 0.75;
+  for (const auto& [link, share] : {std::pair{l0, 0.25}, std::pair{l3, 0.5}}) {
+    IndependentSet set;
+    set.links = {link};
+    set.rates = {*model.max_rate_alone(link)};
+    set.mbps = {model.rate_table()[set.rates[0]].mbps};
+    schedule.entries.push_back({set, share});
+  }
+  const IdleResult result = idle_ratios(net, schedule);
+  EXPECT_TRUE(result.feasible);
+  EXPECT_DOUBLE_EQ(result.total_airtime, 0.75);
+  ASSERT_EQ(result.node_idle.size(), 5u);
+  for (double idle : result.node_idle) EXPECT_NEAR(idle, 0.25, kTol);
+
+  schedule.total_airtime = 1.5;
+  EXPECT_FALSE(idle_ratios(net, schedule).feasible);
+}
+
 TEST(IdleOracle, UnroutableDemandReturnsInfeasible) {
   // A demanded link that exists but whose flow also demands a link id that
   // cannot carry anything is impossible; here: demand on a link with no

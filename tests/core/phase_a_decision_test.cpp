@@ -12,12 +12,13 @@
 #include "geom/topology.hpp"
 #include "grid_scenario.hpp"
 #include "net/network.hpp"
+#include "oracles/reference_eq6.hpp"
 #include "routing/qos_router.hpp"
 
 /// Phase A's decision — can the background alone be delivered? — must not
 /// depend on how it was proved: the tiered solver (which may stop on the
-/// oracle's root bound before any pricing) agrees with full enumeration
-/// wherever it fits and with exact-only pricing everywhere. A deliverable
+/// oracle's root bound before any pricing) agrees with the enumeration
+/// oracle (tests/oracles) wherever it fits and with exact-only pricing everywhere. A deliverable
 /// background can never trip a Lagrangian lower bound (its optimum is 0),
 /// so on those its rounds, exact rounds, columns and answer bits are
 /// pinned to the values the solver reached before the root bound existed.
@@ -58,33 +59,35 @@ struct Solved {
   ColumnGenStats colgen;
 };
 
-Solved solve(const DecisionCase& c, SolveMethod method,
-             const ColumnGenOptions& options = {}) {
+Solved solve(const DecisionCase& c, const ColumnGenOptions& options = {}) {
   if (c.paths.size() == 1) {
-    const auto r = max_path_bandwidth(*c.model, c.background, c.paths[0],
-                                      method, options);
+    const auto r =
+        max_path_bandwidth(*c.model, c.background, c.paths[0], options);
     return {r.background_feasible, r.available_mbps, r.colgen};
   }
   const auto r = max_joint_bandwidth(*c.model, c.background, c.paths,
-                                     JointObjective::kMaxMin, method, options);
+                                     JointObjective::kMaxMin, options);
   return {r.background_feasible, r.total_mbps, r.colgen};
 }
 
 void expect_decision(const DecisionCase& c) {
   SCOPED_TRACE(c.name);
-  const Solved tiered = solve(c, SolveMethod::kColumnGeneration);
+  const Solved tiered = solve(c);
   EXPECT_TRUE(tiered.colgen.converged);
   EXPECT_TRUE(tiered.colgen.certified);
   EXPECT_EQ(tiered.feasible, c.deliverable);
 
   ColumnGenOptions exact_only;
   exact_only.heuristic_starts = 0;
-  const Solved exact = solve(c, SolveMethod::kColumnGeneration, exact_only);
+  const Solved exact = solve(c, exact_only);
   EXPECT_TRUE(exact.colgen.certified);
   EXPECT_EQ(exact.feasible, tiered.feasible);
   if (universe_size(c) <= 16) {
-    const Solved enumerated = solve(c, SolveMethod::kFullEnumeration);
-    EXPECT_EQ(enumerated.feasible, tiered.feasible);
+    const bool enumerated =
+        reference_joint_bandwidth(*c.model, c.background, c.paths,
+                                  JointObjective::kMaxMin)
+            .background_feasible;
+    EXPECT_EQ(enumerated, tiered.feasible);
   }
 
   if (!c.deliverable) return;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/admission_engine.hpp"
 #include "core/available_bandwidth.hpp"
 #include "core/bounds.hpp"
 #include "core/clique.hpp"
@@ -65,7 +66,9 @@ TEST(ScenarioOne, MaximalIndependentSetsAreThePairAndTheSolo) {
 
 TEST(ScenarioOne, BackgroundAloneIsFeasible) {
   const ScenarioOne scenario = make_scenario_one(0.5);
-  EXPECT_TRUE(flows_feasible(scenario.model, scenario.background));
+  AdmissionEngine engine(scenario.model);
+  for (const LinkFlow& flow : scenario.background) engine.add_background(flow);
+  EXPECT_TRUE(engine.background_feasible());
 }
 
 TEST(ScenarioOne, RejectsOutOfRangeLambda) {

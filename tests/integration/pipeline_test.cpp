@@ -50,7 +50,10 @@ TEST(Integration, AdmittedFlowsAreAlwaysJointlyFeasible) {
   }
   (void)controller.run(requests, /*stop_at_first_failure=*/false);
   // Invariant of LP-oracle admission: the admitted set stays feasible.
-  EXPECT_TRUE(core::flows_feasible(model, controller.admitted_flows()));
+  core::AdmissionEngine engine(model);
+  for (const core::LinkFlow& flow : controller.admitted_flows())
+    engine.add_background(flow);
+  EXPECT_TRUE(engine.background_feasible());
 }
 
 TEST(Integration, BoundsSandwichTheOptimumOnRealPaths) {

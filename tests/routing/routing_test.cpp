@@ -8,6 +8,7 @@
 #include "geom/topology.hpp"
 #include "routing/admission.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace mrwsn::routing {
 namespace {
@@ -337,6 +338,53 @@ TEST(Admission, RejectsNonPositiveDemand) {
   AdmissionController controller(net, model, Metric::kHopCount);
   const std::vector<FlowRequest> requests{{0, 1, 0.0}};
   EXPECT_THROW(controller.run(requests), PreconditionError);
+}
+
+TEST(Admission, LpOracleDecidesTwentyRequestsOnA150NodeDraw) {
+  // The draw of `mrwsn generate --nodes 150 --seed 2 --flows 40` (default
+  // 400 m x 600 m rectangle), with every demand at 0.2 Mbps. Enumerating
+  // every maximal independent set of the admitted links, as the idle
+  // ratios once did for each request, overran the enumeration's safety
+  // limit before the 20th request; the controller now reads idle ratios
+  // from its engine's column-generation background schedule.
+  constexpr std::size_t kNodes = 150;
+  Rng rng(2);
+  const phy::PhyModel phy = phy::PhyModel::paper_default();
+  std::vector<geom::Point> positions = geom::connected_random_rectangle(
+      kNodes, 400.0, 600.0, phy.max_tx_range(), rng);
+  std::vector<FlowRequest> requests;
+  for (std::size_t i = 0; i < 20; ++i) {
+    FlowRequest request{0, 0, 0.2};
+    do {
+      request.src = static_cast<net::NodeId>(rng.uniform_int(0, kNodes - 1));
+      request.dst = static_cast<net::NodeId>(rng.uniform_int(0, kNodes - 1));
+    } while (request.src == request.dst);
+    requests.push_back(request);
+  }
+  const net::Network net(std::move(positions), phy);
+  core::PhysicalInterferenceModel model(net);
+  AdmissionController controller(net, model, Metric::kAverageE2eDelay);
+  const AdmissionOutcome outcome =
+      controller.run(requests, /*stop_at_first_failure=*/false);
+  ASSERT_EQ(outcome.records.size(), requests.size());
+
+  core::AdmissionEngine engine(model);
+  for (const core::LinkFlow& flow : controller.admitted_flows())
+    engine.add_background(flow);
+  EXPECT_TRUE(engine.background_feasible());
+
+  // Each admitted truth is the cold Eq. 6 optimum against the flows
+  // admitted before it.
+  std::vector<core::LinkFlow> background;
+  for (const AdmissionRecord& record : outcome.records) {
+    if (!record.admitted) continue;
+    const auto cold = core::max_path_bandwidth(model, background,
+                                               record.path->links());
+    ASSERT_TRUE(cold.background_feasible);
+    EXPECT_NEAR(record.true_available_mbps, cold.available_mbps, 1e-6);
+    background.push_back(to_link_flow(*record.path, record.request.demand_mbps));
+  }
+  EXPECT_EQ(background.size(), outcome.admitted_count);
 }
 
 }  // namespace

@@ -173,10 +173,10 @@ TEST(Cli, AvailableTakesStartsAndRejectsRemovedPricingFlags) {
       run({"generate", "--nodes", "40", "--seed", "1", "--flows", "6"});
   ASSERT_EQ(generated.code, 0) << generated.err;
   TempScenario larger(generated.out);
-  const std::vector<std::string> colgen = {"available", larger.path(), "2",
-                                           "20", "--method", "colgen"};
+  const std::vector<std::string> base = {"available", larger.path(), "2",
+                                         "20"};
   const auto with = [&](std::initializer_list<std::string> extra) {
-    std::vector<std::string> args = colgen;
+    std::vector<std::string> args = base;
     args.insert(args.end(), extra);
     return run(args);
   };
@@ -200,6 +200,31 @@ pricing: 6 rounds (pool 0, heuristic 0 columns, exact 6 calls), certified optima
 | Eq. 13 conservative clique  | 4.696 |
 | Eq. 15 expected clique time | 4.696 |
 )");
+}
+
+TEST(Cli, UsageErrorsPrintOnlyTheirMessage) {
+  // A usage error names what is wrong with the command line, not the C++
+  // expression or the source file that caught it.
+  TempScenario file(kChain);
+  const struct {
+    std::vector<std::string> args;
+    std::string message;
+  } cases[] = {
+      {{"admit"}, "admit needs a scenario file"},
+      {{"capacity", file.path(), "2"}, "capacity needs <src> <dst>"},
+      {{"info", file.path(), "extra"}, "expected --option, got extra"},
+      {{"fig4", "--rts", "x"}, "--rts must be on|off|both"},
+      {{"available", file.path(), "2", "3", "--starts"},
+       "missing value for --starts"},
+      {{"available", file.path(), "2", "3", "--method", "enum"},
+       "unknown option --method for available"},
+  };
+  for (const auto& c : cases) {
+    const CliResult r = run(c.args);
+    EXPECT_EQ(r.code, 1) << c.message;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_EQ(r.err, "error: " + c.message + "\n");
+  }
 }
 
 TEST(Cli, ParseUnsignedIsStrictAndBounded) {

@@ -30,8 +30,9 @@
 #      through query() + add_background() as the admission controller
 #      drives it), and the pricing oracles BM_Pricing{Heuristic,Exact}
 #      (the 70 m chain args, plus both tiers on the scaled Fig. 4 universe),
-#      and the full-enumeration Eq. 6 solves BM_FullEnumeration,
-#      BM_JointBandwidthLp and BM_ScenarioTwoPipeline, and the MAC
+#      and the small Eq. 6 solves BM_JointBandwidthLp and
+#      BM_ScenarioTwoPipeline (column generation, like every Eq. 6
+#      solve), and the MAC
 #      simulators: BM_CsmaSimulatedSecond (the DCF model as one region on
 #      the 3-hop chain), BM_CsmaParallel/{1,8} (500 nodes sharded into
 #      regions, 1 and 8 workers) and BM_TdmaSimulatedQuarterSecond, and
@@ -133,7 +134,7 @@ else
   # background columns, and the batched admission replay warm (one engine
   # committing every decision), cold, and sequential (query() then
   # add_background(), publishing on every read), the Tier 1 / Tier 2
-  # pricing oracles, the full-enumeration Eq. 6 solves, the one-region
+  # pricing oracles, the small Eq. 6 solves, the one-region
   # and sharded DCF runs plus the TDMA executor, the 500-node cold
   # topology and model build, the cold conflict-matrix builds, and the
   # cold and warm LP solves, and phase A on an undeliverable background;
@@ -142,7 +143,7 @@ else
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_FullEnumeration|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild|BM_ConflictMatrixBuild|BM_SimplexRandom/64$|BM_MasterResolveRevised/40/10$|BM_PhaseAUndeliverable' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_BatchAdmission|BM_PricingHeuristic|BM_PricingExact|BM_JointBandwidthLp|BM_ScenarioTwoPipeline|BM_CsmaSimulatedSecond|BM_CsmaParallel|BM_TdmaSimulatedQuarterSecond|BM_TopologyBuild|BM_ConflictMatrixBuild|BM_SimplexRandom/64$|BM_MasterResolveRevised/40/10$|BM_PhaseAUndeliverable' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
@@ -150,7 +151,7 @@ else
     --require BM_BatchAdmissionCold --require BM_BatchAdmissionSequential \
     --require BM_PricingHeuristic --require BM_PricingExact \
     --require BM_PricingExact/fig4_seed4 \
-    --require BM_FullEnumeration --require BM_JointBandwidthLp \
+    --require BM_JointBandwidthLp \
     --require BM_ScenarioTwoPipeline --require BM_CsmaSimulatedSecond \
     --require BM_CsmaParallel --require BM_TdmaSimulatedQuarterSecond \
     --require BM_TopologyBuild/500 --require BM_ConflictMatrixBuild \

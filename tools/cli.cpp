@@ -85,6 +85,12 @@ double parse_nonnegative_double(const std::string& what,
 
 namespace {
 
+/// A command-line usage error: the plain message, with no C++ expression
+/// or source location (MRWSN_REQUIRE's text, meant for library misuse).
+void require_usage(bool ok, const std::string& message) {
+  if (!ok) throw PreconditionError(message);
+}
+
 net::NodeId parse_node(const std::string& text) {
   return static_cast<net::NodeId>(parse_unsigned(
       "node id", text, std::numeric_limits<net::NodeId>::max()));
@@ -96,14 +102,14 @@ class Options {
  public:
   Options(const std::vector<std::string>& args, std::size_t first) {
     for (std::size_t i = first; i < args.size();) {
-      MRWSN_REQUIRE(args[i].rfind("--", 0) == 0, "expected --option, got " + args[i]);
+      require_usage(args[i].rfind("--", 0) == 0, "expected --option, got " + args[i]);
       if (args[i] == "--arf" || args[i] == "--serve" ||
           args[i] == "--bench-replay") {  // value-less flags
         values_[args[i]] = "1";
         ++i;
         continue;
       }
-      MRWSN_REQUIRE(i + 1 < args.size(), "missing value for " + args[i]);
+      require_usage(i + 1 < args.size(), "missing value for " + args[i]);
       values_[args[i]] = args[i + 1];
       i += 2;
     }
@@ -240,7 +246,7 @@ int cmd_capacity(const io::ScenarioFile& scenario, net::NodeId src,
 int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
                   net::NodeId dst, const Options& options, std::ostream& out,
                   std::ostream& err) {
-  options.only("available", {"--metric", "--method", "--starts"});
+  options.only("available", {"--metric", "--starts"});
   const net::Network network = io::build_network(scenario);
   core::PhysicalInterferenceModel model(network);
   const auto background = background_of(scenario, network);
@@ -257,36 +263,22 @@ int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
     err << "no usable path from " << src << " to " << dst << '\n';
     return 1;
   }
-  const std::string method_name = options.get("--method", "auto");
-  core::SolveMethod method = core::SolveMethod::kAuto;
-  if (method_name == "enum") {
-    method = core::SolveMethod::kFullEnumeration;
-  } else if (method_name == "colgen") {
-    method = core::SolveMethod::kColumnGeneration;
-  } else if (method_name != "auto") {
-    err << "unknown --method '" << method_name << "' (auto|enum|colgen)\n";
-    return 1;
-  }
   core::ColumnGenOptions colgen_options;
   colgen_options.heuristic_starts = static_cast<std::size_t>(options.get_u64(
       "--starts", colgen_options.heuristic_starts, kMaxStarts));
   const auto lp = core::max_path_bandwidth(model, background, path->links(),
-                                           method, colgen_options);
+                                           colgen_options);
   const auto input = core::make_path_estimate_input(network, model,
                                                     path->links(), idle.node_idle);
   out << "path (" << routing::metric_name(metric) << "): " << path_text(*path)
       << '\n'
-      << "solver: "
-      << (lp.colgen.used ? "column generation" : "full enumeration") << ", "
-      << lp.num_independent_sets
-      << (lp.colgen.used ? " columns" : " independent sets") << '\n';
-  if (lp.colgen.used) {
-    out << "pricing: " << lp.colgen.rounds << " rounds (pool "
-        << lp.colgen.pool_hit_columns << ", heuristic "
-        << lp.colgen.heuristic_columns << " columns, exact "
-        << lp.colgen.exact_rounds << " calls)"
-        << (lp.colgen.certified ? ", certified optimal" : "") << '\n';
-  }
+      << "solver: column generation, " << lp.num_independent_sets
+      << " columns\n"
+      << "pricing: " << lp.colgen.rounds << " rounds (pool "
+      << lp.colgen.pool_hit_columns << ", heuristic "
+      << lp.colgen.heuristic_columns << " columns, exact "
+      << lp.colgen.exact_rounds << " calls)"
+      << (lp.colgen.certified ? ", certified optimal" : "") << '\n';
   Table table({"method", "Mbps"});
   table.add_row({"Eq. 6 LP (truth)",
                  Table::num(lp.background_feasible ? lp.available_mbps : 0.0, 3)});
@@ -386,7 +378,7 @@ struct BatchQuery {
 
 std::vector<BatchQuery> parse_batch_file(const std::string& file_name) {
   std::ifstream file(file_name);
-  MRWSN_REQUIRE(file.good(), "cannot open batch file " + file_name);
+  require_usage(file.good(), "cannot open batch file " + file_name);
   std::vector<BatchQuery> queries;
   std::string line;
   while (std::getline(file, line)) {
@@ -395,7 +387,7 @@ std::vector<BatchQuery> parse_batch_file(const std::string& file_name) {
     std::string field;
     std::vector<std::string> parts;
     while (std::getline(fields, field, ',')) parts.push_back(field);
-    MRWSN_REQUIRE(parts.size() == 3 || parts.size() == 4,
+    require_usage(parts.size() == 3 || parts.size() == 4,
                   "batch line needs src,dst,demand[,commit]: " + line);
     BatchQuery query;
     query.src = parse_node(parts[0]);
@@ -403,7 +395,7 @@ std::vector<BatchQuery> parse_batch_file(const std::string& file_name) {
     query.demand_mbps = parse_nonnegative_double(
         "batch demand", parts[2], std::numeric_limits<double>::max());
     if (parts.size() == 4) {
-      MRWSN_REQUIRE(parts[3] == "commit" || parts[3] == "query",
+      require_usage(parts[3] == "commit" || parts[3] == "query",
                     "batch line flag must be commit|query: " + line);
       query.commit = parts[3] == "commit";
     }
@@ -692,7 +684,7 @@ int cmd_bench_replay(const io::ScenarioFile& scenario, const Options& options,
     while (std::getline(list, item, ','))
       thread_counts.push_back(
           parse_unsigned("--threads", item, util::kMaxThreads));
-    MRWSN_REQUIRE(!thread_counts.empty(), "--threads needs a list like 1,4");
+    require_usage(!thread_counts.empty(), "--threads needs a list like 1,4");
   }
   const bool verify = options.get("--verify", "on") == "on";
 
@@ -730,9 +722,9 @@ int cmd_scenario(const std::vector<std::string>& args, std::ostream& out,
     io::save_scenario_blob(scenario, args[3]);
   } else {
     std::ofstream file(args[3], std::ios::trunc);
-    MRWSN_REQUIRE(file.good(), "cannot create scenario file: " + args[3]);
+    require_usage(file.good(), "cannot create scenario file: " + args[3]);
     file << io::serialize_scenario(scenario);
-    MRWSN_REQUIRE(file.good(), "short write to scenario file: " + args[3]);
+    require_usage(file.good(), "short write to scenario file: " + args[3]);
   }
   out << args[1] << "ed " << args[2] << " -> " << args[3] << " (hash="
       << io::scenario_hash(scenario) << ")\n";
@@ -822,7 +814,7 @@ int cmd_mobility(const io::ScenarioFile& scenario, const Options& options,
     return 1;
   }
   const std::string trace_file = options.get("--trace", "");
-  MRWSN_REQUIRE(!trace_file.empty(), "mobility needs --trace <file>");
+  require_usage(!trace_file.empty(), "mobility needs --trace <file>");
   const io::MobilityTrace trace = io::load_mobility(trace_file);
   const bool verify = options.get("--verify", "off") == "on";
 
@@ -953,7 +945,7 @@ int cmd_fig4(const Options& options, std::ostream& out) {
   scaled.measure_s = options.get_double("--seconds", 0.5);
   scaled.demand_mbps = options.get_double("--demand", 2.0);
   const std::string rts = options.get("--rts", "both");
-  MRWSN_REQUIRE(rts == "on" || rts == "off" || rts == "both",
+  require_usage(rts == "on" || rts == "off" || rts == "both",
                 "--rts must be on|off|both");
   scaled.run_with_rts = rts != "off";
   scaled.run_without_rts = rts != "on";
@@ -971,7 +963,6 @@ void usage(std::ostream& os) {
          "  mrwsn scenario unpack scenario.mrwb scenario.txt\n"
          "  mrwsn capacity scenario.txt <src> <dst>\n"
          "  mrwsn available scenario.txt <src> <dst> [--metric hop|td|avg]\n"
-         "                 [--method auto|enum|colgen]\n"
          "                 [--starts N (default "
      << core::ColumnGenOptions{}.heuristic_starts << "; 0: exact only)]\n"
          "  mrwsn admit scenario.txt [--metric avg] [--policy lp|eq13|...]\n"
@@ -1015,7 +1006,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
     // The remaining commands read a scenario file; an unknown command must
     // reach the usage message below without touching one.
     const auto load = [&] {
-      MRWSN_REQUIRE(args.size() >= 2, command + " needs a scenario file");
+      require_usage(args.size() >= 2, command + " needs a scenario file");
       return io::load_scenario(args[1]);
     };
     if (command == "info") {
@@ -1025,7 +1016,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
     }
     if (command == "capacity" || command == "available") {
       const io::ScenarioFile scenario = load();
-      MRWSN_REQUIRE(args.size() >= 4, command + " needs <src> <dst>");
+      require_usage(args.size() >= 4, command + " needs <src> <dst>");
       const net::NodeId src = parse_node(args[2]);
       const net::NodeId dst = parse_node(args[3]);
       const std::size_t nodes = scenario.positions.size();
